@@ -99,10 +99,7 @@ class InitialDataSet:
     def metric_at(self, pts: np.ndarray, check: bool = False) -> np.ndarray:
         g = self.metric(np.asarray(pts, dtype=float))
         if check:
-            try:
-                np.linalg.cholesky(g)
-            except np.linalg.LinAlgError:
-                raise DegenerateMetric("metric is not positive definite at a requested point")
+            _inverse_metric(g)
         return g
 
 
@@ -110,41 +107,29 @@ class InitialDataSet:
 # finite-difference stencils (vectorized over leading point axes)
 # ----------------------------------------------------------------------
 
+def _central(fun, pts, e, h):
+    """4th-order central first difference of fun along the step vector e (|e| = h)."""
+    return (-fun(pts + 2 * e) + 8.0 * fun(pts + e)
+            - 8.0 * fun(pts - e) + fun(pts - 2 * e)) / (12.0 * h)
+
+
 def _fd_grad(fun, pts, h):
     """4th-order gradient of fun along coordinate axes; output axis 1 is the direction."""
-    cols = []
-    for l in range(3):
-        e = np.zeros(3)
-        e[l] = h
-        cols.append((-fun(pts + 2 * e) + 8.0 * fun(pts + e)
-                     - 8.0 * fun(pts - e) + fun(pts - 2 * e)) / (12.0 * h))
-    return np.stack(cols, axis=pts.ndim - 1)
+    return np.stack([_central(fun, pts, e, h) for e in h * np.eye(3)], axis=pts.ndim - 1)
 
 
 def _fd_hess(fun, pts, h):
     """4th-order second derivatives; output axes (dir, dir) follow the point axes."""
     base = fun(pts)
     n_batch = pts.ndim - 1
+    steps = h * np.eye(3)
     blocks = [[None] * 3 for _ in range(3)]
-    for l in range(3):
-        e = np.zeros(3)
-        e[l] = h
+    for l, e in enumerate(steps):
         blocks[l][l] = (-fun(pts + 2 * e) + 16.0 * fun(pts + e) - 30.0 * base
                         + 16.0 * fun(pts - e) - fun(pts - 2 * e)) / (12.0 * h * h)
-    for l in range(3):
-        for m in range(l + 1, 3):
-            el = np.zeros(3)
-            el[l] = h
-
-            def dl(q, el=el):
-                return (-fun(q + 2 * el) + 8.0 * fun(q + el)
-                        - 8.0 * fun(q - el) + fun(q - 2 * el)) / (12.0 * h)
-            em = np.zeros(3)
-            em[m] = h
-            mixed = (-dl(pts + 2 * em) + 8.0 * dl(pts + em)
-                     - 8.0 * dl(pts - em) + dl(pts - 2 * em)) / (12.0 * h)
-            blocks[l][m] = mixed
-            blocks[m][l] = mixed
+        for m in range(l):
+            blocks[l][m] = blocks[m][l] = _central(
+                lambda q: _central(fun, q, steps[m], h), pts, e, h)
     return np.stack([np.stack(row, axis=n_batch) for row in blocks], axis=n_batch)
 
 
@@ -180,24 +165,46 @@ def _dk_of(ds: InitialDataSet, pts):
 # ----------------------------------------------------------------------
 
 def _inverse_metric(g):
-    try:
-        np.linalg.cholesky(g)
-    except np.linalg.LinAlgError:
+    """Closed-form inverse of a batch of metrics through g = L D L^T.
+
+    The pivots D are the ratios of consecutive leading minors (g_00, the 2x2
+    minor, det), so requiring them positive is Sylvester's test; any failing
+    node raises DegenerateMetric, and a NaN fails.  Unlike cofactors over the
+    determinant, the factorization keeps a relative error of order
+    cond(g) * eps when two eigenvalues are small.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d0 = g[..., 0, 0]
+        l1, l2 = g[..., 1, 0] / d0, g[..., 2, 0] / d0
+        d1 = g[..., 1, 1] - l1 * g[..., 1, 0]
+        s21 = g[..., 2, 1] - l2 * g[..., 1, 0]
+        l21 = s21 / d1
+        d2 = g[..., 2, 2] - l2 * g[..., 2, 0] - l21 * s21
+    if not (np.all(d0 > 0) and np.all(d1 > 0) and np.all(d2 > 0)):
         raise DegenerateMetric("metric is not positive definite")
-    return np.linalg.inv(g)
+    i1, i2 = 1.0 / d1, 1.0 / d2
+    a = l1 * l21 - l2                    # L^-1 = [[1, 0, 0], [-l1, 1, 0], [a, -l21, 1]]
+    x01, x02, x12 = -l1 * i1 - a * l21 * i2, a * i2, -l21 * i2
+    return np.stack([1.0 / d0 + l1 * l1 * i1 + a * a * i2, x01, x02,
+                     x01, i1 + l21 * l21 * i2, x12,
+                     x02, x12, i2], axis=-1).reshape(g.shape)
+
+
+def _bracket(dg):
+    """d_j g_lk + d_k g_lj - d_l g_jk in layout [..., l, j, k] (any leading axes)."""
+    return np.einsum("...jlk->...ljk", dg) + np.einsum("...klj->...ljk", dg) - dg
 
 
 def christoffel_from(g_inv, dg):
     """Gamma^i_{jk} from the inverse metric and metric gradient."""
-    s = np.einsum("...jlk->...ljk", dg) + np.einsum("...klj->...ljk", dg) - dg
-    return 0.5 * np.einsum("...il,...ljk->...ijk", g_inv, s)
+    s = _bracket(dg)
+    return 0.5 * (g_inv @ s.reshape(s.shape[:-3] + (3, 9))).reshape(s.shape)
 
 
 def dchristoffel_from(g_inv, dg, d2g):
     """partial_m Gamma^i_{jk}, index layout [..., m, i, j, k]."""
-    s = (np.einsum("...jlk->...ljk", dg) + np.einsum("...klj->...ljk", dg) - dg)
-    ds = (np.einsum("...mjlk->...mljk", d2g) + np.einsum("...mklj->...mljk", d2g)
-          - np.einsum("...mljk->...mljk", d2g))
+    s = _bracket(dg)
+    ds = _bracket(d2g)
     dginv = -np.einsum("...ia,...mab,...bl->...mil", g_inv, dg, g_inv, optimize=True)
     return (0.5 * np.einsum("...mil,...ljk->...mijk", dginv, s, optimize=True)
             + 0.5 * np.einsum("...il,...mljk->...mijk", g_inv, ds, optimize=True))
@@ -205,11 +212,9 @@ def dchristoffel_from(g_inv, dg, d2g):
 
 def d2christoffel_from(g_inv, dg, d2g, d3g):
     """partial_m partial_n Gamma^i_{jk}, layout [..., m, n, i, j, k]."""
-    s = (np.einsum("...jlk->...ljk", dg) + np.einsum("...klj->...ljk", dg) - dg)
-    ds = (np.einsum("...mjlk->...mljk", d2g) + np.einsum("...mklj->...mljk", d2g)
-          - np.einsum("...mljk->...mljk", d2g))
-    d2s = (np.einsum("...mnjlk->...mnljk", d3g) + np.einsum("...mnklj->...mnljk", d3g)
-           - np.einsum("...mnljk->...mnljk", d3g))
+    s = _bracket(dg)
+    ds = _bracket(d2g)
+    d2s = _bracket(d3g)
     dginv = -np.einsum("...ia,...mab,...bl->...mil", g_inv, dg, g_inv, optimize=True)
     d2ginv = -(np.einsum("...mia,...nab,...bl->...mnil", dginv, dg, g_inv, optimize=True)
                + np.einsum("...ia,...mnab,...bl->...mnil", g_inv, d2g, g_inv, optimize=True)
@@ -241,6 +246,22 @@ def ricci_from(gamma, dgamma):
             - np.einsum("...alm,...maj->...jl", gamma, gamma))
 
 
+def _curvature_chain(ds: InitialDataSet, pts):
+    """The staged chain g -> g^-1 -> Gamma -> d Gamma -> Ric at a batch of points."""
+    g = ds.metric(pts)
+    g_inv = _inverse_metric(g)
+    dg = _dg_of(ds, pts)
+    gamma = christoffel_from(g_inv, dg)
+    dgamma = dchristoffel_from(g_inv, dg, _d2g_of(ds, pts))
+    return g, g_inv, gamma, dgamma, ricci_from(gamma, dgamma)
+
+
+def _covariant_dk(ds: InitialDataSet, pts, gamma, k):
+    """nabla_s k_ij = partial_s k_ij - Gamma^l_{si} k_lj - Gamma^l_{sj} k_il."""
+    return (_dk_of(ds, pts) - np.einsum("...lsi,...lj->...sij", gamma, k)
+            - np.einsum("...lsj,...il->...sij", gamma, k))
+
+
 @dataclass
 class AmbientFields:
     """Batched ambient quantities at a set of points (leading axis = node)."""
@@ -260,31 +281,17 @@ def ambient_fields(ds: InitialDataSet, pts: np.ndarray, check_chart: bool = True
     pts = np.asarray(pts, dtype=float)
     if check_chart:
         ds.check_chart(pts, reach=0.0 if ds.derivative_mode == "closed_form" else ds.fd.reach)
-    g = ds.metric(pts)
-    g_inv = _inverse_metric(g)
-    dg = _dg_of(ds, pts)
-    d2g = _d2g_of(ds, pts)
-    gamma = christoffel_from(g_inv, dg)
-    dgamma = dchristoffel_from(g_inv, dg, d2g)
-    ric = ricci_from(gamma, dgamma)
+    g, g_inv, gamma, _, ric = _curvature_chain(ds, pts)
     k = ds.k_tensor(pts)
-    dk = _dk_of(ds, pts)
-    grad_k = (dk - np.einsum("...lsi,...lj->...sij", gamma, k)
-              - np.einsum("...lsj,...il->...sij", gamma, k))
     trk = np.einsum("...ij,...ij->...", g_inv, k)
     return AmbientFields(points=pts, metric=g, metric_inv=g_inv, christoffel=gamma,
-                         ricci=ric, k=k, k_trace=trk, grad_k=grad_k)
+                         ricci=ric, k=k, k_trace=trk,
+                         grad_k=_covariant_dk(ds, pts, gamma, k))
 
 
 def scalar_curvature(ds: InitialDataSet, pts: np.ndarray) -> np.ndarray:
     """Scalar curvature at a batch of points."""
-    pts = np.asarray(pts, dtype=float)
-    g_inv = _inverse_metric(ds.metric(pts))
-    dg = _dg_of(ds, pts)
-    d2g = _d2g_of(ds, pts)
-    gamma = christoffel_from(g_inv, dg)
-    dgamma = dchristoffel_from(g_inv, dg, d2g)
-    ric = ricci_from(gamma, dgamma)
+    _, g_inv, _, _, ric = _curvature_chain(ds, np.asarray(pts, dtype=float))
     return np.einsum("...jl,...jl->...", g_inv, ric)
 
 
@@ -307,14 +314,10 @@ class CurvatureAtPoint:
     traceless_k_norm_sq: float
 
 
-def _ricci_map(ds: InitialDataSet):
-    def rm(pts):
-        g_inv = _inverse_metric(ds.metric(pts))
-        dg = _dg_of(ds, pts)
-        d2g = _d2g_of(ds, pts)
-        gamma = christoffel_from(g_inv, dg)
-        return ricci_from(gamma, dchristoffel_from(g_inv, dg, d2g))
-    return rm
+def _covariant_hessian(gamma, grad, hess):
+    """Symmetrized nabla^2 f = partial^2 f - Gamma^l_{ij} partial_l f at one point."""
+    hess = hess - np.einsum("lij,l->ij", gamma, grad)
+    return 0.5 * (hess + hess.T)
 
 
 def curvature_at(ds: InitialDataSet, x) -> CurvatureAtPoint:
@@ -338,37 +341,26 @@ def curvature_at(ds: InitialDataSet, x) -> CurvatureAtPoint:
     ds.check_chart(x[None, :], reach=reach)
 
     pt = x[None, :]
-    g = ds.metric_at(pt, check=True)
-    g_inv = _inverse_metric(g)
-    dg = _dg_of(ds, pt)
-    d2g = _d2g_of(ds, pt)
-    gamma = christoffel_from(g_inv, dg)
-    dgamma = dchristoffel_from(g_inv, dg, d2g)
+    g, g_inv, gamma, dgamma, ric = _curvature_chain(ds, pt)
     rm = riemann_from(g, gamma, dgamma)
-    ric = ricci_from(gamma, dgamma)
     sc = np.einsum("...jl,...jl->...", g_inv, ric)
 
     def sc_map(pts):
         return scalar_curvature(ds, pts)
 
     h1 = ds.fd.derived_step
-    h2 = ds.fd.second_step
     gm = gamma[0]
     dsc = _fd_grad(sc_map, pt, h1)[0]
-    d2sc = _fd_hess(sc_map, pt, h2)[0]
-    hess_sc = d2sc - np.einsum("lij,l->ij", gm, dsc)
-    hess_sc = 0.5 * (hess_sc + hess_sc.T)
+    hess_sc = _covariant_hessian(gm, dsc, _fd_hess(sc_map, pt, ds.fd.second_step)[0])
 
     # nabla_s Ric_ij = partial_s Ric_ij - Gamma^l_{si} Ric_lj - Gamma^l_{sj} Ric_il
-    dric = _fd_grad(_ricci_map(ds), pt, h1)[0]
+    dric = _fd_grad(lambda q: _curvature_chain(ds, q)[4], pt, h1)[0]
     grad_ric = (dric
                 - np.einsum("lsi,lj->sij", gm, ric[0])
                 - np.einsum("lsj,il->sij", gm, ric[0]))
 
     k = ds.k_tensor(pt)
-    dk = _dk_of(ds, pt)
-    grad_k = (dk - np.einsum("...lsi,...lj->...sij", gamma, k)
-              - np.einsum("...lsj,...il->...sij", gamma, k))
+    grad_k = _covariant_dk(ds, pt, gamma, k)
     trk = float(np.einsum("ij,ij->", g_inv[0], k[0]))
     k_up = np.einsum("ip,jq,pq->ij", g_inv[0], g_inv[0], k[0])
     norm_k_sq = float(np.einsum("ij,ij->", k_up, k[0]))
@@ -390,8 +382,8 @@ def concentration_scalar(ds: InitialDataSet, x):
     x = np.asarray(x, dtype=float).reshape(3)
 
     def f_map(pts):
-        sc = scalar_curvature(ds, pts)
-        g_inv = _inverse_metric(ds.metric(pts))
+        _, g_inv, _, _, ric = _curvature_chain(ds, pts)
+        sc = np.einsum("...jl,...jl->...", g_inv, ric)
         k = ds.k_tensor(pts)
         trk = np.einsum("...ij,...ij->...", g_inv, k)
         k_up = np.einsum("...ip,...jq,...pq->...ij", g_inv, g_inv, k)
@@ -403,13 +395,8 @@ def concentration_scalar(ds: InitialDataSet, x):
     ds.check_chart(pt, reach=reach)
     value = float(f_map(pt)[0])
     grad = _fd_grad(f_map, pt, ds.fd.derived_step)[0]
-    hess = _fd_hess(f_map, pt, ds.fd.second_step)[0]
-    g_inv = _inverse_metric(ds.metric(pt))
-    dg = _dg_of(ds, pt)
-    gamma = christoffel_from(g_inv, dg)[0]
-    hess = hess - np.einsum("lij,l->ij", gamma, grad)
-    hess = 0.5 * (hess + hess.T)
-    return value, grad, hess
+    gamma = christoffel_from(_inverse_metric(ds.metric(pt)), _dg_of(ds, pt))[0]
+    return value, grad, _covariant_hessian(gamma, grad, _fd_hess(f_map, pt, ds.fd.second_step)[0])
 
 
 # ----------------------------------------------------------------------

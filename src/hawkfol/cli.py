@@ -183,6 +183,22 @@ def _emit_trace(trace, out_dir, fmt, config, name="foliate_result"):
         _write_csv(out_dir, name, _TRACE_HEADER, _trace_rows(trace), config)
 
 
+def _load_resume(path) -> list:
+    """Solutions of a previous foliate_result.json; ConfigError if unreadable."""
+    try:
+        with open(path) as fh:
+            previous = json.load(fh)["trace"]["solutions"]
+        return [CriticalSurfaceSolution(
+            r=s["r"], tau=np.asarray(s["tau"]), lam=s["lambda"],
+            phi=HarmonicField(np.asarray(s["phi_coeffs"]), s["phi_band_limit"]),
+            residual_norm=s["residual_norm"],
+            residual_norm_full=s["residual_norm_full"],
+            newton_iterations=s["newton_iterations"], converged=s["converged"],
+            energy=None) for s in previous]
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"cannot resume from {path}: {type(exc).__name__}: {exc}") from exc
+
+
 def cmd_foliate(config, grid, out_dir, fmt):
     ds = _dataset(config)
     section = config.get("foliate")
@@ -190,15 +206,7 @@ def cmd_foliate(config, grid, out_dir, fmt):
         raise ConfigError("foliate needs a foliate section with r_min and r_max")
     warm = None
     if section.get("resume"):
-        with open(section["resume"]) as fh:
-            previous = json.load(fh)["trace"]["solutions"]
-        warm = [CriticalSurfaceSolution(
-            r=s["r"], tau=np.asarray(s["tau"]), lam=s["lambda"],
-            phi=HarmonicField(np.asarray(s["phi_coeffs"]), s["phi_band_limit"]),
-            residual_norm=s["residual_norm"],
-            residual_norm_full=s["residual_norm_full"],
-            newton_iterations=s["newton_iterations"], converged=s["converged"],
-            energy=None) for s in previous]
+        warm = _load_resume(section["resume"])
         # re-attach energies for resumed leaves
         for sol in warm:
             full_phi = HarmonicField(sol.r ** 2 * sol.phi.coeffs, sol.phi.band_limit)

@@ -28,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .background import InitialDataSet, ambient_fields
+from .background import InitialDataSet, _inverse_metric, ambient_fields
 from .errors import NonEmbedded
 from .geodesic import VariationBundle, transported_center_frame
 from .grid import SphereGrid
@@ -223,9 +223,9 @@ def _rescaled_node_data(ds: InitialDataSet, center, tau, radius: float,
 
     df = bundle.df        # (n, a, i): manifold a, chart i
     d2f = bundle.d2f      # (n, a, i, j)
-    df_inv = np.linalg.inv(df)
-
     g_hat = np.einsum("nab,nai,nbj->nij", amb.metric, df, df)
+    g_inv = _inverse_metric(g_hat)
+    df_inv = g_inv @ np.swapaxes(df, 1, 2) @ amb.metric   # DF^-1 = ghat^-1 DF^T g
     gamma_hat = np.einsum("nkc,ncij->nkij", df_inv,
                           d2f + np.einsum("ncab,nai,nbj->ncij", amb.christoffel, df, df))
     ric_hat = np.einsum("nab,nai,nbj->nij", amb.ricci, df, df)
@@ -239,7 +239,6 @@ def _rescaled_node_data(ds: InitialDataSet, center, tau, radius: float,
     ric_resc = radius * radius * ric_hat
     k_resc = radius * k_hat
     grad_k_resc = radius * radius * grad_k_hat
-    g_inv = np.linalg.inv(g_resc)
     trk = np.einsum("nij,nij->n", g_inv, k_resc)
     node_amb = _NodeAmbient(metric_inv=g_inv, ricci=ric_resc, k=k_resc,
                             k_trace=trk, grad_k=grad_k_resc)
@@ -275,7 +274,7 @@ def _rescaled_geometry(ds: InitialDataSet, center, tau, radius: float,
 
     node_amb, g_resc, gamma_resc = _rescaled_node_data(
         ds, center, tau, radius, grid, factor, n_steps=n_steps)
-    geo = geometry_from_embedding(grid, d1, d2, g_resc, gamma_resc,
+    geo = geometry_from_embedding(grid, d1, d2, g_resc, node_amb.metric_inv, gamma_resc,
                                   node_amb.k, node_amb.k_trace)
     geo["d1"] = d1
 

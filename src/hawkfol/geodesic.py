@@ -8,20 +8,66 @@ graph function never forces a re-integration.  A VariationBundle additionally
 carries the Jacobi fields and second variations of the exponential map, which
 give the exact differential and Hessian of the normal-coordinate chart needed
 by the rescaled operator.
+
+Kernel
+------
+Geodesics are driven by `geodesic_acceleration`, which contracts the velocity
+into the metric gradient before raising the index, so the Christoffel symbols
+are never formed: -Gamma(v, v) costs a few 3-vector contractions per node and
+one closed-form 3x3 inverse.  Parallel transport uses the same early
+contraction for the matrix Gamma(u, .).  Every integration here (exp_map,
+parallel_transport, RayFan, VariationBundle) runs on one classical RK4
+stepper, `_rk4`, over tuples of arrays with a scalar or per-node step; each
+caller checks the chart after every step.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .background import (InitialDataSet, _d3g_of, _dg_of, _d2g_of,
-                         _inverse_metric, christoffel_from)
+from .background import InitialDataSet, _bracket, _d3g_of, _dg_of, _d2g_of, _inverse_metric
 from .errors import ChartExceeded, StepSizeUnderflow
 
 
-def _gamma_at(ds: InitialDataSet, pts):
+def geodesic_acceleration(ds: InitialDataSet, pts: np.ndarray, vel: np.ndarray) -> np.ndarray:
+    """-Gamma(v, v) = -1/2 g^-1 (2 d_j g_lk v^j v^k - d_l g_jk v^j v^k).
+
+    v is contracted into the metric gradient first; Gamma is never formed.
+    """
     g_inv = _inverse_metric(ds.metric(pts))
-    return christoffel_from(g_inv, _dg_of(ds, pts))
+    dg_v = np.einsum("...lij,...j->...li", _dg_of(ds, pts), vel)
+    lowered = (2.0 * np.einsum("...jl,...j->...l", dg_v, vel)
+               - np.einsum("...lj,...j->...l", dg_v, vel))
+    return -0.5 * np.einsum("...il,...l->...i", g_inv, lowered)
+
+
+def _connection_along(ds: InitialDataSet, pts: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Gamma(u, .) as matrices [..., i, k] = Gamma^i_{jk} u^j, without forming Gamma."""
+    g_inv = _inverse_metric(ds.metric(pts))
+    dg = _dg_of(ds, pts)
+    dg_u = np.einsum("...lkj,...j->...lk", dg, u)     # d_l g_kj u^j
+    lowered = np.einsum("...jlk,...j->...lk", dg, u) + np.swapaxes(dg_u, -1, -2) - dg_u
+    return 0.5 * (g_inv @ lowered)
+
+
+def _rk4(rhs, state, h, n_steps):
+    """Classical RK4 on a tuple of arrays; yields (t, state) after every step.
+
+    `rhs(t, *state)` returns the tuple of derivatives.  `h` is a scalar or an
+    array holding one step per entry of the leading axis of every array.
+    """
+    hs = [h if np.ndim(h) == 0 else np.reshape(h, np.shape(h) + (1,) * (a.ndim - 1))
+          for a in state]
+    t = 0.0
+    for j in range(n_steps):
+        k1 = rhs(t, *state)
+        k2 = rhs(t + 0.5 * h, *(a + 0.5 * hj * k for a, hj, k in zip(state, hs, k1)))
+        k3 = rhs(t + 0.5 * h, *(a + 0.5 * hj * k for a, hj, k in zip(state, hs, k2)))
+        k4 = rhs(t + h, *(a + hj * k for a, hj, k in zip(state, hs, k3)))
+        state = tuple(a + (hj / 6.0) * (p + 2 * q + 2 * r + w)
+                      for a, hj, p, q, r, w in zip(state, hs, k1, k2, k3, k4))
+        t = (j + 1) * h
+        yield t, state
 
 
 def orthonormal_frame(ds: InitialDataSet, point) -> np.ndarray:
@@ -40,72 +86,51 @@ def exp_map(ds: InitialDataSet, base, v, n_steps: int = 64) -> np.ndarray:
     """
     base = np.asarray(base, dtype=float).reshape(3)
     v = np.asarray(v, dtype=float)
-    single = v.ndim == 1
-    v2 = np.atleast_2d(v)
     if n_steps < 1:
         raise StepSizeUnderflow("n_steps must be positive")
-    h = 1.0 / n_steps
+    v2 = np.atleast_2d(v)
 
-    x = np.broadcast_to(base, v2.shape).copy()
-    u = v2.copy()
+    def rhs(t, x, u):
+        return u, geodesic_acceleration(ds, x, u)
 
-    def rhs(x, u):
-        gam = _gamma_at(ds, x)
-        return u, -np.einsum("...ajk,...j,...k->...a", gam, u, u)
-
-    for _ in range(n_steps):
-        k1x, k1u = rhs(x, u)
-        k2x, k2u = rhs(x + 0.5 * h * k1x, u + 0.5 * h * k1u)
-        k3x, k3u = rhs(x + 0.5 * h * k2x, u + 0.5 * h * k2u)
-        k4x, k4u = rhs(x + h * k3x, u + h * k3u)
-        x = x + (h / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
-        u = u + (h / 6.0) * (k1u + 2 * k2u + 2 * k3u + k4u)
+    state = (np.broadcast_to(base, v2.shape), v2)
+    for _, (x, _) in _rk4(rhs, state, 1.0 / n_steps, n_steps):
         ds.check_chart(x)
-    return x[0] if single else x
+    return x[0] if v.ndim == 1 else x
+
+
+def _transport(ds: InitialDataSet, base, v, vectors, n_steps: int):
+    """Endpoint of t -> exp_base(t v) and `vectors` (columns) transported there."""
+    base = np.asarray(base, dtype=float).reshape(3)
+    v = np.asarray(v, dtype=float).reshape(3)
+
+    def rhs(t, x, u, w):
+        gam_u = _connection_along(ds, x, u)[0]      # Gamma(u, .)
+        return u, -(gam_u @ u[0])[None], -gam_u @ w
+
+    state = (base[None, :], v[None, :], np.asarray(vectors, dtype=float))
+    for _, (x, _, w) in _rk4(rhs, state, 1.0 / n_steps, n_steps):
+        ds.check_chart(x)
+    return x[0], w
 
 
 def parallel_transport(ds: InitialDataSet, base, v, vectors, n_steps: int = 64) -> np.ndarray:
     """Transport `vectors` (columns) along the geodesic t -> exp_base(t v)."""
-    base = np.asarray(base, dtype=float).reshape(3)
-    v = np.asarray(v, dtype=float).reshape(3)
-    w = np.asarray(vectors, dtype=float).copy()  # (3, m) columns
-    h = 1.0 / n_steps
-    x = base[None, :].copy()
-    u = v[None, :].copy()
-
-    def rhs(x, u, w):
-        gam = _gamma_at(ds, x)[0]
-        ax = u
-        au = -np.einsum("ajk,...j,...k->...a", gam, u, u)
-        aw = -np.einsum("ajk,j,km->am", gam, u[0], w)
-        return ax, au, aw
-
-    for _ in range(n_steps):
-        k1 = rhs(x, u, w)
-        k2 = rhs(x + 0.5 * h * k1[0], u + 0.5 * h * k1[1], w + 0.5 * h * k1[2])
-        k3 = rhs(x + 0.5 * h * k2[0], u + 0.5 * h * k2[1], w + 0.5 * h * k2[2])
-        k4 = rhs(x + h * k3[0], u + h * k3[1], w + h * k3[2])
-        x = x + (h / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        u = u + (h / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        w = w + (h / 6.0) * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-        ds.check_chart(x)
-    return w
+    return _transport(ds, base, v, vectors, n_steps)[1]
 
 
 def transported_center_frame(ds: InitialDataSet, p, tau, n_steps: int = 64):
     """Center c(tau) = exp_p(tau^i e_i) and the parallel frame e_i^tau there.
 
-    `tau` is given in the orthonormal frame at p.
+    `tau` is given in the orthonormal frame at p.  One integration carries
+    both the center and the frame.
     """
     p = np.asarray(p, dtype=float).reshape(3)
     tau = np.asarray(tau, dtype=float).reshape(3)
     frame_p = orthonormal_frame(ds, p)
     if np.allclose(tau, 0.0):
         return p.copy(), frame_p
-    v = frame_p @ tau
-    center = exp_map(ds, p, v, n_steps=n_steps)
-    frame = parallel_transport(ds, p, v, frame_p, n_steps=n_steps)
-    return center, frame
+    return _transport(ds, p, frame_p @ tau, frame_p, n_steps)
 
 
 class RayFan:
@@ -138,28 +163,13 @@ class RayFan:
         h = self.s_max / n_steps
         u = directions @ self.frame.T  # chart components of unit initial velocities
         self._u = u
-        xi = np.zeros((n, 3))
-        dxi = np.zeros((n, 3))
-        xis = np.empty((n, n_steps + 1, 3))
-        dxis = np.empty((n, n_steps + 1, 3))
-        xis[:, 0] = 0.0
-        dxis[:, 0] = 0.0
+        xis = np.zeros((n, n_steps + 1, 3))
+        dxis = np.zeros((n, n_steps + 1, 3))
 
         def rhs(s, xi, dxi):
-            pos = center + s * u + xi
-            vel = u + dxi
-            gam = _gamma_at(ds, pos)
-            return dxi, -np.einsum("...ajk,...j,...k->...a", gam, vel, vel)
+            return dxi, geodesic_acceleration(ds, center + s * u + xi, u + dxi)
 
-        s = 0.0
-        for j in range(n_steps):
-            k1x, k1v = rhs(s, xi, dxi)
-            k2x, k2v = rhs(s + 0.5 * h, xi + 0.5 * h * k1x, dxi + 0.5 * h * k1v)
-            k3x, k3v = rhs(s + 0.5 * h, xi + 0.5 * h * k2x, dxi + 0.5 * h * k2v)
-            k4x, k4v = rhs(s + h, xi + h * k3x, dxi + h * k3v)
-            xi = xi + (h / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
-            dxi = dxi + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
-            s += h
+        for j, (s, (xi, dxi)) in enumerate(_rk4(rhs, (xis[:, 0], dxis[:, 0]), h, n_steps)):
             xis[:, j + 1] = xi
             dxis[:, j + 1] = dxi
             ds.check_chart(center + s * u + xi)
@@ -228,7 +238,7 @@ class VariationBundle:
         C = np.zeros((n, 6, 3))
         D = np.zeros((n, 6, 3))
 
-        def rhs(x, v, A, B, C, D):
+        def rhs(t, x, v, A, B, C, D):
             # Christoffel data contracted with the velocity as early as
             # possible; the full d^2 Gamma tensor is never materialized.
             g_inv = _inverse_metric(ds.metric(x))
@@ -236,11 +246,10 @@ class VariationBundle:
             d2g = _d2g_of(ds, x)
             d3g = _d3g_of(ds, x)
 
-            s = (np.einsum("njlk->nljk", dg) + np.einsum("nklj->nljk", dg) - dg)
+            s = _bracket(dg)
             s_v = np.einsum("nljk,nk->nlj", s, v)
             s_vv = np.einsum("nlj,nj->nl", s_v, v)
-            ds_ = (np.einsum("nmjlk->nmljk", d2g) + np.einsum("nmklj->nmljk", d2g)
-                   - np.einsum("nmljk->nmljk", d2g))
+            ds_ = _bracket(d2g)
             ds_v = np.einsum("nmljk,nk->nmlj", ds_, v)
             ds_vv = np.einsum("nmlj,nj->nml", ds_v, v)
             if d3g.any():
@@ -250,61 +259,49 @@ class VariationBundle:
             else:
                 d2s_vv = np.zeros_like(ds_)[..., 0]
 
-            dginv = -np.einsum("nia,nmab,nbl->nmil", g_inv, dg, g_inv, optimize=True)
+            # batched 3x3 matmuls; [:, None] broadcasts over a derivative axis
+            dginv = -(g_inv[:, None] @ dg @ g_inv[:, None])
+            g_inv_t = np.swapaxes(g_inv, 1, 2)
 
-            gam = 0.5 * np.einsum("nal,nljk->najk", g_inv, s)
-            gam_v = 0.5 * np.einsum("nal,nlj->naj", g_inv, s_v)
+            gam = 0.5 * (g_inv @ s.reshape(n, 3, 9)).reshape(n, 3, 3, 3)
+            gam_v = 0.5 * (g_inv @ s_v)
             gam_vv = 0.5 * np.einsum("nal,nl->na", g_inv, s_vv)
-            dgam_v = 0.5 * (np.einsum("nmal,nlj->nmaj", dginv, s_v)
-                            + np.einsum("nal,nmlj->nmaj", g_inv, ds_v))
-            dgam_vv = 0.5 * (np.einsum("nmal,nl->nma", dginv, s_vv)
-                             + np.einsum("nal,nml->nma", g_inv, ds_vv))
+            dgam_v = 0.5 * (dginv @ s_v[:, None] + g_inv[:, None] @ ds_v)
+            dgam_vv = 0.5 * (np.einsum("nmal,nl->nma", dginv, s_vv) + ds_vv @ g_inv_t)
 
             # (d2 ginv)[m,q,i,l] s_vv[l] without materializing the rank-5 array
             u = np.einsum("nbl,nl->nb", g_inv, s_vv)
             dg_u = np.einsum("nqab,nb->nqa", dg, u)
             d2g_u = np.einsum("nmqab,nb->nmqa", d2g, u)
             dginv_s = np.einsum("nmbl,nl->nmb", dginv, s_vv)
-            d2ginv_s = -(np.einsum("nmia,nqa->nmqi", dginv, dg_u)
-                         + np.einsum("nia,nmqa->nmqi", g_inv, d2g_u)
-                         + np.einsum("nia,nqab,nmb->nmqi", g_inv, dg, dginv_s, optimize=True))
-            d2gam_vv = 0.5 * (d2ginv_s
-                              + np.einsum("nmal,nql->nmqa", dginv, ds_vv)
-                              + np.einsum("nqal,nml->nmqa", dginv, ds_vv)
-                              + np.einsum("nal,nmql->nmqa", g_inv, d2s_vv))
+            ginv_dg = (g_inv[:, None] @ dg).reshape(n, 9, 3)          # [n, (q, i), b]
+            d2ginv_s = -(dg_u[:, None] @ np.swapaxes(dginv, 2, 3)
+                         + d2g_u @ g_inv_t[:, None]
+                         + (ginv_dg @ np.swapaxes(dginv_s, 1, 2)).reshape(n, 3, 3, 3)
+                         .transpose(0, 3, 1, 2))
+            dginv_dsvv = np.swapaxes(dginv @ np.swapaxes(ds_vv, 1, 2)[:, None], 2, 3)
+            d2gam_vv = 0.5 * (d2ginv_s + dginv_dsvv + np.swapaxes(dginv_dsvv, 1, 2)
+                              + d2s_vv @ g_inv_t[:, None])
+
+            def pairs(X, Y):  # [n, p, (m, q)] = X[n, p, m] Y[n, p, q]
+                return (X[:, :, :, None] * Y[:, :, None, :]).reshape(n, 6, 9)
 
             dv = -gam_vv
-            dB = -(np.einsum("nma,nim->nia", dgam_vv, A)
-                   + 2.0 * np.einsum("naj,nij->nia", gam_v, B))
-            A1 = A[:, _PAIR_I]
-            A2 = A[:, _PAIR_J]
-            B1 = B[:, _PAIR_I]
-            B2 = B[:, _PAIR_J]
-            dD = -(np.einsum("nmqa,npm,npq->npa", d2gam_vv, A1, A2, optimize=True)
-                   + np.einsum("nma,npm->npa", dgam_vv, C)
-                   + 2.0 * np.einsum("nmaj,npm,npj->npa", dgam_v, A2, B1, optimize=True)
-                   + 2.0 * np.einsum("nmaj,npm,npj->npa", dgam_v, A1, B2, optimize=True)
-                   + 2.0 * np.einsum("naj,npj->npa", gam_v, D)
-                   + 2.0 * np.einsum("najk,npj,npk->npa", gam, B1, B2, optimize=True))
+            dB = -(A @ dgam_vv + 2.0 * (B @ np.swapaxes(gam_v, 1, 2)))
+            A1, A2 = A[:, _PAIR_I], A[:, _PAIR_J]
+            B1, B2 = B[:, _PAIR_I], B[:, _PAIR_J]
+            dD = -(pairs(A1, A2) @ d2gam_vv.reshape(n, 9, 3)
+                   + C @ dgam_vv
+                   + 2.0 * ((pairs(A2, B1) + pairs(A1, B2))
+                            @ dgam_v.transpose(0, 1, 3, 2).reshape(n, 9, 3))
+                   + 2.0 * (D @ np.swapaxes(gam_v, 1, 2))
+                   + 2.0 * (pairs(B1, B2) @ gam.transpose(0, 2, 3, 1).reshape(n, 9, 3)))
             return v, dv, B, dB, D, dD
 
-        hh = h[:, None]
-        hhh = h[:, None, None]
-        for _ in range(n_steps):
-            k1 = rhs(x, v, A, B, C, D)
-            k2 = rhs(x + 0.5 * hh * k1[0], v + 0.5 * hh * k1[1], A + 0.5 * hhh * k1[2],
-                     B + 0.5 * hhh * k1[3], C + 0.5 * hhh * k1[4], D + 0.5 * hhh * k1[5])
-            k3 = rhs(x + 0.5 * hh * k2[0], v + 0.5 * hh * k2[1], A + 0.5 * hhh * k2[2],
-                     B + 0.5 * hhh * k2[3], C + 0.5 * hhh * k2[4], D + 0.5 * hhh * k2[5])
-            k4 = rhs(x + hh * k3[0], v + hh * k3[1], A + hhh * k3[2],
-                     B + hhh * k3[3], C + hhh * k3[4], D + hhh * k3[5])
-            x = x + (hh / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-            v = v + (hh / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-            A = A + (hhh / 6.0) * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-            B = B + (hhh / 6.0) * (k1[3] + 2 * k2[3] + 2 * k3[3] + k4[3])
-            C = C + (hhh / 6.0) * (k1[4] + 2 * k2[4] + 2 * k3[4] + k4[4])
-            D = D + (hhh / 6.0) * (k1[5] + 2 * k2[5] + 2 * k3[5] + k4[5])
-            ds.check_chart(x)
+        state = (x, v, A, B, C, D)
+        for _, state in _rk4(rhs, state, h, n_steps):
+            ds.check_chart(state[0])
+        x, _, A, _, C, _ = state
 
         self.points = x
         # DF[:, a, i] = (A_i(s))^a / s ; D2F[:, a, i, j] = (C_ij(s))^a / s^2

@@ -141,21 +141,6 @@ class SphereGrid:
     def n_coeffs(self) -> int:
         return (self.band_limit + 1) ** 2
 
-    @cached_property
-    def degree_of_coeff(self) -> np.ndarray:
-        """Harmonic degree l of each flattened coefficient slot."""
-        l = np.zeros(self.n_coeffs, dtype=int)
-        for deg in range(self.band_limit + 1):
-            l[deg * deg:(deg + 1) * (deg + 1)] = deg
-        return l
-
-    @cached_property
-    def order_of_coeff(self) -> np.ndarray:
-        m = np.zeros(self.n_coeffs, dtype=int)
-        for deg in range(self.band_limit + 1):
-            m[deg * deg:(deg + 1) * (deg + 1)] = np.arange(-deg, deg + 1)
-        return m
-
     # ------------------------------------------------------------------
     # spectral tables
     # ------------------------------------------------------------------

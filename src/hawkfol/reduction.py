@@ -18,7 +18,6 @@ degree-0/1 coefficients, so it never enters the Newton system.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional
 
@@ -441,8 +440,3 @@ def _trace_from(solutions, grid) -> FoliationTrace:
         lambda0_extrapolated=lam0, dtau_dr_at_zero=dtau0,
         hawking_functional=hf, hawking_energy=he, area=area,
         epsilon0_sq_proxy=eps0)
-
-
-def trace_to_json(trace: FoliationTrace, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(trace.to_dict(), fh, indent=1)

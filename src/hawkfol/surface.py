@@ -95,10 +95,11 @@ def spectral_embedding_derivatives(grid: SphereGrid, positions: np.ndarray, chec
     return d1, d2
 
 
-def geometry_from_embedding(grid: SphereGrid, d1, d2, g, gamma, k, k_trace):
+def geometry_from_embedding(grid: SphereGrid, d1, d2, g, g_inv, gamma, k, k_trace):
     """Fundamental forms from embedding derivatives and ambient node data.
 
     Works for any chart: the physical one and the rescaled ball alike.
+    `g_inv` is the inverse of the ambient metric `g` at the nodes.
     Returns a dict of per-node fields.
     """
     gsig = np.einsum("nij,nai,nbj->nab", g, d1, d1)
@@ -112,8 +113,7 @@ def geometry_from_embedding(grid: SphereGrid, d1, d2, g, gamma, k, k_trace):
     ginv[:, 1, 0] = -gsig[:, 1, 0] / det
 
     n_cov = np.einsum("ijk,nj,nk->ni", _EPS3, d1[:, 0], d1[:, 1])
-    g_inv_amb = np.linalg.inv(g)
-    n_up = np.einsum("nij,nj->ni", g_inv_amb, n_cov)
+    n_up = np.einsum("nij,nj->ni", g_inv, n_cov)
     norm = np.sqrt(np.einsum("ni,ni->n", n_cov, n_up))
     nu = n_up / norm[:, None]
     nu_cov = np.einsum("nij,nj->ni", g, nu)
@@ -167,7 +167,7 @@ def surface_from_positions(ds: InitialDataSet, grid: SphereGrid, positions: np.n
 
     # stretched chart: same metric components, connection scaled by the chart
     # factor; k enters the rescaled picture with one power of scale
-    geo = geometry_from_embedding(grid, d1y, d2y, amb.metric,
+    geo = geometry_from_embedding(grid, d1y, d2y, amb.metric, amb.metric_inv,
                                   scale * amb.christoffel,
                                   scale * amb.k, scale * amb.k_trace)
     stretched = dict(geo)

@@ -2,11 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from hawkfol import (InitialDataSet, concentration_scalar, curvature_at, preset,
-                     scalar_curvature)
-from hawkfol.background import _fd_grad, _fd_hess
+from hawkfol import (InitialDataSet, RayFan, ambient_fields, concentration_scalar,
+                     curvature_at, geodesic_acceleration, preset, scalar_curvature)
+from hawkfol.background import (_dg_of, _fd_grad, _fd_hess, _inverse_metric,
+                                christoffel_from)
+from hawkfol.geodesic import _connection_along
 from hawkfol.errors import (ChartExceeded, DegenerateMetric, InvalidParams,
                             UnknownPreset)
 
@@ -215,3 +219,88 @@ def test_normal_coordinate_presets_centered(flat, conformal, constant_k):
     for ds in (flat, conformal, constant_k, poly):
         assert np.abs(ds.metric(ORIGIN[None])[0] - np.eye(3)).max() < 1e-15
         assert np.abs(ds.dmetric(ORIGIN[None])[0]).max() < 1e-15
+
+
+# ----------------------------------------------------------------------
+# the pointwise kernel: closed-form inverse and Gamma-free contractions
+# ----------------------------------------------------------------------
+
+def _spd_batch(seed, log_cond, n=256):
+    """SPD matrices of condition number exactly 10**log_cond, random eigenbases."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(n, 3, 3)))
+    ev = 10.0 ** (log_cond * rng.uniform(size=(n, 3)))
+    ev[:, 0], ev[:, 1] = 1.0, 10.0 ** log_cond
+    ev = rng.permuted(ev, axis=1) * 10.0 ** rng.uniform(-3, 3, size=(n, 1))
+    g = q @ (ev[..., None] * np.swapaxes(q, 1, 2))
+    return 0.5 * (g + np.swapaxes(g, 1, 2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), log_cond=st.floats(0.0, 8.0))
+def test_closed_form_inverse_matches_lapack(seed, log_cond):
+    g = _spd_batch(seed, log_cond)
+    ref = np.linalg.inv(g)
+    rel = np.abs(_inverse_metric(g) - ref).max(axis=(1, 2)) / np.abs(ref).max(axis=(1, 2))
+    # both inverses carry a forward error of order cond * eps: the bound is
+    # 1e-13 up to cond 100 and grows with cond beyond
+    assert np.all(rel <= 1e-15 * np.linalg.cond(g))
+
+
+def _random_polynomial(seed):
+    rng = np.random.default_rng(seed)
+    c4 = rng.normal(size=(3, 3, 3, 3))
+    c4 = c4 + c4.transpose(1, 0, 2, 3)
+    c4 = 0.05 * (c4 + c4.transpose(0, 1, 3, 2))
+    return preset("polynomial", g_quadratic=c4)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), which=st.sampled_from(["conformal_k", "polynomial"]))
+def test_gamma_free_contractions_match_christoffel(seed, which, conformal_k):
+    ds = conformal_k if which == "conformal_k" else _random_polynomial(seed)
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-0.2, 0.2, size=(64, 3))
+    vel = rng.normal(size=(64, 3))
+    gamma = christoffel_from(np.linalg.inv(ds.metric(pts)), _dg_of(ds, pts))
+    scale = np.abs(gamma).max() * np.abs(vel).max() ** 2
+    expected = -np.einsum("nijk,nj,nk->ni", gamma, vel, vel)
+    assert np.abs(geodesic_acceleration(ds, pts, vel) - expected).max() < 1e-13 * scale
+    along = np.einsum("nijk,nj->nik", gamma, vel)
+    assert np.abs(_connection_along(ds, pts, vel) - along).max() < 1e-13 * scale
+
+
+_BAD_NODE = {
+    "indefinite": np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+    "singular": np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+    "nan": np.diag([1.0, np.nan, 1.0]),
+}
+
+
+def _one_bad_node(kind, node=1234, n=2048):
+    """Flat data whose metric fails at one entry of every n-point batch."""
+    def metric(pts):
+        g = np.broadcast_to(np.eye(3), pts.shape[:-1] + (3, 3)).copy()
+        if pts.shape[:-1] == (n,):
+            g[node] = _BAD_NODE[kind]
+        return g
+
+    def zeros(rank):
+        return lambda pts: np.zeros(pts.shape[:-1] + (3,) * rank)
+
+    return InitialDataSet(metric=metric, k_tensor=zeros(2), dmetric=zeros(3),
+                          d2metric=zeros(4), d3metric=zeros(5), dk_tensor=zeros(3))
+
+
+@pytest.mark.parametrize("kind", sorted(_BAD_NODE))
+def test_single_bad_node_raises_degenerate_metric(kind):
+    ds = _one_bad_node(kind)
+    rng = np.random.default_rng(5)
+    directions = rng.normal(size=(2048, 3))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    with pytest.raises(DegenerateMetric):
+        RayFan(ds, ORIGIN, np.eye(3), directions, 0.1, n_steps=4)
+    with pytest.raises(DegenerateMetric):
+        ambient_fields(ds, 0.1 * directions)
+    # a batch of another size never sees the bad node and passes
+    ambient_fields(ds, 0.1 * directions[:2047])

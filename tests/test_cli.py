@@ -55,6 +55,20 @@ def test_malformed_config_exits_2(tmp_path, capsys):
     assert main(["energy", "--config", cfg]) == 2
 
 
+@pytest.mark.parametrize("content", [None, "{not json", '{"trace": {"r": [0.03]}}'],
+                         ids=["missing", "bad_json", "no_solutions"])
+def test_unreadable_resume_exits_2(tmp_path, capsys, content):
+    resume = tmp_path / "previous.json"
+    if content is not None:
+        resume.write_text(content)
+    cfg = write_config(tmp_path, {
+        "preset": {"name": "conformal_quadratic", "params": {"eps": 0.01}},
+        "grid": {"n_theta": 8, "n_phi": 16},
+        "foliate": {"r_min": 0.03, "r_max": 0.08, "resume": str(resume)}})
+    assert main(["foliate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "cannot resume from" in capsys.readouterr().err
+
+
 def test_unknown_preset_exits_3(tmp_path, capsys):
     cfg = write_config(tmp_path, {"preset": {"name": "wat"},
                                   "surface": {"radius": 1.0}})

@@ -107,8 +107,12 @@ class TestFoliate:
 
     def test_continuation_breaks_cleanly_outside_chart(self, grid):
         ds = preset("conformal_quadratic", eps=-0.25)  # chart radius 1.8
-        with pytest.raises((ContinuationBroken, Exception)):
+        with pytest.raises(ContinuationBroken) as info:
             foliate(ds, ORIGIN, (0.5, 5.0), 4, grid=grid)
+        # the leaves solved before the break come back, all inside the chart
+        partial = info.value.trace
+        assert partial is not None and len(partial.solutions) >= 1
+        assert np.all(partial.r < ds.chart_radius)
 
     def test_foliation_with_nonzero_k(self, conformal_k, grid):
         # curvature plus constant k: the smallness regime of the foliation

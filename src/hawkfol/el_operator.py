@@ -68,21 +68,8 @@ class ResidualField:
                 writer.writerow([n, *grid.nodes[n], self.values[n]])
 
 
-def _angle_hessian(grid: SphereGrid, values: np.ndarray):
-    """Spectral first and second angle derivatives of a node field."""
-    field = analyze_compensated(grid, np.asarray(values, dtype=float))
-    _, ft, fp, ftt, ftp, fpp = synthesize_derivatives(field, grid)
-    d1f = np.stack([ft, fp], axis=1)
-    d2f = np.empty((grid.n_nodes, 2, 2))
-    d2f[:, 0, 0] = ftt
-    d2f[:, 0, 1] = ftp
-    d2f[:, 1, 0] = ftp
-    d2f[:, 1, 1] = fpp
-    return d1f, d2f
-
-
 def _laplacian(grid: SphereGrid, metric_inv, gamma_sigma, values):
-    d1f, d2f = _angle_hessian(grid, values)
+    _, d1f, d2f = synthesize_derivatives(analyze_compensated(grid, values), grid)
     correction = np.einsum("ncab,nc->nab", gamma_sigma, d1f)
     return np.einsum("nab,nab->n", metric_inv, d2f - correction)
 
@@ -249,24 +236,15 @@ def _rescaled_geometry(ds: InitialDataSet, center, tau, radius: float,
                        phi: Optional[HarmonicField], lam: float, grid: SphereGrid,
                        n_steps: int = 64):
     """Geometry of S_phi in the rescaled ball plus the residual term dict."""
-    if phi is None:
-        phi_vals = np.zeros(grid.n_nodes)
-        pt = pp = ptt = ptp = ppp = np.zeros(grid.n_nodes)
-    else:
-        phi_vals, pt, pp, ptt, ptp, ppp = synthesize_derivatives(phi, grid)
+    phi_vals, dphi1, dphi2 = synthesize_derivatives(
+        HarmonicField.zero(0) if phi is None else phi, grid)
     factor = 1.0 + phi_vals
     if np.any(factor <= 0):
         raise NonEmbedded(f"1 + phi reaches {factor.min():.3g} <= 0")
 
     x1, x2 = grid.embedding_derivatives
     x = grid.nodes
-    d1 = factor[:, None, None] * x1 + np.stack([pt, pp], axis=1)[:, :, None] * x[:, None, :]
-    dphi2 = np.empty((grid.n_nodes, 2, 2))
-    dphi2[:, 0, 0] = ptt
-    dphi2[:, 0, 1] = ptp
-    dphi2[:, 1, 0] = ptp
-    dphi2[:, 1, 1] = ppp
-    dphi1 = np.stack([pt, pp], axis=1)
+    d1 = factor[:, None, None] * x1 + dphi1[:, :, None] * x[:, None, :]
     d2 = (factor[:, None, None, None] * x2
           + dphi2[:, :, :, None] * x[:, None, None, :]
           + dphi1[:, :, None, None] * x1[:, None, :, :]

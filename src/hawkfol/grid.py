@@ -3,9 +3,11 @@
 The grid is a tensor product of Gauss-Legendre nodes in cos(theta) with a
 uniform azimuth, so the poles are never sampled and quadrature of polynomial
 integrands of combined degree <= 2L is exact.  Real orthonormal spherical
-harmonics and their first/second angle derivatives are tabulated as dense
-node-by-coefficient matrices; every spectral operation in the package is a
-matmul against these tables.
+harmonics and their first/second angle derivatives are tabulated in one
+stacked array of dense node-by-coefficient tables, each the outer product of
+a colatitude part and an azimuth part.  `harmonics` is the only module that
+multiplies against them; its transforms take all components of a field and
+all derivative orders in one product.
 """
 
 from __future__ import annotations
@@ -18,6 +20,11 @@ import numpy as np
 def coeff_index(l: int, m: int) -> int:
     """Position of the (l, m) coefficient in the flattened real basis."""
     return l * l + (m + l)
+
+
+def coeff_degrees(band_limit: int) -> np.ndarray:
+    """Degree l of every coefficient slot up to `band_limit`, in basis order."""
+    return np.repeat(np.arange(band_limit + 1), 2 * np.arange(band_limit + 1) + 1)
 
 
 def _normalized_legendre(band_limit, z):
@@ -146,75 +153,60 @@ class SphereGrid:
     # ------------------------------------------------------------------
 
     @cached_property
-    def _tables(self):
+    def derivative_tables(self) -> np.ndarray:
+        """Y, Y_theta, Y_phi, Y_theta_theta, Y_theta_phi, Y_phi_phi at the nodes.
+
+        One array of shape (6, n_nodes, n_coeffs).  Each table is the outer
+        product of a colatitude part (n_theta, n_coeffs) and an azimuth part
+        (n_phi, n_coeffs), written in place.
+        """
         lmax = self.band_limit
-        z = self.gauss_z
-        q = _normalized_legendre(lmax, z)
+        q = _normalized_legendre(lmax, self.gauss_z)
         dq, d2q = _theta_derivative_tables(lmax, q)
+        l = coeff_degrees(lmax)
+        m = np.arange(self.n_coeffs) - l * l - l   # signed order of each column
+        am = np.abs(m)
+        # colatitude parts: Q, dQ, d2Q; sqrt(2) on the m != 0 columns
+        colat = np.stack([q, dq, d2q])[:, :, am, l] * np.where(m == 0, 1.0, np.sqrt(2.0))
+        # azimuth parts: cos(m phi) for m >= 0, sin(|m| phi) for m < 0, and
+        # their first and second phi derivatives
+        ang = np.outer(self.phi_1d, am)
+        cos, sin = np.cos(ang), np.sin(ang)
+        az = np.where(m >= 0, cos, sin)
+        az_p = -m * np.where(m > 0, sin, cos)
+        az_pp = -(m * m) * az
 
-        nphi = self.n_phi
-        cosm = np.cos(np.outer(np.arange(lmax + 1), self.phi_1d))  # (m, n_phi)
-        sinm = np.sin(np.outer(np.arange(lmax + 1), self.phi_1d))
-
-        nn = self.n_nodes
-        nc = self.n_coeffs
-        Y = np.zeros((nn, nc))
-        Yt = np.zeros((nn, nc))
-        Yp = np.zeros((nn, nc))
-        Ytt = np.zeros((nn, nc))
-        Ytp = np.zeros((nn, nc))
-        Ypp = np.zeros((nn, nc))
-
-        def fill(col, theta_part, az, az_p, az_pp):
-            # theta_part: (n_theta,) per derivative level; az: (n_phi,)
-            v, vt, vtt = theta_part
-            Y[:, col] = np.repeat(v, nphi) * np.tile(az, self.n_theta)
-            Yt[:, col] = np.repeat(vt, nphi) * np.tile(az, self.n_theta)
-            Ytt[:, col] = np.repeat(vtt, nphi) * np.tile(az, self.n_theta)
-            Yp[:, col] = np.repeat(v, nphi) * np.tile(az_p, self.n_theta)
-            Ytp[:, col] = np.repeat(vt, nphi) * np.tile(az_p, self.n_theta)
-            Ypp[:, col] = np.repeat(v, nphi) * np.tile(az_pp, self.n_theta)
-
-        sqrt2 = np.sqrt(2.0)
-        for l in range(lmax + 1):
-            for m in range(0, l + 1):
-                theta_part = (q[:, m, l], dq[:, m, l], d2q[:, m, l])
-                if m == 0:
-                    ones = np.ones(nphi)
-                    zeros = np.zeros(nphi)
-                    fill(coeff_index(l, 0), theta_part, ones, zeros, zeros)
-                else:
-                    c, s = cosm[m], sinm[m]
-                    fill(coeff_index(l, m), tuple(sqrt2 * t for t in theta_part),
-                         c, -m * s, -m * m * c)
-                    fill(coeff_index(l, -m), tuple(sqrt2 * t for t in theta_part),
-                         s, m * c, -m * m * s)
-        return {"Y": Y, "Yt": Yt, "Yp": Yp, "Ytt": Ytt, "Ytp": Ytp, "Ypp": Ypp}
+        tables = np.empty((6, self.n_theta, self.n_phi, self.n_coeffs))
+        parts = ((colat[0], az), (colat[1], az), (colat[0], az_p),
+                 (colat[2], az), (colat[1], az_p), (colat[0], az_pp))
+        for out, (theta_part, phi_part) in zip(tables, parts):
+            np.multiply(theta_part[:, None, :], phi_part[None, :, :], out=out)
+        return tables.reshape(6, self.n_nodes, self.n_coeffs)
 
     @property
     def basis(self) -> np.ndarray:
         """Y_{lm} sampled at the nodes, shape (n_nodes, n_coeffs)."""
-        return self._tables["Y"]
+        return self.derivative_tables[0]
 
     @property
     def basis_dtheta(self) -> np.ndarray:
-        return self._tables["Yt"]
+        return self.derivative_tables[1]
 
     @property
     def basis_dphi(self) -> np.ndarray:
-        return self._tables["Yp"]
+        return self.derivative_tables[2]
 
     @property
     def basis_dtheta2(self) -> np.ndarray:
-        return self._tables["Ytt"]
+        return self.derivative_tables[3]
 
     @property
     def basis_dtheta_dphi(self) -> np.ndarray:
-        return self._tables["Ytp"]
+        return self.derivative_tables[4]
 
     @property
     def basis_dphi2(self) -> np.ndarray:
-        return self._tables["Ypp"]
+        return self.derivative_tables[5]
 
     @cached_property
     def analysis_matrix(self) -> np.ndarray:

@@ -141,6 +141,16 @@ def initial_guess(ds: InitialDataSet, p, band_limit: int = 8,
     return lam0, phi0
 
 
+def _hessian_spectrum(hess):
+    """(eigenvalues, condition number, degenerate) of the symmetrized
+    concentration-scalar Hessian; degenerate means singular or condition
+    number above 1e8."""
+    eigs = np.linalg.eigvalsh(hess)
+    mags = np.abs(eigs)
+    cond = float(mags.max() / mags.min()) if mags.min() > 0 else np.inf
+    return eigs, cond, cond > 1e8
+
+
 def _k_at(ds: InitialDataSet, p):
     return ds.k_tensor(np.asarray(p, dtype=float).reshape(1, 3))[0]
 
@@ -250,10 +260,10 @@ def solve_critical(ds: InitialDataSet, p, r: float, guess=None,
     grid = grid or default_grid()
     if not fix_tau and not allow_degenerate:
         _, _, hess = concentration_scalar(ds, p)
-        sv = np.linalg.svd(hess, compute_uv=False)
-        if sv[-1] == 0 or sv[0] / sv[-1] > 1e8:
+        _, cond, degenerate = _hessian_spectrum(hess)
+        if degenerate:
             raise DegenerateHessian(
-                f"concentration-scalar Hessian condition {sv[0] / max(sv[-1], 1e-300):.2e} "
+                f"concentration-scalar Hessian condition {cond:.2e} "
                 "exceeds 1e8; no isolated critical point to center on")
 
     system = _ReducedSystem(ds, p, r, grid, band_limit)
@@ -345,8 +355,7 @@ def nonexistence_check(ds: InitialDataSet, p, tol: float = 1e-8) -> Nonexistence
                                   hessian_eigenvalues=None,
                                   verdict="gradient nonzero: no concentration of "
                                           "critical spheres at this point")
-    eigs = np.linalg.eigvalsh(hess)
-    degenerate = np.min(np.abs(eigs)) == 0 or np.max(np.abs(eigs)) / np.min(np.abs(eigs)) > 1e8
+    eigs, _, degenerate = _hessian_spectrum(hess)
     verdict = ("critical point with degenerate Hessian: reduction inconclusive"
                if degenerate else
                "critical point with nondegenerate Hessian: foliation candidate")

@@ -20,7 +20,8 @@ from .background import AmbientFields, InitialDataSet, ambient_fields
 from .errors import DegenerateInducedMetric, NonEmbedded
 from .geodesic import RayFan, transported_center_frame
 from .grid import SphereGrid
-from .harmonics import HarmonicField, analyze, analyze_compensated, synthesize
+from .harmonics import (HarmonicField, analyze, analyze_compensated, synthesize,
+                        synthesize_derivatives)
 
 _EPS3 = np.zeros((3, 3, 3))
 for _i, _j, _k, _s in ((0, 1, 2, 1), (1, 2, 0, 1), (2, 0, 1, 1),
@@ -79,19 +80,9 @@ def spectral_embedding_derivatives(grid: SphereGrid, positions: np.ndarray, chec
     l^2 amplification in the second-derivative tables acts on coefficients
     that are accurate relative to the small nonlinear part of the embedding.
     """
-    n = grid.n_nodes
-    d1 = np.empty((n, 2, 3))
-    d2 = np.empty((n, 2, 2, 3))
-    for comp in range(3):
-        if check:
-            analyze(grid, positions[:, comp], check=True)
-        coeffs = analyze_compensated(grid, positions[:, comp]).coeffs
-        d1[:, 0, comp] = grid.basis_dtheta @ coeffs
-        d1[:, 1, comp] = grid.basis_dphi @ coeffs
-        d2[:, 0, 0, comp] = grid.basis_dtheta2 @ coeffs
-        d2[:, 0, 1, comp] = grid.basis_dtheta_dphi @ coeffs
-        d2[:, 1, 1, comp] = grid.basis_dphi2 @ coeffs
-    d2[:, 1, 0] = d2[:, 0, 1]
+    if check:
+        analyze(grid, positions, check=True)
+    _, d1, d2 = synthesize_derivatives(analyze_compensated(grid, positions), grid)
     return d1, d2
 
 

@@ -1,5 +1,6 @@
 """Sphere grid quadrature, harmonic transforms, projections and moments."""
 
+import warnings
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -7,11 +8,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from hawkfol import (HarmonicField, analyze, biharmonic_apply, biharmonic_solve,
-                     moment_integral, moment_value, project_K0, project_K1,
+from hawkfol import (HarmonicField, analyze, analyze_compensated, biharmonic_apply,
+                     biharmonic_solve, moment_integral, moment_value, project_K0, project_K1,
                      project_Kperp, synthesize, synthesize_derivatives)
 from hawkfol.errors import BandLimitExceeded, NotOrthogonal, UnsupportedDegree
-from hawkfol.grid import SphereGrid, coeff_index
+from hawkfol.grid import (SphereGrid, _normalized_legendre, _theta_derivative_tables,
+                          coeff_index)
 
 
 def test_weights_sum_to_sphere_area(grid):
@@ -65,6 +67,68 @@ def test_band_limit_warning_on_aliased_field(grid):
     rough = np.cos(3 * grid.band_limit * theta)
     with pytest.warns(BandLimitExceeded):
         analyze(grid, rough)
+
+
+def test_batched_band_limit_check_is_per_component(grid):
+    clean = np.column_stack([grid.nodes[:, 0], 2.0 + grid.nodes[:, 1], grid.nodes[:, 2] ** 2])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", BandLimitExceeded)
+        analyze(grid, clean)
+    # the aliased component holds ~1e-7 of the whole field's energy, so only
+    # a per-component check sees its loss
+    aliased = clean.copy()
+    aliased[:, 2] = 1e-3 * np.cos(3 * grid.band_limit * grid.theta)
+    energy = grid.weights @ aliased ** 2
+    assert energy[2] < 1e-6 * energy.sum()
+    with pytest.warns(BandLimitExceeded):
+        analyze(grid, aliased)
+
+
+def test_batched_transforms_match_columns(grid):
+    rng = np.random.default_rng(3)
+    coeffs = rng.normal(size=(grid.n_coeffs, 3))
+    field = HarmonicField(coeffs, grid.band_limit)
+    values = synthesize(field, grid) + 5.0 * grid.nodes
+
+    def assert_close(batched, column):
+        assert np.abs(batched - column).max() <= 1e-14 * np.abs(column).max()
+
+    for transform in (analyze, analyze_compensated):
+        batched = transform(grid, values).coeffs
+        assert batched.flags.c_contiguous
+        for j in range(3):
+            assert_close(batched[:, j], transform(grid, values[:, j]).coeffs)
+    f, d1, d2 = synthesize_derivatives(field, grid)
+    assert d1.shape == (grid.n_nodes, 2, 3) and d2.shape == (grid.n_nodes, 2, 2, 3)
+    for arr in (f, d1, d2):
+        assert arr.flags.c_contiguous
+    for j in range(3):
+        column = synthesize_derivatives(HarmonicField(coeffs[:, j], grid.band_limit), grid)
+        for batched, single in zip((f, d1, d2), column):
+            assert_close(batched[..., j], single)
+    for table in (grid.basis, grid.basis_dtheta, grid.basis_dphi, grid.basis_dtheta2,
+                  grid.basis_dtheta_dphi, grid.basis_dphi2):
+        assert np.shares_memory(table, grid.derivative_tables)
+
+
+def test_derivative_tables_match_per_column_construction(small_grid):
+    # reference: each column filled from its colatitude and azimuth factors
+    g = small_grid
+    q = _normalized_legendre(g.band_limit, g.gauss_z)
+    dq, d2q = _theta_derivative_tables(g.band_limit, q)
+    ref = np.zeros((6, g.n_nodes, g.n_coeffs))
+    for l in range(g.band_limit + 1):
+        for m in range(-l, l + 1):
+            theta = [t[:, abs(m), l] * (np.sqrt(2.0) if m else 1.0) for t in (q, dq, d2q)]
+            c, s = np.cos(abs(m) * g.phi_1d), np.sin(abs(m) * g.phi_1d)
+            az = [np.ones(g.n_phi), np.zeros(g.n_phi), np.zeros(g.n_phi)]
+            if m > 0:
+                az = [c, -m * s, -m * m * c]
+            elif m < 0:
+                az = [s, -m * c, -m * m * s]
+            for k, (i, j) in enumerate(((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))):
+                ref[k, :, coeff_index(l, m)] = np.outer(theta[i], az[j]).ravel()
+    assert np.array_equal(g.derivative_tables, ref)
 
 
 def test_projections_of_constant(grid):
@@ -159,8 +223,8 @@ def test_derivative_tables_laplacian_eigenvalues(grid):
     z, st = grid.cos_theta, grid.sin_theta
     for (l, m) in [(1, 0), (2, 2), (5, -3), (12, 7), (20, -20)]:
         field = HarmonicField.from_coeff_dict(grid.band_limit, {(l, m): 1.0})
-        v, vt, vp, vtt, vtp, vpp = synthesize_derivatives(field, grid)
-        lap = vtt + (z / st) * vt + vpp / st ** 2
+        v, d1, d2 = synthesize_derivatives(field, grid)
+        lap = d2[:, 0, 0] + (z / st) * d1[:, 0] + d2[:, 1, 1] / st ** 2
         assert np.abs(lap + l * (l + 1) * v).max() < 5e-12
 
 

@@ -275,6 +275,17 @@ class AmbientFields:
     k_trace: np.ndarray
     grad_k: np.ndarray  # covariant nabla_s k_ij
 
+    def rescaled(self, s: float) -> "AmbientFields":
+        """The same data in coordinates stretched by 1/s (y = x / s).
+
+        The one chart-rescaling rule: metric components are unchanged, every
+        derivative brings a factor s and k scales with the connection, so
+        Gamma, k and tr k carry one power of s and Ric and grad k two.
+        `points` is kept as it is.
+        """
+        return replace(self, christoffel=s * self.christoffel, ricci=s * s * self.ricci,
+                       k=s * self.k, k_trace=s * self.k_trace, grad_k=s * s * self.grad_k)
+
 
 def ambient_fields(ds: InitialDataSet, pts: np.ndarray, check_chart: bool = True) -> AmbientFields:
     """Metric, connection, Ricci and k data at a batch of points."""

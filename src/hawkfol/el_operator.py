@@ -18,6 +18,12 @@ divergence expanded through the identity
 its node values equal r^3 times the physical residual at matching parameter
 points, which is verified rather than assumed.  `w_split` separates the
 k-independent part W1 from the k-dependent part W2 of the rescaled operator.
+
+Both evaluations run one term assembly, `_residual_terms`, on an
+`AmbientFields` in the chart of the surface: the physical residual in the
+surface coordinates stretched by 1/scale, the rescaled operator in the ball
+coordinates stretched by 1/r.  `AmbientFields.rescaled` is the one rule that
+carries the ambient data into either chart.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-from .background import InitialDataSet, _inverse_metric, ambient_fields
+from .background import AmbientFields, InitialDataSet, _inverse_metric, ambient_fields
 from .errors import NonEmbedded
 from .geodesic import VariationBundle, transported_center_frame
 from .grid import SphereGrid
@@ -87,23 +93,24 @@ def laplace_beltrami(surface: EmbeddedSurface, values: np.ndarray) -> np.ndarray
     return lap / (surface.scale * surface.scale)
 
 
-def _residual_terms(grid, geo, amb_like, lam, h_field=None):
+def _residual_terms(grid, geo, amb: AmbientFields, lam):
     """All eight terms of the residual from geometry + ambient node data.
 
-    `amb_like` must provide metric_inv, ricci, k, k_trace, grad_k at the
-    nodes.  Returns a dict of per-node arrays; the residual is their sum.
+    `geo` is the output of `geometry_from_embedding` with the same `amb`, in
+    the chart whose ambient components `amb` holds.  Returns a dict of
+    per-node arrays; the residual is their sum.
     """
-    h = geo["mean_curvature"] if h_field is None else h_field
+    h = geo["mean_curvature"]
     nu = geo["normal"]
     d1 = geo["d1"]
     ginv_s = geo["metric_inv"]
     b = geo["second_form"]
 
-    ric_nn = np.einsum("nij,ni,nj->n", amb_like.ricci, nu, nu)
-    k = amb_like.k
-    grad_k = amb_like.grad_k
-    trk = amb_like.k_trace
-    g_inv = amb_like.metric_inv
+    ric_nn = np.einsum("nij,ni,nj->n", amb.ricci, nu, nu)
+    k = amb.k
+    grad_k = amb.grad_k
+    trk = amb.k_trace
+    g_inv = amb.metric_inv
 
     k_nn = np.einsum("nij,ni,nj->n", k, nu, nu)
     p = trk - k_nn
@@ -129,10 +136,9 @@ def _residual_terms(grid, geo, amb_like, lam, h_field=None):
     grad_p_vec = np.einsum("nab,nb,nai->ni", ginv_s, dp, d1)
     k_gradp_nu = np.einsum("nij,ni,nj->n", k, grad_p_vec, nu)
 
-    lap_h = geo["laplacian_of_h"]
-    terms = {
+    return {
         "lam_h": lam * h,
-        "laplacian_h": lap_h,
+        "laplacian_h": _laplacian(grid, ginv_s, geo["surface_christoffel"], h),
         "h_b_traceless": h * geo["traceless_second_norm_sq"],
         "h_ricci": h * ric_nn,
         "p_normal_derivatives": p * (nu_trk - nu_k_nn),
@@ -140,16 +146,6 @@ def _residual_terms(grid, geo, amb_like, lam, h_field=None):
         "h_p_squared": 0.5 * h * p * p,
         "k_grad_p": -2.0 * k_gradp_nu,
     }
-    return terms
-
-
-@dataclass
-class _NodeAmbient:
-    metric_inv: np.ndarray
-    ricci: np.ndarray
-    k: np.ndarray
-    k_trace: np.ndarray
-    grad_k: np.ndarray
 
 
 def el_residual(ds: InitialDataSet, surface: EmbeddedSurface, lam: float,
@@ -159,25 +155,19 @@ def el_residual(ds: InitialDataSet, surface: EmbeddedSurface, lam: float,
     Returns a ResidualField over the parameter sphere; with `return_terms`
     also the dict of individual terms (in physical units).
 
-    The evaluation runs in the stretched surface coordinates and divides by
-    scale^3 at the end, which is an exact identity for the operator and keeps
-    the numerical floor independent of the surface size.
+    The evaluation runs in the stretched surface coordinates, with the
+    ambient data taken there by `AmbientFields.rescaled(scale)` and the
+    Lagrange term scale^2 lam H, and divides by scale^3 at the end; this is an
+    exact identity for the operator and keeps the numerical floor independent
+    of the surface size.
     """
-    grid = surface.grid
     s = surface.scale
-    geo = dict(surface.stretched)
-    geo["laplacian_of_h"] = _laplacian(grid, geo["metric_inv"],
-                                       geo["surface_christoffel"],
-                                       geo["mean_curvature"])
-    amb = surface.ambient
-    node_amb = _NodeAmbient(metric_inv=amb.metric_inv, ricci=s * s * amb.ricci,
-                            k=s * amb.k, k_trace=s * amb.k_trace,
-                            grad_k=s * s * amb.grad_k)
-    terms = _residual_terms(grid, geo, node_amb, s * s * lam)
+    terms = _residual_terms(surface.grid, surface.stretched,
+                            surface.ambient.rescaled(s), s * s * lam)
     s3 = s ** 3
     terms = {name: vals / s3 for name, vals in terms.items()}
     values = sum(terms.values())
-    res = ResidualField.from_values(grid, values, lam)
+    res = ResidualField.from_values(surface.grid, values, lam)
     if return_terms:
         return res, terms
     return res
@@ -189,19 +179,21 @@ def el_residual(ds: InitialDataSet, surface: EmbeddedSurface, lam: float,
 
 def _rescaled_node_data(ds: InitialDataSet, center, tau, radius: float,
                         grid: SphereGrid, radial_factor: np.ndarray,
-                        n_steps: int = 64):
+                        n_steps: int = 64) -> AmbientFields:
     """Ambient data of (g_{tau,r}, k_{tau,r}) at the graph nodes of the ball.
 
     Pulls every tensor back through the normal-coordinate chart F_tau using
     the exact chart differentials (Jacobi fields) and Hessians (second
-    variations), then applies the constant rescaling weights.
+    variations), then stretches the chart by 1/r with
+    `AmbientFields.rescaled(radius)`.  At r = 0 the ball data is flat.
     """
     n = grid.n_nodes
     if radius == 0.0:
-        eye = np.broadcast_to(np.eye(3), (n, 3, 3)).copy()
-        return _NodeAmbient(
-            metric_inv=eye.copy(), ricci=np.zeros((n, 3, 3)), k=np.zeros((n, 3, 3)),
-            k_trace=np.zeros(n), grad_k=np.zeros((n, 3, 3, 3))), eye.copy(), np.zeros((n, 3, 3, 3))
+        eye = np.broadcast_to(np.eye(3), (n, 3, 3))
+        return AmbientFields(points=np.zeros((n, 3)), metric=eye.copy(), metric_inv=eye.copy(),
+                             christoffel=np.zeros((n, 3, 3, 3)), ricci=np.zeros((n, 3, 3)),
+                             k=np.zeros((n, 3, 3)), k_trace=np.zeros(n),
+                             grad_k=np.zeros((n, 3, 3, 3)))
 
     center_pt, frame = transported_center_frame(ds, center, tau)
     radii = radius * radial_factor
@@ -215,27 +207,19 @@ def _rescaled_node_data(ds: InitialDataSet, center, tau, radius: float,
     df_inv = g_inv @ np.swapaxes(df, 1, 2) @ amb.metric   # DF^-1 = ghat^-1 DF^T g
     gamma_hat = np.einsum("nkc,ncij->nkij", df_inv,
                           d2f + np.einsum("ncab,nai,nbj->ncij", amb.christoffel, df, df))
-    ric_hat = np.einsum("nab,nai,nbj->nij", amb.ricci, df, df)
     k_hat = np.einsum("nab,nai,nbj->nij", amb.k, df, df)
-    grad_k_hat = np.einsum("ncab,ncs,nai,nbj->nsij", amb.grad_k, df, df, df)
-
-    # rescaled components on the ball: g(y) = ghat(ry), Gamma = r Gammahat,
-    # Ric = r^2 Richat, k = r khat, grad k = r^2 gradhat
-    g_resc = g_hat
-    gamma_resc = radius * gamma_hat
-    ric_resc = radius * radius * ric_hat
-    k_resc = radius * k_hat
-    grad_k_resc = radius * radius * grad_k_hat
-    trk = np.einsum("nij,nij->n", g_inv, k_resc)
-    node_amb = _NodeAmbient(metric_inv=g_inv, ricci=ric_resc, k=k_resc,
-                            k_trace=trk, grad_k=grad_k_resc)
-    return node_amb, g_resc, gamma_resc
+    pulled = AmbientFields(
+        points=radii[:, None] * grid.nodes, metric=g_hat, metric_inv=g_inv,
+        christoffel=gamma_hat, ricci=np.einsum("nab,nai,nbj->nij", amb.ricci, df, df),
+        k=k_hat, k_trace=np.einsum("nij,nij->n", g_inv, k_hat),
+        grad_k=np.einsum("ncab,ncs,nai,nbj->nsij", amb.grad_k, df, df, df))
+    return pulled.rescaled(radius)
 
 
 def _rescaled_geometry(ds: InitialDataSet, center, tau, radius: float,
                        phi: Optional[HarmonicField], lam: float, grid: SphereGrid,
                        n_steps: int = 64):
-    """Geometry of S_phi in the rescaled ball plus the residual term dict."""
+    """Residual term dict of S_phi in the rescaled ball."""
     phi_vals, dphi1, dphi2 = synthesize_derivatives(
         HarmonicField.zero(0) if phi is None else phi, grid)
     factor = 1.0 + phi_vals
@@ -250,20 +234,9 @@ def _rescaled_geometry(ds: InitialDataSet, center, tau, radius: float,
           + dphi1[:, :, None, None] * x1[:, None, :, :]
           + dphi1[:, None, :, None] * x1[:, :, None, :])
 
-    node_amb, g_resc, gamma_resc = _rescaled_node_data(
-        ds, center, tau, radius, grid, factor, n_steps=n_steps)
-    geo = geometry_from_embedding(grid, d1, d2, g_resc, node_amb.metric_inv, gamma_resc,
-                                  node_amb.k, node_amb.k_trace)
-    geo["d1"] = d1
-
-    # Laplace-Beltrami of H on the rescaled surface, same spectral route
-    geo["laplacian_of_h"] = _laplacian(grid, geo["metric_inv"],
-                                       geo["surface_christoffel"],
-                                       geo["mean_curvature"])
-
-    lam_eff = radius * radius * lam
-    terms = _residual_terms(grid, geo, node_amb, lam_eff)
-    return terms
+    amb = _rescaled_node_data(ds, center, tau, radius, grid, factor, n_steps=n_steps)
+    return _residual_terms(grid, geometry_from_embedding(grid, d1, d2, amb), amb,
+                           radius * radius * lam)
 
 
 def rescaled_phi(ds: InitialDataSet, center, tau, radius: float,

@@ -126,19 +126,18 @@ def synthesize(field: HarmonicField, grid: SphereGrid) -> np.ndarray:
     return _product(grid.basis[:, :field.coeffs.shape[0]], field.coeffs)
 
 
-def analyze_compensated(grid: SphereGrid, values: np.ndarray,
-                        baseline_degree: int = 1) -> HarmonicField:
+def analyze_compensated(grid: SphereGrid, values: np.ndarray) -> HarmonicField:
     """Two-pass analysis that removes the dominant low-degree part first.
 
     Quadrature roundoff enters each coefficient at ~eps * |field|; when the
     coefficients are later multiplied by l^2-sized derivative eigenvalues this
-    floor is amplified.  Subtracting the degree <= `baseline_degree` part and
-    re-analyzing the small remainder keeps the high-degree coefficients
-    accurate relative to the remainder instead of the full field.
+    floor is amplified.  Subtracting the degree <= 1 part and re-analyzing the
+    small remainder keeps the high-degree coefficients accurate relative to
+    the remainder instead of the full field.
     """
     values = np.asarray(values, dtype=float)
     first = _product(grid.analysis_matrix, values)
-    ncut = (baseline_degree + 1) ** 2
+    ncut = 4
     baseline = np.zeros_like(first)
     baseline[:ncut] = first[:ncut]
     remainder = values - _product(grid.basis[:, :ncut], first[:ncut])

@@ -80,7 +80,6 @@ class FoliationTrace:
     hawking_functional: np.ndarray
     hawking_energy: np.ndarray
     area: np.ndarray
-    epsilon0_sq_proxy: float
 
     def to_dict(self) -> dict:
         return {
@@ -92,7 +91,6 @@ class FoliationTrace:
             "hawking_functional": list(self.hawking_functional),
             "hawking_energy": list(self.hawking_energy),
             "area": list(self.area),
-            "epsilon0_sq_proxy": self.epsilon0_sq_proxy,
             "solutions": [s.to_dict() for s in self.solutions],
         }
 
@@ -159,10 +157,13 @@ def _k_at(ds: InitialDataSet, p):
 # the projected Newton system
 # ----------------------------------------------------------------------
 
+_FAN_STEPS = 64
+
+
 class _ReducedSystem:
     """Residual and forward-difference Jacobian of the projected equations."""
 
-    def __init__(self, ds, p, r, grid, band_limit, fan_steps=64):
+    def __init__(self, ds, p, r, grid, band_limit):
         self.ds = ds
         self.p = np.asarray(p, dtype=float).reshape(3)
         self.r = float(r)
@@ -170,7 +171,6 @@ class _ReducedSystem:
         self.band_limit = band_limit
         self.n_coeffs = (band_limit + 1) ** 2
         self.n_phi = self.n_coeffs - 4
-        self.fan_steps = fan_steps
         self._fans = {}
         self.evaluations = 0
 
@@ -179,10 +179,15 @@ class _ReducedSystem:
         if key not in self._fans:
             center, frame = transported_center_frame(self.ds, self.p, tau)
             self._fans[key] = RayFan(self.ds, center, frame, self.grid.nodes,
-                                     s_max=1.3 * self.r, n_steps=self.fan_steps)
+                                     s_max=1.3 * self.r, n_steps=_FAN_STEPS)
             if len(self._fans) > 12:
                 self._fans.pop(next(iter(self._fans)))
         return self._fans[key]
+
+    def pack(self, tau, lam, phi: HarmonicField) -> np.ndarray:
+        """The Newton unknown u = (tau, lam, phi coefficients of degree >= 2)."""
+        return np.concatenate([np.asarray(tau, dtype=float).reshape(3), [float(lam)],
+                               phi.restricted(self.band_limit).coeffs[4:]])
 
     def unpack(self, u):
         tau = u[:3]
@@ -237,49 +242,9 @@ class _ReducedSystem:
         return jac
 
 
-def solve_critical(ds: InitialDataSet, p, r: float, guess=None,
-                   grid: Optional[SphereGrid] = None, band_limit: int = 8,
-                   tol: float = 1e-7, max_iter: int = 25, fix_tau: bool = False,
-                   allow_degenerate: bool = False,
-                   with_energy: bool = True) -> CriticalSurfaceSolution:
-    """Newton solve of the reduced system at one radius.
-
-    Parameters
-    ----------
-    guess : None, (tau, lam, phi) triple, or CriticalSurfaceSolution
-        Starting point; defaults to the closed-form r -> 0 guess at p.
-    tol : float
-        Convergence threshold on the projected L2 norm of Phi~ (the rescaled
-        residual Phi then satisfies |Phi| < tol * r^3).
-    fix_tau : bool
-        Solve only the (lam, phi) block with tau frozen; used to measure the
-        kernel obstruction at points where no critical sphere exists.
-    allow_degenerate : bool
-        Skip the concentration-scalar Hessian conditioning gate.
-    """
-    grid = grid or default_grid()
-    if not fix_tau and not allow_degenerate:
-        _, _, hess = concentration_scalar(ds, p)
-        _, cond, degenerate = _hessian_spectrum(hess)
-        if degenerate:
-            raise DegenerateHessian(
-                f"concentration-scalar Hessian condition {cond:.2e} "
-                "exceeds 1e8; no isolated critical point to center on")
-
-    system = _ReducedSystem(ds, p, r, grid, band_limit)
-    if guess is None:
-        lam0, phi0 = initial_guess(ds, p, band_limit=band_limit, grid=grid)
-        tau0 = np.zeros(3)
-    elif isinstance(guess, CriticalSurfaceSolution):
-        tau0, lam0, phi0 = guess.tau, guess.lam, guess.phi.restricted(band_limit)
-    else:
-        tau0, lam0, phi0 = guess
-        phi0 = phi0.restricted(band_limit)
-
-    u = np.concatenate([np.asarray(tau0, dtype=float).reshape(3), [float(lam0)],
-                        phi0.coeffs[4:]])
-    free = np.arange(u.size) if not fix_tau else np.arange(3, u.size)
-
+def _newton(system: _ReducedSystem, u, free, tol: float, max_iter: int):
+    """Damped Newton on the `free` entries of u; returns (u, r_vec, full_norm,
+    iterations) at convergence and raises NonConvergence otherwise."""
     r_vec, full_norm = system.residual(u)
     best = np.linalg.norm(r_vec[free])
     jac = None
@@ -313,21 +278,56 @@ def solve_critical(ds: InitialDataSet, p, r: float, guess=None,
             r_vec, full_norm = system.residual(u)
         best = min(best, np.linalg.norm(r_vec[free]))
 
-    converged = bool(np.linalg.norm(r_vec[free]) < tol)
-    if not converged:
+    if not np.linalg.norm(r_vec[free]) < tol:
         raise NonConvergence(
             f"projected residual {np.linalg.norm(r_vec[free]):.3e} after "
             f"{iterations} iterations (tol {tol:.1e})",
             iterations=iterations, residual=float(np.linalg.norm(r_vec[free])))
+    return u, r_vec, full_norm, iterations
 
+
+def solve_critical(ds: InitialDataSet, p, r: float, guess=None,
+                   grid: Optional[SphereGrid] = None, band_limit: int = 8,
+                   tol: float = 1e-7, max_iter: int = 25) -> CriticalSurfaceSolution:
+    """Newton solve of the reduced system at one radius.
+
+    Parameters
+    ----------
+    guess : None, (tau, lam, phi) triple, or CriticalSurfaceSolution
+        Starting point; defaults to the closed-form r -> 0 guess at p.
+    tol : float
+        Convergence threshold on the projected L2 norm of Phi~ (the rescaled
+        residual Phi then satisfies |Phi| < tol * r^3).
+
+    Raises DegenerateHessian when the concentration-scalar Hessian at p is
+    singular or ill-conditioned, and NonConvergence when Newton fails.
+    """
+    grid = grid or default_grid()
+    _, _, hess = concentration_scalar(ds, p)
+    _, cond, degenerate = _hessian_spectrum(hess)
+    if degenerate:
+        raise DegenerateHessian(
+            f"concentration-scalar Hessian condition {cond:.2e} "
+            "exceeds 1e8; no isolated critical point to center on")
+
+    if guess is None:
+        lam0, phi0 = initial_guess(ds, p, band_limit=band_limit, grid=grid)
+        tau0 = np.zeros(3)
+    elif isinstance(guess, CriticalSurfaceSolution):
+        tau0, lam0, phi0 = guess.tau, guess.lam, guess.phi
+    else:
+        tau0, lam0, phi0 = guess
+
+    system = _ReducedSystem(ds, p, r, grid, band_limit)
+    u = system.pack(tau0, lam0, phi0)
+    u, r_vec, full_norm, iterations = _newton(system, u, np.arange(u.size), tol, max_iter)
     tau, lam, phi = system.unpack(u)
     surf, _ = system.surface(u)
-    energy = hawking_energy(surf) if with_energy else None
     return CriticalSurfaceSolution(
         r=r, tau=tau.copy(), lam=lam, phi=phi,
-        residual_norm=float(np.linalg.norm(r_vec[free])),
+        residual_norm=float(np.linalg.norm(r_vec)),
         residual_norm_full=full_norm, newton_iterations=iterations,
-        converged=converged, energy=energy)
+        converged=True, energy=hawking_energy(surf))
 
 
 def kernel_obstruction(ds: InitialDataSet, p, r: float, grid=None,
@@ -338,12 +338,11 @@ def kernel_obstruction(ds: InitialDataSet, p, r: float, grid=None,
     quantitative obstruction to concentrations of critical spheres.
     """
     grid = grid or default_grid()
-    sol = solve_critical(ds, p, r, grid=grid, band_limit=band_limit, tol=tol,
-                         fix_tau=True, with_energy=False)
+    lam0, phi0 = initial_guess(ds, p, band_limit=band_limit, grid=grid)
     system = _ReducedSystem(ds, p, r, grid, band_limit)
-    u = np.concatenate([sol.tau, [sol.lam], sol.phi.coeffs[4:]])
-    res, _ = system.residual_field(u)
-    return res.proj_k1
+    u = system.pack(np.zeros(3), lam0, phi0)
+    _, r_vec, _, _ = _newton(system, u, np.arange(3, u.size), tol, max_iter=25)
+    return r_vec[:3]
 
 
 def nonexistence_check(ds: InitialDataSet, p, tol: float = 1e-8) -> NonexistenceReport:
@@ -441,11 +440,9 @@ def _trace_from(solutions, grid) -> FoliationTrace:
                    for s in solutions])
     he = np.array([s.energy.hawking_energy if s.energy else np.nan for s in solutions])
     area = np.array([s.energy.area if s.energy else np.nan for s in solutions])
-    eps0 = 10.0 * float(np.nanmax(hf - 4.0 * np.pi)) if np.any(np.isfinite(hf)) else np.nan
 
     return FoliationTrace(
         solutions=solutions, r=r, tau=tau, lam=lam, dtau_dr=dtau,
         lapse_min=lapse_min, foliation_valid=bool(np.all(lapse_min > 0)),
         lambda0_extrapolated=lam0, dtau_dr_at_zero=dtau0,
-        hawking_functional=hf, hawking_energy=he, area=area,
-        epsilon0_sq_proxy=eps0)
+        hawking_functional=hf, hawking_energy=he, area=area)

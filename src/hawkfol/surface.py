@@ -39,7 +39,8 @@ class EmbeddedSurface:
 
     All public fields are physical.  Internally the geometry is assembled in
     coordinates stretched by 1/scale around the surface so every spectral
-    stage acts on O(1) fields; `scale` and the stretched geometry dict are
+    stage acts on O(1) fields; `scale` and the stretched geometry dict (the
+    output of `geometry_from_embedding` with `ambient.rescaled(scale)`) are
     kept for the residual operator, which needs the same conditioning.
     """
 
@@ -86,13 +87,15 @@ def spectral_embedding_derivatives(grid: SphereGrid, positions: np.ndarray, chec
     return d1, d2
 
 
-def geometry_from_embedding(grid: SphereGrid, d1, d2, g, g_inv, gamma, k, k_trace):
+def geometry_from_embedding(grid: SphereGrid, d1, d2, amb: AmbientFields):
     """Fundamental forms from embedding derivatives and ambient node data.
 
-    Works for any chart: the physical one and the rescaled ball alike.
-    `g_inv` is the inverse of the ambient metric `g` at the nodes.
-    Returns a dict of per-node fields.
+    Works for any chart: the physical one, the stretched surface chart and
+    the rescaled ball alike, as long as `amb` holds the ambient components
+    in the chart of `d1` and `d2` (see `AmbientFields.rescaled`).  Returns a
+    dict of per-node fields, `d1` and `d2` included.
     """
+    g = amb.metric
     gsig = np.einsum("nij,nai,nbj->nab", g, d1, d1)
     det = gsig[:, 0, 0] * gsig[:, 1, 1] - gsig[:, 0, 1] * gsig[:, 1, 0]
     if not np.all(det > 0):
@@ -104,13 +107,13 @@ def geometry_from_embedding(grid: SphereGrid, d1, d2, g, g_inv, gamma, k, k_trac
     ginv[:, 1, 0] = -gsig[:, 1, 0] / det
 
     n_cov = np.einsum("ijk,nj,nk->ni", _EPS3, d1[:, 0], d1[:, 1])
-    n_up = np.einsum("nij,nj->ni", g_inv, n_cov)
+    n_up = np.einsum("nij,nj->ni", amb.metric_inv, n_cov)
     norm = np.sqrt(np.einsum("ni,ni->n", n_cov, n_up))
     nu = n_up / norm[:, None]
     nu_cov = np.einsum("nij,nj->ni", g, nu)
 
     # ambient second derivative of the embedding: d2 + Gamma(d1, d1)
-    w = d2 + np.einsum("nijk,naj,nbk->nabi", gamma, d1, d1)
+    w = d2 + np.einsum("nijk,naj,nbk->nabi", amb.christoffel, d1, d1)
     b = -np.einsum("ni,nabi->nab", nu_cov, w)
     h = np.einsum("nab,nab->n", ginv, b)
     b_up = np.einsum("nac,nbd,ncd->nab", ginv, ginv, b)
@@ -119,13 +122,13 @@ def geometry_from_embedding(grid: SphereGrid, d1, d2, g, g_inv, gamma, k, k_trac
 
     gamma_sigma = np.einsum("ncd,nabi,nij,ndj->ncab", ginv, w, g, d1)
 
-    p = k_trace - np.einsum("nij,ni,nj->n", k, nu, nu)
+    p = amb.k_trace - np.einsum("nij,ni,nj->n", amb.k, nu, nu)
     area_element = np.sqrt(det) / grid.sin_theta
     return {
         "metric": gsig, "metric_inv": ginv, "normal": nu, "second_form": b,
         "mean_curvature": h, "traceless_second_norm_sq": trless,
         "surface_christoffel": gamma_sigma, "area_element": area_element,
-        "p_trace": p, "w_ambient": w,
+        "p_trace": p, "d1": d1, "d2": d2,
     }
 
 
@@ -137,12 +140,14 @@ def surface_from_positions(ds: InitialDataSet, grid: SphereGrid, positions: np.n
     """Assemble an EmbeddedSurface from node positions (fundamental-forms core).
 
     The assembly stretches coordinates by 1/scale around the quadrature mean
-    of the nodes (scale = nominal radius when available) and undoes the exact
-    power-of-scale weights afterwards; this keeps the spectral differentiation
-    floor independent of how small the surface is.  `offsets`, when given,
-    are the node positions relative to some nearby reference point, carried
-    at full relative accuracy (the builders supply them; positions alone lose
-    accuracy when the surface sits far from the chart origin).
+    of the nodes (scale = nominal radius when available), takes the ambient
+    data there through `AmbientFields.rescaled(scale)`, and undoes the exact
+    power-of-scale weights of the surface fields afterwards; this keeps the
+    spectral differentiation floor independent of how small the surface is.
+    `offsets`, when given, are the node positions relative to some nearby
+    reference point, carried at full relative accuracy (the builders supply
+    them; positions alone lose accuracy when the surface sits far from the
+    chart origin).
     """
     positions = np.asarray(positions, dtype=float)
     rel = positions if offsets is None else np.asarray(offsets, dtype=float)
@@ -155,15 +160,7 @@ def surface_from_positions(ds: InitialDataSet, grid: SphereGrid, positions: np.n
     y = rel / scale
     d1y, d2y = spectral_embedding_derivatives(grid, y, check=check_band)
     amb = ambient_fields(ds, positions)
-
-    # stretched chart: same metric components, connection scaled by the chart
-    # factor; k enters the rescaled picture with one power of scale
-    geo = geometry_from_embedding(grid, d1y, d2y, amb.metric, amb.metric_inv,
-                                  scale * amb.christoffel,
-                                  scale * amb.k, scale * amb.k_trace)
-    stretched = dict(geo)
-    stretched["d1"] = d1y
-    stretched["d2"] = d2y
+    geo = geometry_from_embedding(grid, d1y, d2y, amb.rescaled(scale))
 
     return EmbeddedSurface(
         dataset=ds, grid=grid, center=np.asarray(center, dtype=float),
@@ -178,7 +175,7 @@ def surface_from_positions(ds: InitialDataSet, grid: SphereGrid, positions: np.n
         traceless_second_norm_sq=geo["traceless_second_norm_sq"] / (scale * scale),
         p_trace=geo["p_trace"] / scale,
         surface_christoffel=geo["surface_christoffel"],
-        ambient=amb, scale=scale, stretched=stretched)
+        ambient=amb, scale=scale, stretched=geo)
 
 
 def fundamental_forms(surface: EmbeddedSurface) -> EmbeddedSurface:

@@ -87,11 +87,6 @@ class TestFoliate:
         assert np.all(trace.lapse_min > 0.99)
         assert trace.foliation_valid
 
-    def test_energy_bounds_along_trace(self, trace):
-        # Hawking functional stays below 4 pi + eps0^2 with the reported proxy
-        assert np.all(trace.hawking_functional < 4 * np.pi + trace.epsilon0_sq_proxy)
-        assert np.isfinite(trace.epsilon0_sq_proxy)
-
     def test_area_constraint_consistency(self, trace, conformal):
         # |S_r| = 4 pi r^2 + a r^4 with a = -(2 pi / 9) Sc within 5 percent
         from hawkfol import curvature_at

@@ -1,5 +1,7 @@
 """Geodesic shooting, embedded surfaces and their fundamental forms."""
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -10,7 +12,7 @@ from hawkfol import (HarmonicField, RayFan, VariationBundle,
                      geodesic_sphere, graph_surface, moment_value, preset,
                      surface_from_positions, surface_integral, surface_to_csv,
                      synthesize, transported_center_frame)
-from hawkfol.errors import DegenerateInducedMetric, NonEmbedded
+from hawkfol.errors import BandLimitExceeded, DegenerateInducedMetric, NonEmbedded
 from hawkfol.background import _dg_of, christoffel_from
 
 ORIGIN = np.zeros(3)
@@ -278,6 +280,16 @@ def test_fundamental_forms_recompute(conformal, grid):
 def test_degenerate_induced_metric(flat, grid):
     positions = np.zeros((grid.n_nodes, 3))
     with pytest.raises(DegenerateInducedMetric):
+        surface_from_positions(flat, grid, positions, check_band=False)
+
+
+def test_band_limit_warning_on_noisy_positions(flat, grid):
+    rng = np.random.default_rng(3)
+    positions = grid.nodes + 1e-3 * rng.normal(size=(grid.n_nodes, 3))
+    with pytest.warns(BandLimitExceeded):
+        surface_from_positions(flat, grid, positions)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", BandLimitExceeded)
         surface_from_positions(flat, grid, positions, check_band=False)
 
 

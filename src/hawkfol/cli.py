@@ -10,6 +10,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -55,6 +56,26 @@ def _validate(config: dict) -> None:
             raise ConfigError(f"unknown keys in section {key!r}: {sorted(unknown)}")
 
 
+def _number(section: dict, key: str, default=None, integer: bool = False):
+    """section[key] as a finite float, or an int when `integer`; `default`
+    when the key is absent; ConfigError for any other value."""
+    if key not in section:
+        return default
+    value = section[key]
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value) or (integer and value != int(value))):
+        kind = "an integer" if integer else "a finite number"
+        raise ConfigError(f"{key} must be {kind}, got {value!r}")
+    return int(value) if integer else float(value)
+
+
+def _solver_options(section: dict) -> dict:
+    """The band_limit, tol and max_iter the section sets; the solver's own
+    defaults hold for the rest."""
+    return {key: _number(section, key, integer=key != "tol")
+            for key in ("band_limit", "tol", "max_iter") if key in section}
+
+
 def _config_hash(config: dict) -> str:
     canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
@@ -85,11 +106,11 @@ def _dataset(config):
 
 
 def _grid(config, override=None):
-    section = dict(config.get("grid", {}))
+    section = config.get("grid", {})
+    sizes = {key: _number(section, key, integer=True) for key in section}
     if override:
-        section["n_theta"], section["n_phi"] = override
-    return SphereGrid(section.get("n_theta", 32), section.get("n_phi", 64),
-                      section.get("band_limit"))
+        sizes["n_theta"], sizes["n_phi"] = override
+    return SphereGrid(**sizes)
 
 
 def _write_json(out_dir: Path, name: str, payload: dict, config: dict) -> Path:
@@ -122,13 +143,13 @@ def cmd_energy(config, grid, out_dir, fmt):
         raise ConfigError("energy needs a surface section with a radius")
     center = section.get("center", [0.0, 0.0, 0.0])
     tau = section.get("tau", [0.0, 0.0, 0.0])
-    radius = float(section["radius"])
+    radius = _number(section, "radius")
     phi = None
     if "phi_coeffs" in section:
-        band = section.get("phi_band_limit")
-        if band is None:
+        if "phi_band_limit" not in section:
             raise ConfigError("phi_coeffs requires phi_band_limit")
-        phi = HarmonicField(np.asarray(section["phi_coeffs"], dtype=float), int(band))
+        phi = HarmonicField(np.asarray(section["phi_coeffs"], dtype=float),
+                            _number(section, "phi_band_limit", integer=True))
     surf = graph_surface(ds, center, tau, radius, phi, grid)
     report = hawking_energy(surf)
     if fmt in ("json", "both"):
@@ -146,10 +167,8 @@ def cmd_solve(config, grid, out_dir, fmt):
     section = config.get("solve")
     if not section or "radius" not in section:
         raise ConfigError("solve needs a solve section with a radius")
-    sol = solve_critical(
-        ds, section.get("center", [0.0, 0.0, 0.0]), float(section["radius"]),
-        grid=grid, band_limit=int(section.get("band_limit", 8)),
-        tol=float(section.get("tol", 1e-7)), max_iter=int(section.get("max_iter", 25)))
+    sol = solve_critical(ds, section.get("center", [0.0, 0.0, 0.0]),
+                         _number(section, "radius"), grid=grid, **_solver_options(section))
     if fmt in ("json", "both"):
         _write_json(out_dir, "solve_result", {"solution": sol.to_dict()}, config)
     if fmt in ("csv", "both"):
@@ -204,6 +223,9 @@ def cmd_foliate(config, grid, out_dir, fmt):
     section = config.get("foliate")
     if not section or "r_min" not in section or "r_max" not in section:
         raise ConfigError("foliate needs a foliate section with r_min and r_max")
+    r_range = (_number(section, "r_min"), _number(section, "r_max"))
+    n_steps = _number(section, "n_steps", 6, integer=True)
+    options = _solver_options(section)
     warm = None
     if section.get("resume"):
         warm = _load_resume(section["resume"])
@@ -214,13 +236,8 @@ def cmd_foliate(config, grid, out_dir, fmt):
                                  sol.r, full_phi, grid)
             sol.energy = hawking_energy(surf)
     try:
-        trace = foliate(ds, section.get("center", [0.0, 0.0, 0.0]),
-                        (float(section["r_min"]), float(section["r_max"])),
-                        int(section.get("n_steps", 6)), grid=grid,
-                        band_limit=int(section.get("band_limit", 8)),
-                        tol=float(section.get("tol", 1e-7)),
-                        max_iter=int(section.get("max_iter", 25)),
-                        warm_start=warm)
+        trace = foliate(ds, section.get("center", [0.0, 0.0, 0.0]), r_range, n_steps,
+                        grid=grid, warm_start=warm, **options)
     except ContinuationBroken as exc:
         if exc.trace is not None:
             _emit_trace(exc.trace, out_dir, fmt, config, name="foliate_partial")

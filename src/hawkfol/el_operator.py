@@ -159,8 +159,10 @@ def el_residual(ds: InitialDataSet, surface: EmbeddedSurface, lam: float,
     ambient data taken there by `AmbientFields.rescaled(scale)` and the
     Lagrange term scale^2 lam H, and divides by scale^3 at the end; this is an
     exact identity for the operator and keeps the numerical floor independent
-    of the surface size.
+    of the surface size.  `ds` must be the data set the surface was built on.
     """
+    if ds is not surface.dataset:
+        raise ValueError("el_residual: ds is not the data set of the surface")
     s = surface.scale
     terms = _residual_terms(surface.grid, surface.stretched,
                             surface.ambient.rescaled(s), s * s * lam)

@@ -14,6 +14,13 @@ physical normalization because it is the better-conditioned one numerically.
 
 The kernel constraint is enforced by construction: phi simply has no
 degree-0/1 coefficients, so it never enters the Newton system.
+
+Newton evaluates each point once: `_ReducedSystem.evaluate` returns the
+projected residual, the full-field norm and the surface, and the Jacobian and
+the energy reuse that surface.  The Jacobian is built only in the columns
+being solved for; the lam column is exact (the residual is linear in lam
+with slope H).  Backtracking accepts only descent steps: a step that does not
+lower the projected residual at any scale down to 1/16 raises NonConvergence.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .background import InitialDataSet, concentration_scalar, curvature_at
-from .el_operator import el_residual
+from .el_operator import ResidualField, el_residual
 from .errors import ContinuationBroken, DegenerateHessian, HawkfolError, NonConvergence
 from .functionals import EnergyReport, hawking_energy
 from .geodesic import RayFan, transported_center_frame
@@ -161,7 +168,7 @@ _FAN_STEPS = 64
 
 
 class _ReducedSystem:
-    """Residual and forward-difference Jacobian of the projected equations."""
+    """Projected residual and forward-difference Jacobian of the reduced equations."""
 
     def __init__(self, ds, p, r, grid, band_limit):
         self.ds = ds
@@ -196,17 +203,15 @@ class _ReducedSystem:
         coeffs[4:] = u[4:]
         return tau, lam, HarmonicField(coeffs, self.band_limit)
 
-    def surface(self, u):
+    def evaluate(self, u):
+        """(projected residual, full-field L2 norm, surface) at u: the one
+        place the solver builds a surface and its residual."""
         tau, lam, phi = self.unpack(u)
         full_phi = HarmonicField(self.r ** 2 * phi.coeffs, self.band_limit)
-        fan = self.fan_for(tau)
-        return graph_surface(self.ds, self.p, tau, self.r, full_phi, self.grid,
-                             fan=fan, check_band=False), lam
-
-    def residual_field(self, u):
-        surf, lam = self.surface(u)
+        surf = graph_surface(self.ds, self.p, tau, self.r, full_phi, self.grid,
+                             fan=self.fan_for(tau), check_band=False)
         self.evaluations += 1
-        return el_residual(self.ds, surf, lam), surf
+        return (*self.project(el_residual(self.ds, surf, lam)), surf)
 
     def project(self, res):
         f = analyze(self.grid, res.values, check=False)
@@ -216,74 +221,62 @@ class _ReducedSystem:
         out[4:] = f.coeffs[4:self.n_coeffs]
         return out, float(np.linalg.norm(f.coeffs))
 
-    def residual(self, u):
-        res, _ = self.residual_field(u)
-        return self.project(res)
-
-    def jacobian(self, u, r_vec):
-        """Forward-difference Jacobian; the lam column is exact (residual is
-        linear in lam with slope H)."""
-        n = u.size
-        jac = np.empty((n, n))
-        res0, surf = self.residual_field(u)
-        h_proj, _ = self.project(
-            type(res0).from_values(self.grid, surf.mean_curvature, 0.0))
-        jac[:, 3] = h_proj
+    def jacobian(self, u, r_vec, surf, free):
+        """Free x free block of the Jacobian at u (residual r_vec, surface surf):
+        forward differences, but the lam column is the projection of H."""
+        jac = np.empty((free.size, free.size))
         step_tau = 1e-6 * max(self.r, 1e-3)
-        for i in range(3):
-            du = u.copy()
-            du[i] += step_tau
-            jac[:, i] = (self.residual(du)[0] - r_vec) / step_tau
-        step_phi = 1e-6
-        for i in range(4, n):
-            du = u.copy()
-            du[i] += step_phi
-            jac[:, i] = (self.residual(du)[0] - r_vec) / step_phi
+        for j, i in enumerate(free):
+            if i == 3:
+                col, _ = self.project(
+                    ResidualField.from_values(self.grid, surf.mean_curvature, 0.0))
+            else:
+                step = step_tau if i < 3 else 1e-6
+                du = u.copy()
+                du[i] += step
+                col = (self.evaluate(du)[0] - r_vec) / step
+            jac[:, j] = col[free]
         return jac
 
 
 def _newton(system: _ReducedSystem, u, free, tol: float, max_iter: int):
-    """Damped Newton on the `free` entries of u; returns (u, r_vec, full_norm,
-    iterations) at convergence and raises NonConvergence otherwise."""
-    r_vec, full_norm = system.residual(u)
-    best = np.linalg.norm(r_vec[free])
+    """Newton on the `free` entries of u, descent steps only; returns (u, r_vec,
+    full_norm, surface, iterations) of the accepted point, or raises NonConvergence."""
+    r_vec, full_norm, surf = system.evaluate(u)
+    norm = np.linalg.norm(r_vec[free])
     jac = None
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        if np.linalg.norm(r_vec[free]) < tol:
+        if norm < tol:
             break
         if jac is None or iterations % 4 == 1:
-            jac = system.jacobian(u, r_vec)
-        sub = jac[np.ix_(free, free)]
+            jac = system.jacobian(u, r_vec, surf, free)
         try:
-            step = np.linalg.solve(sub, -r_vec[free])
+            step = np.linalg.solve(jac, -r_vec[free])
         except np.linalg.LinAlgError:
             raise NonConvergence("singular reduced Jacobian", iterations=iterations,
-                                 residual=best)
-        scale = 1.0
-        for _ in range(5):
+                                 residual=float(norm))
+        for scale in 0.5 ** np.arange(5):
             u_try = u.copy()
             u_try[free] += scale * step
             try:
-                r_try, full_norm = system.residual(u_try)
+                r_try, full_try, surf_try = system.evaluate(u_try)
             except HawkfolError:
-                scale *= 0.5
                 continue
-            if np.linalg.norm(r_try[free]) < np.linalg.norm(r_vec[free]) or scale < 0.2:
-                u, r_vec = u_try, r_try
+            norm_try = np.linalg.norm(r_try[free])
+            if norm_try < norm:
+                u, r_vec, full_norm, surf, norm = u_try, r_try, full_try, surf_try, norm_try
                 break
-            scale *= 0.5
         else:
-            u[free] += step
-            r_vec, full_norm = system.residual(u)
-        best = min(best, np.linalg.norm(r_vec[free]))
+            raise NonConvergence(
+                f"no descent step from projected residual {norm:.3e} at "
+                f"iteration {iterations}", iterations=iterations, residual=float(norm))
 
-    if not np.linalg.norm(r_vec[free]) < tol:
+    if not norm < tol:
         raise NonConvergence(
-            f"projected residual {np.linalg.norm(r_vec[free]):.3e} after "
-            f"{iterations} iterations (tol {tol:.1e})",
-            iterations=iterations, residual=float(np.linalg.norm(r_vec[free])))
-    return u, r_vec, full_norm, iterations
+            f"projected residual {norm:.3e} after {iterations} iterations "
+            f"(tol {tol:.1e})", iterations=iterations, residual=float(norm))
+    return u, r_vec, full_norm, surf, iterations
 
 
 def solve_critical(ds: InitialDataSet, p, r: float, guess=None,
@@ -320,9 +313,9 @@ def solve_critical(ds: InitialDataSet, p, r: float, guess=None,
 
     system = _ReducedSystem(ds, p, r, grid, band_limit)
     u = system.pack(tau0, lam0, phi0)
-    u, r_vec, full_norm, iterations = _newton(system, u, np.arange(u.size), tol, max_iter)
+    u, r_vec, full_norm, surf, iterations = _newton(system, u, np.arange(u.size), tol,
+                                                    max_iter)
     tau, lam, phi = system.unpack(u)
-    surf, _ = system.surface(u)
     return CriticalSurfaceSolution(
         r=r, tau=tau.copy(), lam=lam, phi=phi,
         residual_norm=float(np.linalg.norm(r_vec)),
@@ -341,7 +334,7 @@ def kernel_obstruction(ds: InitialDataSet, p, r: float, grid=None,
     lam0, phi0 = initial_guess(ds, p, band_limit=band_limit, grid=grid)
     system = _ReducedSystem(ds, p, r, grid, band_limit)
     u = system.pack(np.zeros(3), lam0, phi0)
-    _, r_vec, _, _ = _newton(system, u, np.arange(3, u.size), tol, max_iter=25)
+    r_vec = _newton(system, u, np.arange(3, u.size), tol, max_iter=25)[1]
     return r_vec[:3]
 
 
@@ -372,11 +365,14 @@ def foliate(ds: InitialDataSet, p, r_range, n_steps: int,
             warm_start: Optional[list] = None) -> FoliationTrace:
     """Trace the foliation over a geometric radius grid by continuation.
 
-    Marches from r_min upward with the previous solution as warm start; on a
-    failed solve the step is halved twice before aborting with
-    ContinuationBroken (carrying the partial trace).  `warm_start` resumes a
-    previous run: its solutions seed the trace and the corresponding leading
-    radii of the (identical) geometric grid are skipped.
+    Marches from r_min upward with the previous solution as warm start, and
+    records a leaf only at a requested radius.  When a solve fails, the step
+    is halved: a solve at the midpoint between the last solution and the
+    target becomes the guess for a new try at the requested radius.  After
+    two halvings it aborts with ContinuationBroken (carrying the partial
+    trace).  `warm_start` resumes a previous run: its solutions seed the
+    trace, and every requested radius below, or within 1e-12 relative of,
+    its last leaf counts as solved.
     """
     grid = grid or default_grid()
     r_min, r_max = float(r_range[0]), float(r_range[1])
@@ -389,24 +385,27 @@ def foliate(ds: InitialDataSet, p, r_range, n_steps: int,
     if warm_start:
         solutions = list(warm_start)
         guess = solutions[-1]
-        radii = radii[len(solutions):]
+        radii = [r for r in radii if r > solutions[-1].r * (1 + 1e-12)]
     for r in radii:
-        attempt_r = r
-        sol = None
-        for _ in range(3):
+        attempt_r, halvings = r, 0
+        while True:
             try:
                 sol = solve_critical(ds, p, attempt_r, guess=guess, grid=grid,
                                      band_limit=band_limit, tol=tol, max_iter=max_iter)
-                break
             except HawkfolError:
                 if not solutions:
                     raise
-                attempt_r = 0.5 * (attempt_r + solutions[-1].r)
-        if sol is None:
-            raise ContinuationBroken(
-                f"continuation stalled near r = {r:.4g}", trace=_trace_from(solutions, grid))
+                if halvings == 2:
+                    raise ContinuationBroken(f"continuation stalled near r = {r:.4g}",
+                                             trace=_trace_from(solutions, grid))
+                halvings += 1
+                attempt_r = 0.5 * (attempt_r + guess.r)
+                continue
+            guess = sol
+            if attempt_r == r:
+                break
+            attempt_r = r
         solutions.append(sol)
-        guess = sol
     return _trace_from(solutions, grid)
 
 

@@ -69,6 +69,30 @@ def test_unreadable_resume_exits_2(tmp_path, capsys, content):
     assert "cannot resume from" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, section, values, bad", [
+    ("solve", "solve", {"radius": "big"}, "radius"),
+    ("solve", "solve", {"radius": 0.05, "tol": "abc"}, "tol"),
+    ("solve", "solve", {"radius": 0.05, "tol": float("nan")}, "tol"),
+    ("solve", "solve", {"radius": 0.05, "max_iter": 2.5}, "max_iter"),
+    ("solve", "solve", {"radius": 0.05, "band_limit": True}, "band_limit"),
+    ("foliate", "foliate", {"r_min": 0.02, "r_max": "0.1"}, "r_max"),
+    ("foliate", "foliate", {"r_min": 0.02, "r_max": 0.1, "n_steps": "5"}, "n_steps"),
+    ("energy", "grid", {"n_theta": "x"}, "n_theta"),
+    ("energy", "grid", {"n_theta": 16, "n_phi": 32, "band_limit": [8]}, "band_limit"),
+    ("energy", "surface", {"radius": 1.0, "phi_coeffs": [0.0], "phi_band_limit": "0"},
+     "phi_band_limit"),
+], ids=["radius-str", "tol-str", "tol-nan", "max_iter-float", "band_limit-bool",
+        "r_max-str", "n_steps-str", "n_theta-str", "grid_band_limit-list",
+        "phi_band_limit-str"])
+def test_malformed_number_exits_2(tmp_path, capsys, command, section, values, bad):
+    config = {"preset": {"name": "conformal_quadratic", "params": {"eps": 0.01}},
+              "grid": {"n_theta": 16, "n_phi": 32},
+              "surface": {"radius": 1.0}, section: values}
+    cfg = write_config(tmp_path, config)
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert f"config error: {bad} must be" in capsys.readouterr().err
+
+
 def test_unknown_preset_exits_3(tmp_path, capsys):
     cfg = write_config(tmp_path, {"preset": {"name": "wat"},
                                   "surface": {"radius": 1.0}})

@@ -1,6 +1,7 @@
 """The area-constrained Euler-Lagrange residual in both normalizations."""
 
 import numpy as np
+import pytest
 
 from hawkfol import (HarmonicField, analyze, curvature_at, default_grid,
                      el_residual, geodesic_sphere, graph_surface, laplace_beltrami,
@@ -51,6 +52,14 @@ class TestPhysicalResidual:
         s = geodesic_sphere(flat, ORIGIN, ORIGIN, 0.5, grid, n_steps=16)
         res = el_residual(flat, s, 1.0)
         assert np.abs(res.values - s.mean_curvature).max() < 1e-9
+
+    def test_rejects_a_foreign_data_set(self, flat, conformal, small_grid):
+        s = geodesic_sphere(flat, ORIGIN, ORIGIN, 1.0, small_grid, n_steps=16)
+        with pytest.raises(ValueError, match="not the data set"):
+            el_residual(conformal, s, 0.0)
+        # an equal preset built anew is still another data set
+        with pytest.raises(ValueError):
+            el_residual(preset("flat"), s, 0.0)
 
     def test_k_zero_reduces_to_willmore_terms(self, conformal, grid):
         s = geodesic_sphere(conformal, ORIGIN, ORIGIN, 0.05, grid)

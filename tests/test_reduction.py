@@ -5,8 +5,9 @@ import pytest
 
 from hawkfol import (HarmonicField, concentration_scalar, el_residual, foliate,
                      initial_guess, kernel_obstruction, nonexistence_check,
-                     preset, solve_critical)
+                     preset, reduction, solve_critical)
 from hawkfol.errors import ContinuationBroken, DegenerateHessian, NonConvergence
+from hawkfol.reduction import CriticalSurfaceSolution, _newton, _ReducedSystem
 
 ORIGIN = np.zeros(3)
 
@@ -73,6 +74,65 @@ class TestSolveCritical:
                            guess=(np.zeros(3), 5.0, HarmonicField.zero(8)))
 
 
+class _LinearSystem:
+    """Residual r(u) = u - 1 with a Jacobian of the given sign."""
+
+    def __init__(self, sign):
+        self.sign = sign
+        self.norms = []
+
+    def evaluate(self, u):
+        r_vec = u - 1.0
+        self.norms.append(np.linalg.norm(r_vec))
+        return r_vec, self.norms[-1], None
+
+    def jacobian(self, u, r_vec, surf, free):
+        return self.sign * np.eye(free.size)
+
+
+class TestNewton:
+    def test_descent_converges(self):
+        system = _LinearSystem(+1.0)
+        u, r_vec, _, _, iterations = _newton(system, np.zeros(4), np.arange(4), 1e-12, 5)
+        assert np.array_equal(u, np.ones(4)) and iterations == 2
+
+    def test_ascent_is_never_accepted(self):
+        # with the wrong sign every trial step, at every scale, raises the residual
+        system = _LinearSystem(-1.0)
+        with pytest.raises(NonConvergence) as info:
+            _newton(system, np.zeros(4), np.arange(4), 1e-12, 25)
+        start = system.norms[0]
+        assert info.value.iterations == 1
+        assert info.value.residual == start
+        assert len(system.norms) == 6 and min(system.norms[1:]) > start
+
+    def test_solve_evaluates_each_point_once(self, conformal, small_grid, monkeypatch):
+        seen = []
+        evaluate = _ReducedSystem.evaluate
+
+        def recording(self, u):
+            seen.append(u.tobytes())
+            return evaluate(self, u)
+
+        monkeypatch.setattr(_ReducedSystem, "evaluate", recording)
+        sol = solve_critical(conformal, ORIGIN, 0.05, grid=small_grid)
+        assert sol.converged and len(seen) > 80
+        assert len(set(seen)) == len(seen)
+
+    def test_kernel_obstruction_builds_one_fan(self, small_grid, monkeypatch):
+        fans = []
+        ray_fan = reduction.RayFan
+
+        def counting(*args, **kwargs):
+            fans.append(args)
+            return ray_fan(*args, **kwargs)
+
+        monkeypatch.setattr(reduction, "RayFan", counting)
+        kernel_obstruction(preset("conformal_quadratic", eps=0.05), [0.15, 0.0, 0.0],
+                           0.03, grid=small_grid)
+        assert len(fans) == 1
+
+
 @pytest.fixture(scope="module")
 def trace(conformal, grid):
     return foliate(conformal, ORIGIN, (0.02, 0.1), 5, grid=grid)
@@ -117,6 +177,60 @@ class TestFoliate:
         assert np.all(trace.lapse_min > 0.9)
         lam0, _ = initial_guess(conformal_k, ORIGIN, grid=grid)
         assert abs(trace.lambda0_extrapolated - lam0) < 0.01 * abs(lam0)
+
+
+def _leaf(r):
+    return CriticalSurfaceSolution(
+        r=r, tau=np.zeros(3), lam=0.04, phi=HarmonicField.zero(8), residual_norm=0.0,
+        residual_norm_full=0.0, newton_iterations=1, converged=True)
+
+
+class TestFoliateRadii:
+    """`foliate` records leaves at the requested radii only (no real solves)."""
+
+    RADII = np.geomspace(0.02, 0.1, 5)
+
+    def test_failed_radius_is_solved_after_a_substep(self, flat, grid, monkeypatch):
+        calls = []
+
+        def fake_solve(ds, p, r, guess=None, **kwargs):
+            calls.append((r, guess.r if guess else None))
+            if r == self.RADII[2] and len(calls) == 3:
+                raise NonConvergence("fake failure", iterations=1, residual=1.0)
+            return _leaf(r)
+
+        monkeypatch.setattr(reduction, "solve_critical", fake_solve)
+        trace = foliate(flat, ORIGIN, (0.02, 0.1), 5, grid=grid)
+        assert np.array_equal(trace.r, self.RADII)
+        mid = 0.5 * (self.RADII[1] + self.RADII[2])
+        # the midpoint solve is the guess for the retry at the requested radius
+        assert calls[2:5] == [(self.RADII[2], self.RADII[1]), (mid, self.RADII[1]),
+                              (self.RADII[2], mid)]
+
+    def test_two_failed_halvings_break(self, flat, grid, monkeypatch):
+        failed = []
+
+        def fake_solve(ds, p, r, guess=None, **kwargs):
+            if r > self.RADII[1]:
+                failed.append(r)
+                raise NonConvergence("fake failure", iterations=1, residual=1.0)
+            return _leaf(r)
+
+        monkeypatch.setattr(reduction, "solve_critical", fake_solve)
+        with pytest.raises(ContinuationBroken) as info:
+            foliate(flat, ORIGIN, (0.02, 0.1), 5, grid=grid)
+        assert np.array_equal(info.value.trace.r, self.RADII[:2])
+        assert len(failed) == 3  # the requested radius and two halvings
+
+    @pytest.mark.parametrize("shift", [0.0, 1e-13, -1e-13])
+    def test_resume_is_keyed_by_radius(self, flat, grid, monkeypatch, shift):
+        monkeypatch.setattr(reduction, "solve_critical",
+                            lambda ds, p, r, **kwargs: _leaf(r))
+        resumed = _leaf(self.RADII[1] * (1 + shift))
+        trace = foliate(flat, ORIGIN, (0.02, 0.1), 5, grid=grid, warm_start=[resumed])
+        assert np.all(np.diff(trace.r) > 0)
+        assert trace.r[0] == resumed.r
+        assert np.array_equal(trace.r[1:], self.RADII[2:])
 
 
 class TestNonexistence:

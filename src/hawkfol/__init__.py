@@ -21,7 +21,7 @@ from .errors import (BandLimitExceeded, ChartExceeded, ContinuationBroken,
                      UnknownPreset, UnsupportedDegree)
 from .functionals import EnergyReport, hawking_energy, willmore
 from .geodesic import (RayFan, VariationBundle, exp_map, geodesic_acceleration,
-                       orthonormal_frame, parallel_transport, transported_center_frame)
+                       orthonormal_frame, transported_center_frame)
 from .grid import SphereGrid, default_grid
 from .harmonics import (HarmonicField, analyze, analyze_compensated,
                         biharmonic_apply, biharmonic_eigenvalues, biharmonic_solve,

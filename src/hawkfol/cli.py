@@ -69,6 +69,18 @@ def _number(section: dict, key: str, default=None, integer: bool = False):
     return int(value) if integer else float(value)
 
 
+def _numbers(section: dict, key: str, default=None, size=None):
+    """section[key] as a float array from a list of finite numbers, `size` of
+    them when given; `default` when the key is absent; ConfigError otherwise."""
+    if key not in section:
+        return default
+    value = section[key]
+    if not isinstance(value, list) or (size and len(value) != size):
+        count = f"{size} " if size else ""
+        raise ConfigError(f"{key} must be a list of {count}finite numbers, got {value!r}")
+    return np.array([_number({key: entry}, key) for entry in value])
+
+
 def _solver_options(section: dict) -> dict:
     """The band_limit, tol and max_iter the section sets; the solver's own
     defaults hold for the rest."""
@@ -95,10 +107,13 @@ def _dataset(config):
     section = config.get("preset")
     if not section or "name" not in section:
         raise ConfigError("config needs a preset section with a name")
+    params = section.get("params", {})
+    if not isinstance(params, dict):
+        raise ConfigError(f"params must be an object, got {params!r}")
     try:
         return preset(section["name"], **{
             key: (np.asarray(val, dtype=float) if isinstance(val, list) else val)
-            for key, val in section.get("params", {}).items()})
+            for key, val in params.items()})
     except HawkfolError:
         raise
     except TypeError as exc:
@@ -141,8 +156,8 @@ def cmd_energy(config, grid, out_dir, fmt):
     section = config.get("surface")
     if not section or "radius" not in section:
         raise ConfigError("energy needs a surface section with a radius")
-    center = section.get("center", [0.0, 0.0, 0.0])
-    tau = section.get("tau", [0.0, 0.0, 0.0])
+    center = _numbers(section, "center", np.zeros(3), size=3)
+    tau = _numbers(section, "tau", np.zeros(3), size=3)
     radius = _number(section, "radius")
     phi = None
     if "phi_coeffs" in section:
@@ -167,7 +182,7 @@ def cmd_solve(config, grid, out_dir, fmt):
     section = config.get("solve")
     if not section or "radius" not in section:
         raise ConfigError("solve needs a solve section with a radius")
-    sol = solve_critical(ds, section.get("center", [0.0, 0.0, 0.0]),
+    sol = solve_critical(ds, _numbers(section, "center", np.zeros(3), size=3),
                          _number(section, "radius"), grid=grid, **_solver_options(section))
     if fmt in ("json", "both"):
         _write_json(out_dir, "solve_result", {"solution": sol.to_dict()}, config)
@@ -223,6 +238,7 @@ def cmd_foliate(config, grid, out_dir, fmt):
     section = config.get("foliate")
     if not section or "r_min" not in section or "r_max" not in section:
         raise ConfigError("foliate needs a foliate section with r_min and r_max")
+    center = _numbers(section, "center", np.zeros(3), size=3)
     r_range = (_number(section, "r_min"), _number(section, "r_max"))
     n_steps = _number(section, "n_steps", 6, integer=True)
     options = _solver_options(section)
@@ -232,12 +248,11 @@ def cmd_foliate(config, grid, out_dir, fmt):
         # re-attach energies for resumed leaves
         for sol in warm:
             full_phi = HarmonicField(sol.r ** 2 * sol.phi.coeffs, sol.phi.band_limit)
-            surf = graph_surface(ds, section.get("center", [0.0, 0.0, 0.0]), sol.tau,
-                                 sol.r, full_phi, grid)
+            surf = graph_surface(ds, center, sol.tau, sol.r, full_phi, grid)
             sol.energy = hawking_energy(surf)
     try:
-        trace = foliate(ds, section.get("center", [0.0, 0.0, 0.0]), r_range, n_steps,
-                        grid=grid, warm_start=warm, **options)
+        trace = foliate(ds, center, r_range, n_steps, grid=grid, warm_start=warm,
+                        **options)
     except ContinuationBroken as exc:
         if exc.trace is not None:
             _emit_trace(exc.trace, out_dir, fmt, config, name="foliate_partial")
@@ -256,9 +271,10 @@ def cmd_smallsphere(config, grid, out_dir, fmt):
     stc = SpacetimeCurvatureAtPoint.from_components(
         rm4=section.get("rm4"), ric4=section.get("ric4"), sc4=section.get("sc4"),
         k=section.get("k"))
-    report = comparison_report(stc, section["l_values"],
-                               sample_direction=section.get("sample_direction",
-                                                            (1.0, 0.0, 0.0)))
+    report = comparison_report(
+        stc, _numbers(section, "l_values"),
+        sample_direction=_numbers(section, "sample_direction", np.array([1.0, 0.0, 0.0]),
+                                  size=3))
     if np.any(report.no_root):
         print(f"warning: area matching failed for "
               f"{int(np.count_nonzero(report.no_root))} parameter value(s); "

@@ -16,7 +16,7 @@ into the metric gradient before raising the index, so the Christoffel symbols
 are never formed: -Gamma(v, v) costs a few 3-vector contractions per node and
 one closed-form 3x3 inverse.  Parallel transport uses the same early
 contraction for the matrix Gamma(u, .).  Every integration here (exp_map,
-parallel_transport, RayFan, VariationBundle) runs on one classical RK4
+the center-frame transport, RayFan, VariationBundle) runs on one classical RK4
 stepper, `_rk4`, over tuples of arrays with a scalar or per-node step; each
 caller checks the chart after every step.
 """
@@ -112,11 +112,6 @@ def _transport(ds: InitialDataSet, base, v, vectors, n_steps: int):
     for _, (x, _, w) in _rk4(rhs, state, 1.0 / n_steps, n_steps):
         ds.check_chart(x)
     return x[0], w
-
-
-def parallel_transport(ds: InitialDataSet, base, v, vectors, n_steps: int = 64) -> np.ndarray:
-    """Transport `vectors` (columns) along the geodesic t -> exp_base(t v)."""
-    return _transport(ds, base, v, vectors, n_steps)[1]
 
 
 def transported_center_frame(ds: InitialDataSet, p, tau, n_steps: int = 64):

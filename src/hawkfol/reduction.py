@@ -17,10 +17,12 @@ degree-0/1 coefficients, so it never enters the Newton system.
 
 Newton evaluates each point once: `_ReducedSystem.evaluate` returns the
 projected residual, the full-field norm and the surface, and the Jacobian and
-the energy reuse that surface.  The Jacobian is built only in the columns
-being solved for; the lam column is exact (the residual is linear in lam
-with slope H).  Backtracking accepts only descent steps: a step that does not
-lower the projected residual at any scale down to 1/16 raises NonConvergence.
+the energy reuse that surface.  No Jacobian column is differenced: Newton
+starts from the leading-order Jacobian J0 of the reduction and takes a
+good-Broyden update after each accepted step, with the lam column kept exact
+(the residual is linear in lam with slope H).  Backtracking accepts only
+descent steps: a step that does not lower the projected residual at any
+scale down to 1/16 raises NonConvergence.
 """
 
 from __future__ import annotations
@@ -34,10 +36,10 @@ from .background import InitialDataSet, concentration_scalar, curvature_at
 from .el_operator import ResidualField, el_residual
 from .errors import ContinuationBroken, DegenerateHessian, HawkfolError, NonConvergence
 from .functionals import EnergyReport, hawking_energy
-from .geodesic import RayFan, transported_center_frame
+from .geodesic import RayFan, orthonormal_frame, transported_center_frame
 from .grid import SphereGrid, default_grid
-from .harmonics import (HarmonicField, analyze, biharmonic_solve,
-                        project_Kperp)
+from .harmonics import (HarmonicField, analyze, biharmonic_eigenvalues,
+                        biharmonic_solve, project_Kperp)
 from .surface import graph_surface
 
 
@@ -136,7 +138,7 @@ def initial_guess(ds: InitialDataSet, p, band_limit: int = 8,
     lam0 = -c.scalar / 3.0 - c.norm_k_sq / 15.0 - c.tr_k ** 2 / 5.0
 
     x = grid.nodes
-    kmat = _k_at(ds, p)
+    kmat = ds.k_tensor(np.asarray(p, dtype=float).reshape(1, 3))[0]
     kxx = np.einsum("ij,ni,nj->n", kmat, x, x)
     ksq = kmat @ kmat
     quad = 4.0 * c.ricci + 6.0 * c.tr_k * kmat + 4.0 * ksq
@@ -156,10 +158,6 @@ def _hessian_spectrum(hess):
     return eigs, cond, cond > 1e8
 
 
-def _k_at(ds: InitialDataSet, p):
-    return ds.k_tensor(np.asarray(p, dtype=float).reshape(1, 3))[0]
-
-
 # ----------------------------------------------------------------------
 # the projected Newton system
 # ----------------------------------------------------------------------
@@ -168,28 +166,19 @@ _FAN_STEPS = 64
 
 
 class _ReducedSystem:
-    """Projected residual and forward-difference Jacobian of the reduced equations."""
+    """Projected residual and Jacobian of the reduced equations."""
 
-    def __init__(self, ds, p, r, grid, band_limit):
+    def __init__(self, ds, p, r, grid, band_limit, hess=None):
         self.ds = ds
         self.p = np.asarray(p, dtype=float).reshape(3)
         self.r = float(r)
         self.grid = grid
         self.band_limit = band_limit
         self.n_coeffs = (band_limit + 1) ** 2
-        self.n_phi = self.n_coeffs - 4
-        self._fans = {}
-        self.evaluations = 0
-
-    def fan_for(self, tau):
-        key = tuple(np.round(np.asarray(tau, dtype=float), 14))
-        if key not in self._fans:
-            center, frame = transported_center_frame(self.ds, self.p, tau)
-            self._fans[key] = RayFan(self.ds, center, frame, self.grid.nodes,
-                                     s_max=1.3 * self.r, n_steps=_FAN_STEPS)
-            if len(self._fans) > 12:
-                self._fans.pop(next(iter(self._fans)))
-        return self._fans[key]
+        self.hess = hess
+        # (rounded tau, RayFan) of the last evaluation: with no differenced
+        # columns, a center repeats only on consecutive evaluations
+        self._fan = (None, None)
 
     def pack(self, tau, lam, phi: HarmonicField) -> np.ndarray:
         """The Newton unknown u = (tau, lam, phi coefficients of degree >= 2)."""
@@ -197,60 +186,57 @@ class _ReducedSystem:
                                phi.restricted(self.band_limit).coeffs[4:]])
 
     def unpack(self, u):
-        tau = u[:3]
-        lam = u[3]
-        coeffs = np.zeros(self.n_coeffs)
-        coeffs[4:] = u[4:]
-        return tau, lam, HarmonicField(coeffs, self.band_limit)
+        return u[:3], u[3], HarmonicField(np.concatenate([np.zeros(4), u[4:]]),
+                                          self.band_limit)
 
     def evaluate(self, u):
         """(projected residual, full-field L2 norm, surface) at u: the one
         place the solver builds a surface and its residual."""
         tau, lam, phi = self.unpack(u)
+        key = tuple(np.round(tau, 14))
+        if self._fan[0] != key:
+            center, frame = transported_center_frame(self.ds, self.p, tau)
+            self._fan = (key, RayFan(self.ds, center, frame, self.grid.nodes,
+                                     s_max=1.3 * self.r, n_steps=_FAN_STEPS))
         full_phi = HarmonicField(self.r ** 2 * phi.coeffs, self.band_limit)
         surf = graph_surface(self.ds, self.p, tau, self.r, full_phi, self.grid,
-                             fan=self.fan_for(tau), check_band=False)
-        self.evaluations += 1
+                             fan=self._fan[1], check_band=False)
         return (*self.project(el_residual(self.ds, surf, lam)), surf)
 
     def project(self, res):
         f = analyze(self.grid, res.values, check=False)
-        out = np.empty(4 + self.n_phi)
-        out[:3] = res.proj_k1
-        out[3] = res.proj_k0
-        out[4:] = f.coeffs[4:self.n_coeffs]
-        return out, float(np.linalg.norm(f.coeffs))
+        return (np.concatenate([res.proj_k1, [res.proj_k0], f.coeffs[4:self.n_coeffs]]),
+                float(np.linalg.norm(f.coeffs)))
 
-    def jacobian(self, u, r_vec, surf, free):
-        """Free x free block of the Jacobian at u (residual r_vec, surface surf):
-        forward differences, but the lam column is the projection of H."""
-        jac = np.empty((free.size, free.size))
-        step_tau = 1e-6 * max(self.r, 1e-3)
-        for j, i in enumerate(free):
-            if i == 3:
-                col, _ = self.project(
-                    ResidualField.from_values(self.grid, surf.mean_curvature, 0.0))
-            else:
-                step = step_tau if i < 3 else 1e-6
-                du = u.copy()
-                du[i] += step
-                col = (self.evaluate(du)[0] - r_vec) / step
-            jac[:, j] = col[free]
+    def jacobian(self, surf, free, jac=None):
+        """Free x free block of J0, or of `jac` when given, with the lam column
+        made exact at surf.  J0: tau-tau (4 pi / 3) Hess f (`hess`, needed when
+        tau is free) in the orthonormal frame at p, phi-phi -l(l+1)(l(l+1) - 2) / r,
+        no coupling."""
+        if jac is None:
+            # the biharmonic eigenvalues vanish on degrees 0 and 1
+            full = np.diag(-biharmonic_eigenvalues(self.band_limit) / self.r)
+            if np.any(free < 3):
+                frame = orthonormal_frame(self.ds, self.p)
+                full[:3, :3] = (4.0 * np.pi / 3.0) * frame.T @ self.hess @ frame
+            jac = full[np.ix_(free, free)]
+        h = ResidualField.from_values(self.grid, surf.mean_curvature, 0.0)
+        jac[:, free == 3] = self.project(h)[0][free, None]
         return jac
 
 
 def _newton(system: _ReducedSystem, u, free, tol: float, max_iter: int):
     """Newton on the `free` entries of u, descent steps only; returns (u, r_vec,
-    full_norm, surface, iterations) of the accepted point, or raises NonConvergence."""
+    full_norm, surface, iterations) of the accepted point, or raises NonConvergence.
+    The Jacobian starts at J0 and takes the good-Broyden update J + (y - J s) s^T
+    / s^T s after each accepted step s (Broyden, Math. Comp. 19, 1965)."""
     r_vec, full_norm, surf = system.evaluate(u)
     norm = np.linalg.norm(r_vec[free])
-    jac = None
+    jac = system.jacobian(surf, free)
     iterations = 0
     for iterations in range(1, max_iter + 1):
         if norm < tol:
             break
-        if jac is None or iterations % 4 == 1:
-            jac = system.jacobian(u, r_vec, surf, free)
         try:
             step = np.linalg.solve(jac, -r_vec[free])
         except np.linalg.LinAlgError:
@@ -265,6 +251,9 @@ def _newton(system: _ReducedSystem, u, free, tol: float, max_iter: int):
                 continue
             norm_try = np.linalg.norm(r_try[free])
             if norm_try < norm:
+                s, y = scale * step, r_try[free] - r_vec[free]
+                jac = system.jacobian(surf_try, free,
+                                      jac + np.outer(y - jac @ s, s / (s @ s)))
                 u, r_vec, full_norm, surf, norm = u_try, r_try, full_try, surf_try, norm_try
                 break
         else:
@@ -311,7 +300,7 @@ def solve_critical(ds: InitialDataSet, p, r: float, guess=None,
     else:
         tau0, lam0, phi0 = guess
 
-    system = _ReducedSystem(ds, p, r, grid, band_limit)
+    system = _ReducedSystem(ds, p, r, grid, band_limit, hess)
     u = system.pack(tau0, lam0, phi0)
     u, r_vec, full_norm, surf, iterations = _newton(system, u, np.arange(u.size), tol,
                                                     max_iter)
@@ -415,15 +404,8 @@ def _trace_from(solutions, grid) -> FoliationTrace:
     r = np.array([s.r for s in solutions])
     tau = np.array([s.tau for s in solutions])
     lam = np.array([s.lam for s in solutions])
-    if len(solutions) > 1:
-        dtau = np.gradient(tau, r, axis=0)
-    else:
-        dtau = np.zeros_like(tau)
-
-    lapse_min = np.empty(r.size)
-    for i, sol in enumerate(solutions):
-        alpha = 1.0 + grid.nodes @ dtau[i]
-        lapse_min[i] = float(alpha.min())
+    dtau = np.gradient(tau, r, axis=0) if len(solutions) > 1 else np.zeros_like(tau)
+    lapse_min = np.array([(1.0 + grid.nodes @ d).min() for d in dtau])
 
     # Richardson extrapolation of lambda(r) = lam0 + b r^2 (+ c r^4)
     if r.size >= 3:

@@ -326,7 +326,10 @@ def comparison_report(stc: SpacetimeCurvatureAtPoint, l_values,
     """
     l_values = np.asarray(l_values, dtype=float)
     x = np.asarray(sample_direction, dtype=float)
-    x = x / np.linalg.norm(x)
+    norm = np.linalg.norm(x)
+    if not norm > 0:
+        raise ValueError(f"sample_direction must be a nonzero vector, got {x}")
+    x = x / norm
 
     n = l_values.size
     r_vals = np.full(n, np.nan)

@@ -81,9 +81,18 @@ def test_unreadable_resume_exits_2(tmp_path, capsys, content):
     ("energy", "grid", {"n_theta": 16, "n_phi": 32, "band_limit": [8]}, "band_limit"),
     ("energy", "surface", {"radius": 1.0, "phi_coeffs": [0.0], "phi_band_limit": "0"},
      "phi_band_limit"),
+    ("energy", "preset", {"name": "flat", "params": [1]}, "params"),
+    ("solve", "solve", {"radius": 0.05, "center": [0.0, 0.0]}, "center"),
+    ("energy", "surface", {"radius": 1.0, "tau": [0.0, 0.0, "x"]}, "tau"),
+    ("foliate", "foliate", {"r_min": 0.02, "r_max": 0.1, "center": 0.0}, "center"),
+    ("smallsphere", "smallsphere", {"l_values": "abc"}, "l_values"),
+    ("smallsphere", "smallsphere", {"l_values": [0.02, float("inf")]}, "l_values"),
+    ("smallsphere", "smallsphere", {"l_values": [0.02], "sample_direction": [1.0, 0.0]},
+     "sample_direction"),
 ], ids=["radius-str", "tol-str", "tol-nan", "max_iter-float", "band_limit-bool",
         "r_max-str", "n_steps-str", "n_theta-str", "grid_band_limit-list",
-        "phi_band_limit-str"])
+        "phi_band_limit-str", "params-list", "center-2", "tau-str", "center-scalar",
+        "l_values-str", "l_values-inf", "sample_direction-2"])
 def test_malformed_number_exits_2(tmp_path, capsys, command, section, values, bad):
     config = {"preset": {"name": "conformal_quadratic", "params": {"eps": 0.01}},
               "grid": {"n_theta": 16, "n_phi": 32},

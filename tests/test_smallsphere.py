@@ -230,6 +230,11 @@ class TestComparison:
         assert rep.no_root[1]
         assert np.isnan(rep.excess[1])
 
+    def test_zero_sample_direction_raises(self):
+        stc = stc_from(k=np.diag([1.0, 0.0, 0.0]))
+        with pytest.raises(ValueError, match="sample_direction"):
+            comparison_report(stc, [0.02, 0.04], sample_direction=(0.0, 0.0, 0.0))
+
     def test_rows_and_dict(self):
         stc = stc_from(k=np.diag([1.0, 0.0, 0.0]))
         rep = comparison_report(stc, [0.02, 0.04])

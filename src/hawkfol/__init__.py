@@ -9,9 +9,8 @@ along geodesic spheres with those along light cuts.
 
 __version__ = "0.1.0"
 
-from .background import (AmbientFields, CurvatureAtPoint, FiniteDifferenceSpec,
-                         InitialDataSet, ambient_fields, concentration_scalar,
-                         curvature_at, preset, scalar_curvature)
+from .background import (AmbientFields, CurvatureAtPoint, InitialDataSet,
+                         ambient_fields, concentration_scalar, curvature_at, preset)
 from .el_operator import (ResidualField, el_residual, laplace_beltrami,
                           rescaled_phi, w_split)
 from .errors import (BandLimitExceeded, ChartExceeded, ContinuationBroken,

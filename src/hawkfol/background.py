@@ -20,7 +20,7 @@ grad_k[..., s, i, j]    covariant derivative nabla_s k_ij
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -30,23 +30,13 @@ from .errors import ChartExceeded, DegenerateMetric, InvalidParams, UnknownPrese
 Tensor = Callable[[np.ndarray], np.ndarray]
 
 
-@dataclass(frozen=True)
-class FiniteDifferenceSpec:
-    """Step sizes for the 4th-order central stencils.
-
-    `step` drives first derivatives of the supplied callables; `second_step`
-    drives direct second-derivative stencils (larger, to sit at the roundoff
-    versus truncation optimum of double precision); `derived_step` drives
-    derivatives of assembled pointwise maps such as Sc(x) or Ric(x).
-    """
-
-    step: float = 1e-4
-    second_step: float = 2e-3
-    derived_step: float = 1e-3
-
-    @property
-    def reach(self) -> float:
-        return 2.0 * max(self.step, self.second_step, self.derived_step)
+# Finite-difference steps: first derivatives of the supplied callables; direct
+# second-derivative stencils (larger, at the roundoff versus truncation
+# optimum of double precision); derivatives of assembled pointwise maps such
+# as Sc(x) or Ric(x).
+_STEP = 1e-4
+_SECOND_STEP = 2e-3
+_DERIVED_STEP = 1e-3
 
 
 @dataclass(frozen=True)
@@ -75,7 +65,6 @@ class InitialDataSet:
     dk_tensor: Optional[Tensor] = None
     chart_radius: float = np.inf
     name: str = ""
-    fd: FiniteDifferenceSpec = field(default_factory=FiniteDifferenceSpec)
 
     @property
     def derivative_mode(self) -> str:
@@ -96,68 +85,87 @@ class InitialDataSet:
                 f"point radius {r.max():.4g} + stencil reach {reach:.2g} exceeds "
                 f"chart radius {self.chart_radius:.4g}")
 
-    def metric_at(self, pts: np.ndarray, check: bool = False) -> np.ndarray:
-        g = self.metric(np.asarray(pts, dtype=float))
-        if check:
-            _inverse_metric(g)
-        return g
-
 
 # ----------------------------------------------------------------------
 # finite-difference stencils (vectorized over leading point axes)
 # ----------------------------------------------------------------------
 
-def _central(fun, pts, e, h):
-    """4th-order central first difference of fun along the step vector e (|e| = h)."""
-    return (-fun(pts + 2 * e) + 8.0 * fun(pts + e)
-            - 8.0 * fun(pts - e) + fun(pts - 2 * e)) / (12.0 * h)
+def _stencil_table():
+    """4th-order central stencils as rows (offsets in units of the step,
+    integer weights, denominator).
+
+    Rows 0-2 are the first derivatives along the coordinate axes; rows 3-8 are
+    the second derivatives (0,0), (1,1), (2,2), (0,1), (0,2), (1,2), the mixed
+    ones as the product of two first-derivative stencils.  Integer weights
+    keep the sum of a row's weights exactly zero.
+    """
+    c1, w1 = np.array([2.0, 1.0, -1.0, -2.0]), np.array([-1.0, 8.0, -8.0, 1.0])
+    c2, w2 = np.array([2.0, 1.0, 0.0, -1.0, -2.0]), np.array([-1.0, 16.0, -30.0, 16.0, -1.0])
+    eye = np.eye(3)
+    rows = [(np.outer(c1, e), w1, 12.0) for e in eye]
+    rows += [(np.outer(c2, e), w2, 12.0) for e in eye]
+    rows += [((c1[:, None, None] * eye[l] + c1[None, :, None] * eye[m]).reshape(16, 3),
+              np.outer(w1, w1).ravel(), 144.0) for l, m in ((0, 1), (0, 2), (1, 2))]
+    return rows
+
+
+_STENCIL = _stencil_table()
+_SYM6 = np.array([[0, 3, 4], [3, 1, 5], [4, 5, 2]])   # (l, m) -> second-derivative row
+# farthest stencil point from its center: a mixed row at the largest step
+_REACH = 2.0 * np.sqrt(2.0) * _SECOND_STEP
+
+
+def _stencil(fun, pts, h, rows, order):
+    """Stencil rows applied to fun at pts (leading point axes), over h**order.
+
+    Each row's points go to fun in one batched call, with the row's offsets on
+    a new axis after the point axes; the row axis of the result takes that
+    place.  The weighted sums run over plain array operations, so a batch of
+    points gives the same numbers as the points one at a time.
+    """
+    pts = np.asarray(pts, dtype=float)
+    axis = pts.ndim - 1
+    out = []
+    for offsets, weights, denom in rows:
+        vals = np.moveaxis(fun(pts[..., None, :] + h * offsets), axis, 0)
+        out.append(sum(w * v for w, v in zip(weights, vals)) / (denom * h ** order))
+    return np.stack(out, axis=axis)
 
 
 def _fd_grad(fun, pts, h):
-    """4th-order gradient of fun along coordinate axes; output axis 1 is the direction."""
-    return np.stack([_central(fun, pts, e, h) for e in h * np.eye(3)], axis=pts.ndim - 1)
+    """Gradient of fun; the direction axis follows the point axes."""
+    return _stencil(fun, pts, h, _STENCIL[:3], 1)
 
 
 def _fd_hess(fun, pts, h):
-    """4th-order second derivatives; output axes (dir, dir) follow the point axes."""
-    base = fun(pts)
-    n_batch = pts.ndim - 1
-    steps = h * np.eye(3)
-    blocks = [[None] * 3 for _ in range(3)]
-    for l, e in enumerate(steps):
-        blocks[l][l] = (-fun(pts + 2 * e) + 16.0 * fun(pts + e) - 30.0 * base
-                        + 16.0 * fun(pts - e) - fun(pts - 2 * e)) / (12.0 * h * h)
-        for m in range(l):
-            blocks[l][m] = blocks[m][l] = _central(
-                lambda q: _central(fun, q, steps[m], h), pts, e, h)
-    return np.stack([np.stack(row, axis=n_batch) for row in blocks], axis=n_batch)
+    """Second derivatives of fun; the (dir, dir) axes follow the point axes."""
+    return np.take(_stencil(fun, pts, h, _STENCIL[3:], 2), _SYM6, axis=np.ndim(pts) - 1)
 
 
 def _dg_of(ds: InitialDataSet, pts):
     if ds.dmetric is not None:
         return ds.dmetric(pts)
-    return _fd_grad(ds.metric, pts, ds.fd.step)
+    return _fd_grad(ds.metric, pts, _STEP)
 
 
 def _d2g_of(ds: InitialDataSet, pts):
     if ds.d2metric is not None:
         return ds.d2metric(pts)
-    return _fd_hess(ds.metric, pts, ds.fd.second_step)
+    return _fd_hess(ds.metric, pts, _SECOND_STEP)
 
 
 def _d3g_of(ds: InitialDataSet, pts):
     if ds.d3metric is not None:
         return ds.d3metric(pts)
     if ds.d2metric is not None:
-        return _fd_grad(ds.d2metric, pts, ds.fd.derived_step)
-    return _fd_grad(lambda q: _fd_hess(ds.metric, q, ds.fd.second_step),
-                    pts, ds.fd.derived_step)
+        return _fd_grad(ds.d2metric, pts, _DERIVED_STEP)
+    return _fd_grad(lambda q: _fd_hess(ds.metric, q, _SECOND_STEP), pts, _DERIVED_STEP)
 
 
 def _dk_of(ds: InitialDataSet, pts):
     if ds.dk_tensor is not None:
         return ds.dk_tensor(pts)
-    return _fd_grad(ds.k_tensor, pts, ds.fd.step)
+    return _fd_grad(ds.k_tensor, pts, _STEP)
 
 
 # ----------------------------------------------------------------------
@@ -210,21 +218,6 @@ def dchristoffel_from(g_inv, dg, d2g):
             + 0.5 * np.einsum("...il,...mljk->...mijk", g_inv, ds, optimize=True))
 
 
-def d2christoffel_from(g_inv, dg, d2g, d3g):
-    """partial_m partial_n Gamma^i_{jk}, layout [..., m, n, i, j, k]."""
-    s = _bracket(dg)
-    ds = _bracket(d2g)
-    d2s = _bracket(d3g)
-    dginv = -np.einsum("...ia,...mab,...bl->...mil", g_inv, dg, g_inv, optimize=True)
-    d2ginv = -(np.einsum("...mia,...nab,...bl->...mnil", dginv, dg, g_inv, optimize=True)
-               + np.einsum("...ia,...mnab,...bl->...mnil", g_inv, d2g, g_inv, optimize=True)
-               + np.einsum("...ia,...nab,...mbl->...mnil", g_inv, dg, dginv, optimize=True))
-    return (0.5 * np.einsum("...mnil,...ljk->...mnijk", d2ginv, s, optimize=True)
-            + 0.5 * np.einsum("...mil,...nljk->...mnijk", dginv, ds, optimize=True)
-            + 0.5 * np.einsum("...nil,...mljk->...mnijk", dginv, ds, optimize=True)
-            + 0.5 * np.einsum("...il,...mnljk->...mnijk", g_inv, d2s, optimize=True))
-
-
 def riemann_from(g, gamma, dgamma):
     """Fully covariant Rm_ijkl from Gamma and its gradient.
 
@@ -264,7 +257,7 @@ def _covariant_dk(ds: InitialDataSet, pts, gamma, k):
 
 @dataclass
 class AmbientFields:
-    """Batched ambient quantities at a set of points (leading axis = node)."""
+    """Batched ambient quantities at a set of points (leading axes = points)."""
 
     points: np.ndarray
     metric: np.ndarray
@@ -275,35 +268,49 @@ class AmbientFields:
     k_trace: np.ndarray
     grad_k: np.ndarray  # covariant nabla_s k_ij
 
+    @property
+    def scalar(self) -> np.ndarray:
+        """Scalar curvature g^ij Ric_ij."""
+        return np.einsum("...jl,...jl->...", self.metric_inv, self.ricci)
+
+    @property
+    def k_norm_sq(self) -> np.ndarray:
+        """|k|^2 = g^ip g^jq k_ij k_pq."""
+        k_up = np.einsum("...ip,...jq,...pq->...ij", self.metric_inv, self.metric_inv, self.k)
+        return np.einsum("...ij,...ij->...", k_up, self.k)
+
     def rescaled(self, s: float) -> "AmbientFields":
         """The same data in coordinates stretched by 1/s (y = x / s).
 
         The one chart-rescaling rule: metric components are unchanged, every
         derivative brings a factor s and k scales with the connection, so
         Gamma, k and tr k carry one power of s and Ric and grad k two.
-        `points` is kept as it is.
+        `points` is kept as it is; `scalar` and `k_norm_sq` follow from the
+        weighted fields.
         """
         return replace(self, christoffel=s * self.christoffel, ricci=s * s * self.ricci,
                        k=s * self.k, k_trace=s * self.k_trace, grad_k=s * s * self.grad_k)
 
 
-def ambient_fields(ds: InitialDataSet, pts: np.ndarray, check_chart: bool = True) -> AmbientFields:
-    """Metric, connection, Ricci and k data at a batch of points."""
+def _ambient_reach(ds: InitialDataSet) -> float:
+    """How far from a point ambient_fields evaluates the metric."""
+    return 0.0 if ds.derivative_mode == "closed_form" else _REACH
+
+
+def ambient_fields(ds: InitialDataSet, pts: np.ndarray) -> AmbientFields:
+    """Metric, connection, Ricci and k data at a batch of points.
+
+    The one source of pointwise curvature: Sc, tr k and |k|^2 are contracted
+    here and nowhere else.
+    """
     pts = np.asarray(pts, dtype=float)
-    if check_chart:
-        ds.check_chart(pts, reach=0.0 if ds.derivative_mode == "closed_form" else ds.fd.reach)
+    ds.check_chart(pts, reach=_ambient_reach(ds))
     g, g_inv, gamma, _, ric = _curvature_chain(ds, pts)
     k = ds.k_tensor(pts)
     trk = np.einsum("...ij,...ij->...", g_inv, k)
     return AmbientFields(points=pts, metric=g, metric_inv=g_inv, christoffel=gamma,
                          ricci=ric, k=k, k_trace=trk,
                          grad_k=_covariant_dk(ds, pts, gamma, k))
-
-
-def scalar_curvature(ds: InitialDataSet, pts: np.ndarray) -> np.ndarray:
-    """Scalar curvature at a batch of points."""
-    _, g_inv, _, _, ric = _curvature_chain(ds, np.asarray(pts, dtype=float))
-    return np.einsum("...jl,...jl->...", g_inv, ric)
 
 
 # ----------------------------------------------------------------------
@@ -325,10 +332,25 @@ class CurvatureAtPoint:
     traceless_k_norm_sq: float
 
 
-def _covariant_hessian(gamma, grad, hess):
-    """Symmetrized nabla^2 f = partial^2 f - Gamma^l_{ij} partial_l f at one point."""
-    hess = hess - np.einsum("lij,l->ij", gamma, grad)
-    return 0.5 * (hess + hess.T)
+def _point_jet(ds: InitialDataSet, x, quantity):
+    """Ambient fields at x, and the value, gradient and covariant Hessian
+    there of the pointwise map quantity(ambient_fields(ds, .)).
+
+    `quantity` returns an array with optional trailing component axes; the
+    Hessian of each component is covariantized as that of a scalar,
+    nabla^2 f = partial^2 f - Gamma^l_{ij} partial_l f.  ambient_fields runs
+    once at x and once per stencil row: 1 + 3 + 6 calls.
+    """
+    x = np.asarray(x, dtype=float).reshape(3)
+    ds.check_chart(x, reach=_REACH + _ambient_reach(ds))
+    amb = ambient_fields(ds, x)
+
+    def fun(pts):
+        return quantity(ambient_fields(ds, pts))
+
+    grad = _fd_grad(fun, x, _DERIVED_STEP)
+    hess = _fd_hess(fun, x, _SECOND_STEP) - np.einsum("lij,l...->ij...", amb.christoffel, grad)
+    return amb, quantity(amb), grad, 0.5 * (hess + np.swapaxes(hess, 0, 1))
 
 
 def curvature_at(ds: InitialDataSet, x) -> CurvatureAtPoint:
@@ -343,45 +365,29 @@ def curvature_at(ds: InitialDataSet, x) -> CurvatureAtPoint:
 
     Notes
     -----
-    grad_scalar / hess_scalar / grad_ricci differentiate the assembled
-    pointwise maps with 4th-order stencils and covariantize with the local
-    Christoffel symbols.  Pure function; safe to call concurrently.
+    grad_scalar / hess_scalar / grad_ricci differentiate the pointwise maps
+    Sc and Ric of `ambient_fields` with 4th-order stencils and covariantize
+    with the local Christoffel symbols.  Pure function; safe to call
+    concurrently.
     """
-    x = np.asarray(x, dtype=float).reshape(3)
-    reach = ds.fd.reach + (0.0 if ds.derivative_mode == "closed_form" else ds.fd.reach)
-    ds.check_chart(x[None, :], reach=reach)
+    def sc_ric(amb):
+        return np.concatenate([amb.scalar[..., None],
+                               amb.ricci.reshape(amb.ricci.shape[:-2] + (9,))], axis=-1)
 
-    pt = x[None, :]
-    g, g_inv, gamma, dgamma, ric = _curvature_chain(ds, pt)
-    rm = riemann_from(g, gamma, dgamma)
-    sc = np.einsum("...jl,...jl->...", g_inv, ric)
-
-    def sc_map(pts):
-        return scalar_curvature(ds, pts)
-
-    h1 = ds.fd.derived_step
-    gm = gamma[0]
-    dsc = _fd_grad(sc_map, pt, h1)[0]
-    hess_sc = _covariant_hessian(gm, dsc, _fd_hess(sc_map, pt, ds.fd.second_step)[0])
-
+    amb, _, grad, hess = _point_jet(ds, x, sc_ric)
+    gamma, ric = amb.christoffel, amb.ricci
     # nabla_s Ric_ij = partial_s Ric_ij - Gamma^l_{si} Ric_lj - Gamma^l_{sj} Ric_il
-    dric = _fd_grad(lambda q: _curvature_chain(ds, q)[4], pt, h1)[0]
-    grad_ric = (dric
-                - np.einsum("lsi,lj->sij", gm, ric[0])
-                - np.einsum("lsj,il->sij", gm, ric[0]))
-
-    k = ds.k_tensor(pt)
-    grad_k = _covariant_dk(ds, pt, gamma, k)
-    trk = float(np.einsum("ij,ij->", g_inv[0], k[0]))
-    k_up = np.einsum("ip,jq,pq->ij", g_inv[0], g_inv[0], k[0])
-    norm_k_sq = float(np.einsum("ij,ij->", k_up, k[0]))
-    traceless = norm_k_sq - trk * trk / 3.0
-
+    grad_ric = (grad[:, 1:].reshape(3, 3, 3)
+                - np.einsum("lsi,lj->sij", gamma, ric)
+                - np.einsum("lsj,il->sij", gamma, ric))
+    # Riemann needs d Gamma, which AmbientFields does not carry
+    dgamma = _curvature_chain(ds, amb.points)[3]
+    trk, norm_k_sq = float(amb.k_trace), float(amb.k_norm_sq)
     return CurvatureAtPoint(
-        christoffel=gamma[0], riemann=rm[0], ricci=ric[0], scalar=float(sc[0]),
-        grad_scalar=dsc, hess_scalar=hess_sc, grad_ricci=grad_ric,
-        tr_k=trk, norm_k_sq=norm_k_sq, grad_k=grad_k[0],
-        traceless_k_norm_sq=traceless)
+        christoffel=gamma, riemann=riemann_from(amb.metric, gamma, dgamma), ricci=ric,
+        scalar=float(amb.scalar), grad_scalar=grad[:, 0], hess_scalar=hess[:, :, 0],
+        grad_ricci=grad_ric, tr_k=trk, norm_k_sq=norm_k_sq, grad_k=amb.grad_k,
+        traceless_k_norm_sq=norm_k_sq - trk * trk / 3.0)
 
 
 def concentration_scalar(ds: InitialDataSet, x):
@@ -390,24 +396,9 @@ def concentration_scalar(ds: InitialDataSet, x):
     Critical points of f with nondegenerate Hessian are exactly the points
     that can host a foliation of area-constrained critical spheres.
     """
-    x = np.asarray(x, dtype=float).reshape(3)
-
-    def f_map(pts):
-        _, g_inv, _, _, ric = _curvature_chain(ds, pts)
-        sc = np.einsum("...jl,...jl->...", g_inv, ric)
-        k = ds.k_tensor(pts)
-        trk = np.einsum("...ij,...ij->...", g_inv, k)
-        k_up = np.einsum("...ip,...jq,...pq->...ij", g_inv, g_inv, k)
-        ksq = np.einsum("...ij,...ij->...", k_up, k)
-        return sc + 0.6 * trk * trk + 0.2 * ksq
-
-    pt = x[None, :]
-    reach = ds.fd.reach + (0.0 if ds.derivative_mode == "closed_form" else ds.fd.reach)
-    ds.check_chart(pt, reach=reach)
-    value = float(f_map(pt)[0])
-    grad = _fd_grad(f_map, pt, ds.fd.derived_step)[0]
-    gamma = christoffel_from(_inverse_metric(ds.metric(pt)), _dg_of(ds, pt))[0]
-    return value, grad, _covariant_hessian(gamma, grad, _fd_hess(f_map, pt, ds.fd.second_step)[0])
+    _, value, grad, hess = _point_jet(
+        ds, x, lambda amb: amb.scalar + 0.6 * amb.k_trace ** 2 + 0.2 * amb.k_norm_sq)
+    return float(value), grad, hess
 
 
 # ----------------------------------------------------------------------

@@ -69,16 +69,18 @@ def _number(section: dict, key: str, default=None, integer: bool = False):
     return int(value) if integer else float(value)
 
 
-def _numbers(section: dict, key: str, default=None, size=None):
-    """section[key] as a float array from a list of finite numbers, `size` of
-    them when given; `default` when the key is absent; ConfigError otherwise."""
+def _numbers(section: dict, key: str, default=None, *, shape):
+    """section[key] as a float array of finite numbers, nested as lists to
+    the given shape (a None length is any nonzero length); `default` when the
+    key is absent; ConfigError for any other value."""
     if key not in section:
         return default
-    value = section[key]
-    if not isinstance(value, list) or (size and len(value) != size):
-        count = f"{size} " if size else ""
-        raise ConfigError(f"{key} must be a list of {count}finite numbers, got {value!r}")
-    return np.array([_number({key: entry}, key) for entry in value])
+    entries = np.array(section[key], dtype=object)
+    if entries.ndim != len(shape) or not all(
+            g > 0 if n is None else g == n for n, g in zip(shape, entries.shape)):
+        raise ConfigError(f"{key} must be finite numbers of shape {shape}, "
+                          f"got {section[key]!r}")
+    return np.array([_number({key: e}, key) for e in entries.ravel()]).reshape(entries.shape)
 
 
 def _solver_options(section: dict) -> dict:
@@ -156,15 +158,16 @@ def cmd_energy(config, grid, out_dir, fmt):
     section = config.get("surface")
     if not section or "radius" not in section:
         raise ConfigError("energy needs a surface section with a radius")
-    center = _numbers(section, "center", np.zeros(3), size=3)
-    tau = _numbers(section, "tau", np.zeros(3), size=3)
+    center = _numbers(section, "center", np.zeros(3), shape=(3,))
+    tau = _numbers(section, "tau", np.zeros(3), shape=(3,))
     radius = _number(section, "radius")
     phi = None
     if "phi_coeffs" in section:
         if "phi_band_limit" not in section:
             raise ConfigError("phi_coeffs requires phi_band_limit")
-        phi = HarmonicField(np.asarray(section["phi_coeffs"], dtype=float),
-                            _number(section, "phi_band_limit", integer=True))
+        band_limit = _number(section, "phi_band_limit", integer=True)
+        phi = HarmonicField(_numbers(section, "phi_coeffs", shape=((band_limit + 1) ** 2,)),
+                            band_limit)
     surf = graph_surface(ds, center, tau, radius, phi, grid)
     report = hawking_energy(surf)
     if fmt in ("json", "both"):
@@ -182,7 +185,7 @@ def cmd_solve(config, grid, out_dir, fmt):
     section = config.get("solve")
     if not section or "radius" not in section:
         raise ConfigError("solve needs a solve section with a radius")
-    sol = solve_critical(ds, _numbers(section, "center", np.zeros(3), size=3),
+    sol = solve_critical(ds, _numbers(section, "center", np.zeros(3), shape=(3,)),
                          _number(section, "radius"), grid=grid, **_solver_options(section))
     if fmt in ("json", "both"):
         _write_json(out_dir, "solve_result", {"solution": sol.to_dict()}, config)
@@ -238,7 +241,7 @@ def cmd_foliate(config, grid, out_dir, fmt):
     section = config.get("foliate")
     if not section or "r_min" not in section or "r_max" not in section:
         raise ConfigError("foliate needs a foliate section with r_min and r_max")
-    center = _numbers(section, "center", np.zeros(3), size=3)
+    center = _numbers(section, "center", np.zeros(3), shape=(3,))
     r_range = (_number(section, "r_min"), _number(section, "r_max"))
     n_steps = _number(section, "n_steps", 6, integer=True)
     options = _solver_options(section)
@@ -269,12 +272,14 @@ def cmd_smallsphere(config, grid, out_dir, fmt):
     if not section or "l_values" not in section:
         raise ConfigError("smallsphere needs a smallsphere section with l_values")
     stc = SpacetimeCurvatureAtPoint.from_components(
-        rm4=section.get("rm4"), ric4=section.get("ric4"), sc4=section.get("sc4"),
-        k=section.get("k"))
-    report = comparison_report(
-        stc, _numbers(section, "l_values"),
-        sample_direction=_numbers(section, "sample_direction", np.array([1.0, 0.0, 0.0]),
-                                  size=3))
+        rm4=_numbers(section, "rm4", shape=(4, 4, 4, 4)),
+        ric4=_numbers(section, "ric4", shape=(4, 4)), sc4=_number(section, "sc4"),
+        k=_numbers(section, "k", shape=(3, 3)))
+    direction = _numbers(section, "sample_direction", np.array([1.0, 0.0, 0.0]), shape=(3,))
+    if not np.any(direction):
+        raise ConfigError(f"sample_direction must be a nonzero vector, got {direction}")
+    report = comparison_report(stc, _numbers(section, "l_values", shape=(None,)),
+                               sample_direction=direction)
     if np.any(report.no_root):
         print(f"warning: area matching failed for "
               f"{int(np.count_nonzero(report.no_root))} parameter value(s); "

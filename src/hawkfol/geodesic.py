@@ -73,7 +73,8 @@ def _rk4(rhs, state, h, n_steps):
 def orthonormal_frame(ds: InitialDataSet, point) -> np.ndarray:
     """Columns form a g-orthonormal basis at the point (Cholesky gauge)."""
     point = np.asarray(point, dtype=float).reshape(3)
-    g = ds.metric_at(point[None, :], check=True)[0]
+    g = ds.metric(point)
+    _inverse_metric(g)  # raises DegenerateMetric unless g is positive definite
     chol = np.linalg.cholesky(g)
     return np.linalg.inv(chol).T
 

@@ -32,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from .background import InitialDataSet, concentration_scalar, curvature_at
+from .background import InitialDataSet, ambient_fields, concentration_scalar
 from .el_operator import ResidualField, el_residual
 from .errors import ContinuationBroken, DegenerateHessian, HawkfolError, NonConvergence
 from .functionals import EnergyReport, hawking_energy
@@ -134,14 +134,13 @@ def initial_guess(ds: InitialDataSet, p, band_limit: int = 8,
     kernel-projection constants 8 pi (lambda + Sc/3 + ...)).
     """
     grid = grid or default_grid()
-    c = curvature_at(ds, p)
-    lam0 = -c.scalar / 3.0 - c.norm_k_sq / 15.0 - c.tr_k ** 2 / 5.0
+    amb = ambient_fields(ds, np.asarray(p, dtype=float).reshape(3))
+    lam0 = float(-amb.scalar / 3.0 - amb.k_norm_sq / 15.0 - amb.k_trace ** 2 / 5.0)
 
     x = grid.nodes
-    kmat = ds.k_tensor(np.asarray(p, dtype=float).reshape(1, 3))[0]
+    kmat = amb.k
     kxx = np.einsum("ij,ni,nj->n", kmat, x, x)
-    ksq = kmat @ kmat
-    quad = 4.0 * c.ricci + 6.0 * c.tr_k * kmat + 4.0 * ksq
+    quad = 4.0 * amb.ricci + 6.0 * amb.k_trace * kmat + 4.0 * (kmat @ kmat)
     rhs_vals = np.einsum("ij,ni,nj->n", quad, x, x) - 9.0 * kxx * kxx
     rhs = project_Kperp(analyze(grid, rhs_vals).restricted(band_limit))
     phi0 = biharmonic_solve(rhs)

@@ -89,10 +89,24 @@ def test_unreadable_resume_exits_2(tmp_path, capsys, content):
     ("smallsphere", "smallsphere", {"l_values": [0.02, float("inf")]}, "l_values"),
     ("smallsphere", "smallsphere", {"l_values": [0.02], "sample_direction": [1.0, 0.0]},
      "sample_direction"),
+    ("smallsphere", "smallsphere", {"l_values": [0.02], "sc4": "x"}, "sc4"),
+    ("smallsphere", "smallsphere", {"l_values": [0.02], "k": "abc"}, "k"),
+    ("smallsphere", "smallsphere", {"l_values": [0.02], "k": [[1.0, 0.0], [0.0, 1.0]]}, "k"),
+    ("smallsphere", "smallsphere", {"l_values": [0.02], "ric4": [[True] * 4] * 4}, "ric4"),
+    ("smallsphere", "smallsphere", {"l_values": [0.02], "rm4": [[0.0] * 4] * 4}, "rm4"),
+    ("smallsphere", "smallsphere", {"l_values": []}, "l_values"),
+    ("smallsphere", "smallsphere", {"l_values": [0.02], "sample_direction": [0.0, 0.0, 0.0]},
+     "sample_direction"),
+    ("energy", "surface", {"radius": 1.0, "phi_coeffs": "abc", "phi_band_limit": 0},
+     "phi_coeffs"),
+    ("energy", "surface", {"radius": 1.0, "phi_coeffs": [0.0, 0.1], "phi_band_limit": 2},
+     "phi_coeffs"),
 ], ids=["radius-str", "tol-str", "tol-nan", "max_iter-float", "band_limit-bool",
         "r_max-str", "n_steps-str", "n_theta-str", "grid_band_limit-list",
         "phi_band_limit-str", "params-list", "center-2", "tau-str", "center-scalar",
-        "l_values-str", "l_values-inf", "sample_direction-2"])
+        "l_values-str", "l_values-inf", "sample_direction-2", "sc4-str", "k-str", "k-2x2",
+        "ric4-bool", "rm4-2d", "l_values-empty", "sample_direction-zero",
+        "phi_coeffs-str", "phi_coeffs-length"])
 def test_malformed_number_exits_2(tmp_path, capsys, command, section, values, bad):
     config = {"preset": {"name": "conformal_quadratic", "params": {"eps": 0.01}},
               "grid": {"n_theta": 16, "n_phi": 32},

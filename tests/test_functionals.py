@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hawkfol import (analyze, concentration_scalar, default_grid,
+from hawkfol import (analyze, concentration_scalar, coordinate_sphere, default_grid,
                      geodesic_sphere, graph_surface, hawking_energy, preset,
                      willmore)
 
@@ -87,3 +87,16 @@ def test_small_sphere_energy_coefficient(conformal_k, grid):
     fit = np.linalg.lstsq(np.vstack([np.ones(4), radii ** 2]).T, ratios,
                           rcond=None)[0][0]
     assert abs(fit - value / 12) < 0.02 * abs(value / 12)
+
+
+@pytest.mark.parametrize("grid_name", ["small_grid", "grid"])
+@pytest.mark.parametrize("mass", [0.5, 1.0])
+@pytest.mark.parametrize("rho", [0.2, 0.5, 1.0, 3.0, 10.0])
+def test_schwarzschild_coordinate_spheres_carry_the_mass(request, grid_name, mass, rho):
+    # centered coordinate spheres of the time-symmetric Schwarzschild slice
+    # have Hawking energy m at every radius, inside and outside the horizon
+    # at rho = m / 2
+    grid = request.getfixturevalue(grid_name)
+    ds = preset("schwarzschild_slice", mass=mass)
+    energy = hawking_energy(coordinate_sphere(ds, ORIGIN, rho, grid)).hawking_energy
+    assert abs(energy - mass) < 1e-12

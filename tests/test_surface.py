@@ -72,26 +72,21 @@ def test_ray_fan_matches_exp_map(conformal, small_grid):
 
 
 def test_christoffel_derivative_algebra_against_stencils(conformal_k):
-    # dGamma and d2Gamma closed-form assembly versus direct stencils on the
-    # pointwise Christoffel map (independent of the bundle's inline version)
-    from hawkfol.background import (_d2g_of, _d3g_of, _dg_of, _fd_grad,
-                                    _fd_hess, _inverse_metric,
-                                    christoffel_from, d2christoffel_from,
-                                    dchristoffel_from)
+    # dGamma closed-form assembly versus a direct stencil on the pointwise
+    # Christoffel map
+    from hawkfol.background import (_d2g_of, _dg_of, _fd_grad, _inverse_metric,
+                                    christoffel_from, dchristoffel_from)
     pts = np.array([[0.08, -0.03, 0.05]])
     g_inv = _inverse_metric(conformal_k.metric(pts))
     dg = _dg_of(conformal_k, pts)
     d2g = _d2g_of(conformal_k, pts)
-    d3g = _d3g_of(conformal_k, pts)
 
     def gamma_map(q):
         gi = _inverse_metric(conformal_k.metric(q))
         return christoffel_from(gi, _dg_of(conformal_k, q))
 
     dgam = dchristoffel_from(g_inv, dg, d2g)[0]
-    d2gam = d2christoffel_from(g_inv, dg, d2g, d3g)[0]
     assert np.abs(dgam - _fd_grad(gamma_map, pts, 1e-4)[0]).max() < 1e-9
-    assert np.abs(d2gam - _fd_hess(gamma_map, pts, 2e-3)[0]).max() < 1e-7
 
 
 def test_variation_bundle_chart_identities(conformal_k, small_grid):

@@ -24,7 +24,8 @@ from .grid import SphereGrid
 from .harmonics import HarmonicField
 from .reduction import (CriticalSurfaceSolution, FoliationTrace, foliate,
                         solve_critical)
-from .smallsphere import SpacetimeCurvatureAtPoint, comparison_report
+from .smallsphere import (SpacetimeCurvatureAtPoint, comparison_report,
+                          lightcut_area_quartic_identity)
 from .surface import geodesic_sphere, graph_surface
 
 
@@ -166,6 +167,9 @@ def cmd_energy(config, grid, out_dir, fmt):
         if "phi_band_limit" not in section:
             raise ConfigError("phi_coeffs requires phi_band_limit")
         band_limit = _number(section, "phi_band_limit", integer=True)
+        if not 0 <= band_limit <= grid.band_limit:
+            raise ConfigError(f"phi_band_limit must be in [0, {grid.band_limit}], "
+                              f"got {band_limit}")
         phi = HarmonicField(_numbers(section, "phi_coeffs", shape=((band_limit + 1) ** 2,)),
                             band_limit)
     surf = graph_surface(ds, center, tau, radius, phi, grid)
@@ -225,13 +229,7 @@ def _load_resume(path) -> list:
     try:
         with open(path) as fh:
             previous = json.load(fh)["trace"]["solutions"]
-        return [CriticalSurfaceSolution(
-            r=s["r"], tau=np.asarray(s["tau"]), lam=s["lambda"],
-            phi=HarmonicField(np.asarray(s["phi_coeffs"]), s["phi_band_limit"]),
-            residual_norm=s["residual_norm"],
-            residual_norm_full=s["residual_norm_full"],
-            newton_iterations=s["newton_iterations"], converged=s["converged"],
-            energy=None) for s in previous]
+        return [CriticalSurfaceSolution.from_dict(s) for s in previous]
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"cannot resume from {path}: {type(exc).__name__}: {exc}") from exc
 
@@ -245,14 +243,7 @@ def cmd_foliate(config, grid, out_dir, fmt):
     r_range = (_number(section, "r_min"), _number(section, "r_max"))
     n_steps = _number(section, "n_steps", 6, integer=True)
     options = _solver_options(section)
-    warm = None
-    if section.get("resume"):
-        warm = _load_resume(section["resume"])
-        # re-attach energies for resumed leaves
-        for sol in warm:
-            full_phi = HarmonicField(sol.r ** 2 * sol.phi.coeffs, sol.phi.band_limit)
-            surf = graph_surface(ds, center, sol.tau, sol.r, full_phi, grid)
-            sol.energy = hawking_energy(surf)
+    warm = _load_resume(section["resume"]) if section.get("resume") else None
     try:
         trace = foliate(ds, center, r_range, n_steps, grid=grid, warm_start=warm,
                         **options)
@@ -271,26 +262,29 @@ def cmd_smallsphere(config, grid, out_dir, fmt):
     section = config.get("smallsphere")
     if not section or "l_values" not in section:
         raise ConfigError("smallsphere needs a smallsphere section with l_values")
-    stc = SpacetimeCurvatureAtPoint.from_components(
-        rm4=_numbers(section, "rm4", shape=(4, 4, 4, 4)),
-        ric4=_numbers(section, "ric4", shape=(4, 4)), sc4=_number(section, "sc4"),
-        k=_numbers(section, "k", shape=(3, 3)))
+    components = {"rm4": _numbers(section, "rm4", shape=(4, 4, 4, 4)),
+                  "ric4": _numbers(section, "ric4", shape=(4, 4)),
+                  "sc4": _number(section, "sc4"), "k": _numbers(section, "k", shape=(3, 3))}
+    try:
+        stc = SpacetimeCurvatureAtPoint.from_components(**components)
+    except ValueError as exc:  # the components lack a required symmetry
+        raise ConfigError(str(exc)) from exc
     direction = _numbers(section, "sample_direction", np.array([1.0, 0.0, 0.0]), shape=(3,))
     if not np.any(direction):
         raise ConfigError(f"sample_direction must be a nonzero vector, got {direction}")
     report = comparison_report(stc, _numbers(section, "l_values", shape=(None,)),
                                sample_direction=direction)
-    if np.any(report.no_root):
-        print(f"warning: area matching failed for "
-              f"{int(np.count_nonzero(report.no_root))} parameter value(s); "
+    failed = sum(row["no_root"] for row in report.rows)
+    if failed:
+        print(f"warning: area matching failed for {failed} parameter value(s); "
               "rows flagged no_root", file=sys.stderr)
     if fmt in ("json", "both"):
         _write_json(out_dir, "smallsphere_result", {"report": report.to_dict()},
                     config)
     if fmt in ("csv", "both"):
-        rows = [[row["l"], row["r"], row["no_root"], row["energy_geodesic"],
-                 row["energy_lightcut"], row["excess"], row["h_difference"],
-                 row["sc_difference"]] for row in report.rows()]
+        keys = ("l", "r", "no_root", "energy_geodesic", "energy_lightcut", "excess",
+                "h_difference", "sc_difference")
+        rows = [[row[key] for key in keys] for row in report.rows]
         _write_csv(out_dir, "smallsphere_result",
                    ["l", "r", "no_root", "E_geo", "E_lc", "excess",
                     "H_G_minus_H_lc", "Sc_G_minus_Sc_lc"], rows, config)
@@ -301,7 +295,8 @@ def cmd_smallsphere(config, grid, out_dir, fmt):
 
 
 def cmd_check(config, grid, out_dir, fmt, seed=0):
-    """Fast invariant suite: quadrature, transforms, moments, baseline energies."""
+    """Fast invariant suite: quadrature, transforms, moments, baseline energies,
+    the light-cut area identity."""
     from itertools import combinations_with_replacement
 
     from .background import preset as mk
@@ -343,6 +338,9 @@ def cmd_check(config, grid, out_dir, fmt, seed=0):
     surf = geodesic_sphere(flat, [0, 0, 0], [0, 0, 0], 1.0, grid)
     res = el_residual(flat, surf, 0.0)
     checks.append(("flat-sphere residual vanishes to 1e-9", res.l2_norm < 1e-9))
+
+    checks.append(("light-cut quartic area identity holds exactly",
+                   lightcut_area_quartic_identity()["identical"]))
 
     failed = [name for name, good in checks if not good]
     for name, good in checks:

@@ -30,6 +30,13 @@ class EnergyReport:
             "int_P2": self.int_p2,
         }
 
+    @classmethod
+    def from_dict(cls, d: dict) -> "EnergyReport":
+        return cls(area=d["area"], willmore_value=d["willmore"],
+                   hawking_functional_value=d["hawking_functional"],
+                   hawking_energy=d["hawking_energy"], int_h2=d["int_H2"],
+                   int_p2=d["int_P2"])
+
 
 def hawking_energy(surface: EmbeddedSurface) -> EnergyReport:
     """E = sqrt(|S|/16 pi) (1 - 1/(16 pi) int (H^2 - P^2) dmu) with parts."""

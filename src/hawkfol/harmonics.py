@@ -99,24 +99,26 @@ def analyze(grid: SphereGrid, values: np.ndarray, check: bool = True) -> Harmoni
 
     `values` has shape (n_nodes, ...); each trailing component is analyzed
     separately.  Exact for fields band-limited at the grid's band limit.  When
-    `check` is set, a BandLimitExceeded warning is emitted if any component
-    loses more than 1e-6 of its own energy above the band limit.
+    `check` is set, `check_band_limit` runs on the result.
     """
     values = np.asarray(values, dtype=float)
-    coeffs = _product(grid.analysis_matrix, values)
+    field = HarmonicField(_product(grid.analysis_matrix, values), grid.band_limit)
     if check:
-        flat = values.reshape(values.shape[0], -1)
-        total = grid.weights @ (flat * flat)
-        captured = np.sum(coeffs.reshape(coeffs.shape[0], -1) ** 2, axis=0)
-        held = total > 0
-        lost = (total[held] - captured[held]) / total[held]
-        if lost.size and lost.max() > 1e-6:
-            warnings.warn(
-                f"field energy above band limit: {lost.max():.3e} of total",
-                BandLimitExceeded,
-                stacklevel=2,
-            )
-    return HarmonicField(coeffs, grid.band_limit)
+        check_band_limit(grid, values, field)
+    return field
+
+
+def check_band_limit(grid: SphereGrid, values: np.ndarray, field: HarmonicField) -> None:
+    """Emit a BandLimitExceeded warning if any component of `values` loses
+    more than 1e-6 of its own energy in its analysis `field`."""
+    flat = values.reshape(values.shape[0], -1)
+    total = grid.weights @ (flat * flat)
+    captured = np.sum(field.coeffs.reshape(field.coeffs.shape[0], -1) ** 2, axis=0)
+    held = total > 0
+    lost = (total[held] - captured[held]) / total[held]
+    if lost.size and lost.max() > 1e-6:
+        warnings.warn(f"field energy above band limit: {lost.max():.3e} of total",
+                      BandLimitExceeded, stacklevel=3)
 
 
 def synthesize(field: HarmonicField, grid: SphereGrid) -> np.ndarray:

@@ -72,6 +72,15 @@ class CriticalSurfaceSolution:
             "energy": self.energy.to_dict() if self.energy else None,
         }
 
+    @classmethod
+    def from_dict(cls, d: dict) -> "CriticalSurfaceSolution":
+        return cls(r=d["r"], tau=np.asarray(d["tau"]), lam=d["lambda"],
+                   phi=HarmonicField(np.asarray(d["phi_coeffs"]), d["phi_band_limit"]),
+                   residual_norm=d["residual_norm"],
+                   residual_norm_full=d["residual_norm_full"],
+                   newton_iterations=d["newton_iterations"], converged=d["converged"],
+                   energy=EnergyReport.from_dict(d["energy"]) if d["energy"] else None)
+
 
 @dataclass
 class FoliationTrace:

@@ -51,10 +51,11 @@ def _check_riemann_symmetries(rm4, tol=1e-10):
     if (np.abs(rm4 + rm4.transpose(1, 0, 2, 3)).max() > tol * scale
             or np.abs(rm4 + rm4.transpose(0, 1, 3, 2)).max() > tol * scale
             or np.abs(rm4 - rm4.transpose(2, 3, 0, 1)).max() > tol * scale):
-        raise ValueError("Rm4 lacks the Riemann algebraic symmetries")
+        raise ValueError("rm4 must be antisymmetric in each index pair and "
+                         "symmetric under pair exchange")
     bianchi = rm4 + rm4.transpose(0, 2, 3, 1) + rm4.transpose(0, 3, 1, 2)
     if np.abs(bianchi).max() > tol * scale:
-        raise ValueError("Rm4 violates the first Bianchi identity")
+        raise ValueError("rm4 must be a tensor satisfying the first Bianchi identity")
 
 
 @dataclass(frozen=True)
@@ -113,10 +114,18 @@ class SpacetimeCurvatureAtPoint:
 
 
 def _four_vec(x):
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    e = np.zeros((x.shape[0], 4))
-    e[:, 1:] = x
+    e = np.zeros(x.shape[:-1] + (4,))
+    e[..., 1:] = x
     return e
+
+
+def _directions(x):
+    """Unit directions x as a batch, with e0 and nu = x^i e_i as 4-vectors."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    nu = _four_vec(x)
+    e0 = np.zeros_like(nu)
+    e0[:, 0] = 1.0
+    return x, e0, nu
 
 
 def _ric_pair(stc, a, b):
@@ -136,16 +145,12 @@ def lightcut_expansions(stc: SpacetimeCurvatureAtPoint, l: float, x):
     induced metric on orthonormal tangents t_a at x is
     l^2 (delta_ab + l^2 h_ab) + O(l^5).
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    n = x.shape[0]
-    e0 = np.zeros((n, 4))
-    e0[:, 0] = 1.0
-    nu = _four_vec(x)
+    x, e0, nu = _directions(x)
     big_e = e0 + nu
     ebar = 0.5 * (e0 - nu)
 
     ric_ee = _ric_pair(stc, big_e, big_e)
-    ric_ebar = np.einsum("ij,ni,nj->n", stc.ric4, big_e, ebar)
+    ric_ebar = _ric_pair(stc, big_e, ebar)
     rm_eb = _rm_pair(stc, big_e, ebar)
 
     theta_plus = 2.0 / l - (ric_ee / 3.0) * l
@@ -158,14 +163,10 @@ def lightcut_expansions(stc: SpacetimeCurvatureAtPoint, l: float, x):
     rm_0n = _rm_pair(stc, e0, nu)
     sc_lc = (2.0 / (l * l) + stc.sc4 + (8.0 / 3.0) * (ric00 - ric_nn) - 4.0 * rm_0n)
 
-    # orthonormal tangent pair at each direction
-    t1, t2 = _tangent_frames(x)
-    h_corr = np.empty((n, 2, 2))
-    for a, ta in enumerate((t1, t2)):
-        for b, tb in enumerate((t1, t2)):
-            h_corr[:, a, b] = np.einsum("ijkl,ni,nj,nk,nl->n", stc.rm4,
-                                        big_e, _four_vec(ta), _four_vec(tb), big_e,
-                                        optimize=True) / 3.0
+    # Rm4(E, t_a, t_b, E) / 3 over the orthonormal tangent pair t_a at each direction
+    t = _four_vec(np.stack(_tangent_frames(x), axis=1))
+    h_corr = np.einsum("ijkl,ni,naj,nbk,nl->nab", stc.rm4, big_e, t, t, big_e,
+                       optimize=True) / 3.0
     return {"theta_plus": theta_plus, "theta_minus": theta_minus, "h": h_lc,
             "scalar_curvature": sc_lc, "metric_correction": h_corr}
 
@@ -181,10 +182,7 @@ def _tangent_frames(x):
 
 def slice_ricci_radial(stc: SpacetimeCurvatureAtPoint, x):
     """Slice Ric(nu, nu) from the spacetime data through the Gauss equation."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    e0 = np.zeros((x.shape[0], 4))
-    e0[:, 0] = 1.0
-    nu = _four_vec(x)
+    x, e0, nu = _directions(x)
     ric_nn = _ric_pair(stc, nu, nu)
     rm_0n = _rm_pair(stc, e0, nu)
     k_nn = np.einsum("ij,ni,nj->n", stc.k, x, x)
@@ -268,51 +266,45 @@ def lightcut_energy_coefficient(stc: SpacetimeCurvatureAtPoint) -> float:
 
 @dataclass
 class ComparisonReport:
-    """Side-by-side small-sphere data for a list of affine parameters."""
+    """Side-by-side small-sphere data: one row dict per affine parameter."""
 
-    l_values: np.ndarray
-    r_values: np.ndarray
-    r_closed_form: np.ndarray
-    no_root: np.ndarray
-    energy_geodesic: np.ndarray
-    energy_lightcut: np.ndarray
-    excess: np.ndarray
+    rows: list
     excess_coefficient_fit: float
     excess_candidate_quoted: float     # (6/5) |k0|^2 as quoted in the literature
     excess_candidate_derived: float   # (1/10) |k0|^2 from the two cubics
-    h_geodesic_sample: np.ndarray
-    h_lightcut_sample: np.ndarray
-    sc_geodesic_sample: np.ndarray
-    sc_lightcut_sample: np.ndarray
-    h_difference_sample: np.ndarray
-    sc_difference_sample: np.ndarray
     sample_direction: np.ndarray
-
-    def rows(self):
-        for i in range(self.l_values.size):
-            yield {
-                "l": self.l_values[i], "r": self.r_values[i],
-                "r_closed_form": self.r_closed_form[i],
-                "no_root": bool(self.no_root[i]),
-                "energy_geodesic": self.energy_geodesic[i],
-                "energy_lightcut": self.energy_lightcut[i],
-                "excess": self.excess[i],
-                "h_geodesic": self.h_geodesic_sample[i],
-                "h_lightcut": self.h_lightcut_sample[i],
-                "sc_geodesic": self.sc_geodesic_sample[i],
-                "sc_lightcut": self.sc_lightcut_sample[i],
-                "h_difference": self.h_difference_sample[i],
-                "sc_difference": self.sc_difference_sample[i],
-            }
 
     def to_dict(self) -> dict:
         return {
-            "rows": list(self.rows()),
+            "rows": self.rows,
             "excess_coefficient_fit": self.excess_coefficient_fit,
             "excess_candidate_quoted": self.excess_candidate_quoted,
             "excess_candidate_derived": self.excess_candidate_derived,
             "sample_direction": list(self.sample_direction),
         }
+
+
+_ROW_KEYS = ("l", "r", "r_closed_form", "no_root", "energy_geodesic", "energy_lightcut",
+             "excess", "h_geodesic", "h_lightcut", "sc_geodesic", "sc_lightcut",
+             "h_difference", "sc_difference")
+
+
+def _comparison_row(stc: SpacetimeCurvatureAtPoint, l, x) -> dict:
+    """One report row; NaN in every computed entry when the areas do not match."""
+    try:
+        r, closed = radius_matching(stc, l)
+    except NoRoot:
+        return {**dict.fromkeys(_ROW_KEYS, np.nan), "l": l, "no_root": True}
+    e_geo = geodesic_energy_coefficient(stc) * r ** 3
+    e_lc = lightcut_energy_coefficient(stc) * l ** 3
+    lc = lightcut_expansions(stc, l, x)
+    gd = geodesic_side_expansions(stc, r, x)
+    h_g, h_lc = gd["h"][0], lc["h"][0]
+    sc_g, sc_lc = gd["scalar_curvature"][0], lc["scalar_curvature"][0]
+    return {"l": l, "r": r, "r_closed_form": closed, "no_root": False,
+            "energy_geodesic": e_geo, "energy_lightcut": e_lc, "excess": e_geo - e_lc,
+            "h_geodesic": h_g, "h_lightcut": h_lc, "sc_geodesic": sc_g, "sc_lightcut": sc_lc,
+            "h_difference": h_g - h_lc, "sc_difference": sc_g - sc_lc}
 
 
 def comparison_report(stc: SpacetimeCurvatureAtPoint, l_values,
@@ -330,42 +322,9 @@ def comparison_report(stc: SpacetimeCurvatureAtPoint, l_values,
     if not norm > 0:
         raise ValueError(f"sample_direction must be a nonzero vector, got {x}")
     x = x / norm
+    rows = [_comparison_row(stc, l, x) for l in l_values]
 
-    n = l_values.size
-    r_vals = np.full(n, np.nan)
-    r_closed = np.full(n, np.nan)
-    no_root = np.zeros(n, dtype=bool)
-    e_geo = np.full(n, np.nan)
-    e_lc = np.full(n, np.nan)
-    h_geo = np.full(n, np.nan)
-    h_lc_arr = np.full(n, np.nan)
-    sc_geo = np.full(n, np.nan)
-    sc_lc_arr = np.full(n, np.nan)
-    h_diff = np.full(n, np.nan)
-    sc_diff = np.full(n, np.nan)
-
-    cg = geodesic_energy_coefficient(stc)
-    cl = lightcut_energy_coefficient(stc)
-    for i, l in enumerate(l_values):
-        try:
-            r, closed = radius_matching(stc, l)
-        except NoRoot:
-            no_root[i] = True
-            continue
-        r_vals[i] = r
-        r_closed[i] = closed
-        e_geo[i] = cg * r ** 3
-        e_lc[i] = cl * l ** 3
-        lc = lightcut_expansions(stc, l, x)
-        gd = geodesic_side_expansions(stc, r, x)
-        h_geo[i] = gd["h"][0]
-        h_lc_arr[i] = lc["h"][0]
-        sc_geo[i] = gd["scalar_curvature"][0]
-        sc_lc_arr[i] = lc["scalar_curvature"][0]
-        h_diff[i] = gd["h"][0] - lc["h"][0]
-        sc_diff[i] = gd["scalar_curvature"][0] - lc["scalar_curvature"][0]
-
-    excess = e_geo - e_lc
+    excess = np.array([row["excess"] for row in rows])
     good = ~np.isnan(excess)
     if np.count_nonzero(good) >= 2:
         li = l_values[good]
@@ -377,16 +336,9 @@ def comparison_report(stc: SpacetimeCurvatureAtPoint, l_values,
         fit = np.nan
 
     k0sq = stc.traceless_k_norm_sq
-    return ComparisonReport(
-        l_values=l_values, r_values=r_vals, r_closed_form=r_closed,
-        no_root=no_root, energy_geodesic=e_geo, energy_lightcut=e_lc,
-        excess=excess, excess_coefficient_fit=fit,
-        excess_candidate_quoted=1.2 * k0sq,
-        excess_candidate_derived=0.1 * k0sq,
-        h_geodesic_sample=h_geo, h_lightcut_sample=h_lc_arr,
-        sc_geodesic_sample=sc_geo, sc_lightcut_sample=sc_lc_arr,
-        h_difference_sample=h_diff, sc_difference_sample=sc_diff,
-        sample_direction=x)
+    return ComparisonReport(rows=rows, excess_coefficient_fit=fit,
+                            excess_candidate_quoted=1.2 * k0sq,
+                            excess_candidate_derived=0.1 * k0sq, sample_direction=x)
 
 
 # ----------------------------------------------------------------------
@@ -425,12 +377,6 @@ class _RmPoly:
 
     def __eq__(self, other):
         return self.terms == other.terms
-
-    def scaled(self, c):
-        out = _RmPoly()
-        for k, v in self.terms.items():
-            out.terms[k] = c * v
-        return out
 
 
 def lightcut_area_quartic_identity() -> dict:

@@ -20,8 +20,10 @@ from .background import AmbientFields, InitialDataSet, ambient_fields
 from .errors import DegenerateInducedMetric, NonEmbedded
 from .geodesic import RayFan, transported_center_frame
 from .grid import SphereGrid
-from .harmonics import (HarmonicField, analyze, analyze_compensated, synthesize,
-                        synthesize_derivatives)
+# `analyze` is not called here; it stays importable as `hawkfol.surface.analyze`
+# because perfbench/spans.py wraps that binding.
+from .harmonics import (HarmonicField, analyze, analyze_compensated,  # noqa: F401
+                        check_band_limit, synthesize, synthesize_derivatives)
 
 _EPS3 = np.zeros((3, 3, 3))
 for _i, _j, _k, _s in ((0, 1, 2, 1), (1, 2, 0, 1), (2, 0, 1, 1),
@@ -80,10 +82,12 @@ def spectral_embedding_derivatives(grid: SphereGrid, positions: np.ndarray, chec
     Uses compensated analysis (degree <= 1 baseline removed) so that the
     l^2 amplification in the second-derivative tables acts on coefficients
     that are accurate relative to the small nonlinear part of the embedding.
+    `check` runs the band-limit check on those coefficients.
     """
+    field = analyze_compensated(grid, positions)
     if check:
-        analyze(grid, positions, check=True)
-    _, d1, d2 = synthesize_derivatives(analyze_compensated(grid, positions), grid)
+        check_band_limit(grid, positions, field)
+    _, d1, d2 = synthesize_derivatives(field, grid)
     return d1, d2
 
 

@@ -101,12 +101,21 @@ def test_unreadable_resume_exits_2(tmp_path, capsys, content):
      "phi_coeffs"),
     ("energy", "surface", {"radius": 1.0, "phi_coeffs": [0.0, 0.1], "phi_band_limit": 2},
      "phi_coeffs"),
+    ("smallsphere", "smallsphere", {"l_values": [0.02], "k": [[1, 1, 0], [0, 0, 0], [0, 0, 0]]},
+     "k"),
+    ("smallsphere", "smallsphere",
+     {"l_values": [0.02], "rm4": np.eye(16).reshape(4, 4, 4, 4).tolist()}, "rm4"),
+    ("energy", "surface", {"radius": 1.0, "phi_coeffs": [], "phi_band_limit": -1},
+     "phi_band_limit"),
+    ("energy", "surface", {"radius": 1.0, "phi_coeffs": [0.0] * 10000, "phi_band_limit": 99},
+     "phi_band_limit"),
 ], ids=["radius-str", "tol-str", "tol-nan", "max_iter-float", "band_limit-bool",
         "r_max-str", "n_steps-str", "n_theta-str", "grid_band_limit-list",
         "phi_band_limit-str", "params-list", "center-2", "tau-str", "center-scalar",
         "l_values-str", "l_values-inf", "sample_direction-2", "sc4-str", "k-str", "k-2x2",
         "ric4-bool", "rm4-2d", "l_values-empty", "sample_direction-zero",
-        "phi_coeffs-str", "phi_coeffs-length"])
+        "phi_coeffs-str", "phi_coeffs-length", "k-nonsymmetric", "rm4-nonsymmetric",
+        "phi_band_limit-negative", "phi_band_limit-above-grid"])
 def test_malformed_number_exits_2(tmp_path, capsys, command, section, values, bad):
     config = {"preset": {"name": "conformal_quadratic", "params": {"eps": 0.01}},
               "grid": {"n_theta": 16, "n_phi": 32},
@@ -151,6 +160,7 @@ def test_check_command(tmp_path):
     assert main(["check", "--out", str(tmp_path), "--seed", "3"]) == 0
     out = json.loads((tmp_path / "check_result.json").read_text())
     assert all(c["passed"] for c in out["checks"])
+    assert "light-cut quartic area identity holds exactly" in [c["name"] for c in out["checks"]]
 
 
 def test_grid_flag_parse_error():
@@ -205,3 +215,8 @@ def test_foliate_resume_matches_full_run(tmp_path):
     for s_full, s_res in zip(full["solutions"], res["solutions"]):
         assert np.abs(np.array(s_full["phi_coeffs"])
                       - np.array(s_res["phi_coeffs"])).max() < 1e-10
+    # resumed leaves keep the energies the short run recorded
+    prev = json.loads((out_short / "foliate_result.json").read_text())["trace"]
+    assert [s["energy"] for s in res["solutions"][:2]] == \
+        [s["energy"] for s in prev["solutions"]]
+    assert res["hawking_energy"][:2] == prev["hawking_energy"]

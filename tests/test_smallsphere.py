@@ -10,6 +10,7 @@ from hawkfol import (SpacetimeCurvatureAtPoint, comparison_report,
                      lightcut_area_quartic_identity, lightcut_energy_coefficient,
                      lightcut_expansions, preset, radius_matching)
 from hawkfol.errors import NoRoot
+from hawkfol.smallsphere import _tangent_frames
 
 ORIGIN = np.zeros(3)
 
@@ -93,6 +94,24 @@ class TestLightcut:
         quartic = 0.5 * np.sum(grid.weights * trace)
         expected = -(2 * np.pi / 9) * (4 * stc.ric4[0, 0] + stc.sc4)
         assert abs(quartic - expected) < 1e-12
+
+    def test_metric_correction_matches_pairwise_contraction(self):
+        # h_ab = Rm4(E, t_a, t_b, E) / 3 on a generic curvature tensor: the
+        # Kulkarni-Nomizu product of symmetric forms has every Riemann symmetry
+        rng = np.random.default_rng(6)
+        a, b = (m + m.T for m in rng.normal(size=(2, 4, 4)))
+        rm = (np.einsum("ac,bd->abcd", a, b) + np.einsum("ac,bd->abcd", b, a)
+              - np.einsum("ad,bc->abcd", a, b) - np.einsum("ad,bc->abcd", b, a))
+        stc = stc_from(rm4=rm)
+        x = rng.normal(size=(20, 3))
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+        h = lightcut_expansions(stc, 0.1, x)["metric_correction"]
+        big_e = np.column_stack([np.ones(len(x)), x])
+        tangents = [np.column_stack([np.zeros(len(x)), t]) for t in _tangent_frames(x)]
+        for i, ta in enumerate(tangents):
+            for j, tb in enumerate(tangents):
+                ref = np.einsum("ijkl,ni,nj,nk,nl->n", rm, big_e, ta, tb, big_e) / 3.0
+                assert_allclose(h[:, i, j], ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
 
     def test_area_identity_exact_rational(self):
         res = lightcut_area_quartic_identity()
@@ -186,7 +205,7 @@ class TestComparison:
         assert geodesic_energy_coefficient(stc) == pytest.approx(
             lightcut_energy_coefficient(stc), rel=1e-14)
         rep = comparison_report(stc, [0.02, 0.04, 0.06])
-        assert np.abs(rep.excess).max() < 1e-12
+        assert max(abs(row["excess"]) for row in rep.rows) < 1e-12
 
     def test_pure_trace_k_has_no_excess(self):
         stc = stc_from(k=0.3 * np.eye(3))
@@ -215,7 +234,7 @@ class TestComparison:
         stc = stc_from(rm4=rm)
         x = np.array([0.6, 0.0, 0.8])
         rep = comparison_report(stc, [0.01, 0.02], sample_direction=x)
-        coef = rep.h_difference_sample[0] / rep.l_values[0]
+        coef = rep.rows[0]["h_difference"] / rep.rows[0]["l"]
         e0 = np.array([1.0, 0, 0])
         nu = np.concatenate([[0.0], x])
         w = np.einsum("ijkl,i,j,k,l->", stc.rm4,
@@ -226,9 +245,9 @@ class TestComparison:
     def test_no_root_rows_flagged(self):
         stc = SpacetimeCurvatureAtPoint.from_components(sc4=1.0e4)
         rep = comparison_report(stc, [0.001, 0.05])
-        assert not rep.no_root[0]
-        assert rep.no_root[1]
-        assert np.isnan(rep.excess[1])
+        assert not rep.rows[0]["no_root"]
+        assert rep.rows[1]["no_root"]
+        assert np.isnan(rep.rows[1]["excess"])
 
     def test_zero_sample_direction_raises(self):
         stc = stc_from(k=np.diag([1.0, 0.0, 0.0]))
@@ -236,11 +255,22 @@ class TestComparison:
             comparison_report(stc, [0.02, 0.04], sample_direction=(0.0, 0.0, 0.0))
 
     def test_rows_and_dict(self):
+        keys = ["l", "r", "r_closed_form", "no_root", "energy_geodesic",
+                "energy_lightcut", "excess", "h_geodesic", "h_lightcut",
+                "sc_geodesic", "sc_lightcut", "h_difference", "sc_difference"]
         stc = stc_from(k=np.diag([1.0, 0.0, 0.0]))
         rep = comparison_report(stc, [0.02, 0.04])
-        rows = list(rep.rows())
-        assert len(rows) == 2
+        assert len(rep.rows) == 2
+        assert all(list(row) == keys for row in rep.rows)
+        assert all(np.isfinite(row[key]) for row in rep.rows for key in keys)
         assert set(rep.to_dict()) >= {"rows", "excess_coefficient_fit"}
+
+        stc = SpacetimeCurvatureAtPoint.from_components(sc4=1.0e4)
+        rep = comparison_report(stc, [0.001, 0.05])
+        assert [list(row) for row in rep.rows] == [keys, keys]
+        no_root = rep.rows[1]
+        assert no_root["no_root"] is True and no_root["l"] == 0.05
+        assert all(np.isnan(no_root[key]) for key in keys if key not in ("l", "no_root"))
 
 
 def test_cross_module_energy_coefficient(conformal_k, grid):

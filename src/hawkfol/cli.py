@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import inspect
 import json
 import math
 import sys
@@ -217,21 +218,43 @@ _TRACE_HEADER = ["r", "tau1", "tau2", "tau3", "lambda", "lapse_min",
                  "hawking_functional", "hawking_energy", "area"]
 
 
-def _emit_trace(trace, out_dir, fmt, config, name="foliate_result"):
+def _emit_trace(trace, out_dir, fmt, config, leaf_key, name="foliate_result"):
     if fmt in ("json", "both"):
-        _write_json(out_dir, name, {"trace": trace.to_dict()}, config)
+        _write_json(out_dir, name, {"leaf_sha256": leaf_key, "trace": trace.to_dict()},
+                    config)
     if fmt in ("csv", "both"):
         _write_csv(out_dir, name, _TRACE_HEADER, _trace_rows(trace), config)
 
 
-def _load_resume(path) -> list:
-    """Solutions of a previous foliate_result.json; ConfigError if unreadable."""
+def _leaf_key(config, grid, center, options) -> str:
+    """Hash of what determines a foliate leaf: the preset, the grid, the
+    center and the solver options, with foliate's defaults filled in."""
+    defaults = inspect.signature(foliate).parameters
+    section = config["preset"]
+    return _config_hash({
+        "preset": {"name": section["name"], "params": section.get("params", {})},
+        "grid": [grid.n_theta, grid.n_phi, grid.band_limit], "center": center.tolist(),
+        **{key: options.get(key, defaults[key].default)
+           for key in ("band_limit", "tol", "max_iter")}})
+
+
+def _load_resume(path, leaf_key) -> list:
+    """Solutions of a previous foliate_result.json; ConfigError if unreadable
+    or if its leaves were solved under another `_leaf_key`."""
     try:
         with open(path) as fh:
-            previous = json.load(fh)["trace"]["solutions"]
-        return [CriticalSurfaceSolution.from_dict(s) for s in previous]
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+            previous = json.load(fh)
+        recorded = previous.get("leaf_sha256")
+        solutions = [CriticalSurfaceSolution.from_dict(s)
+                     for s in previous["trace"]["solutions"]]
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
         raise ConfigError(f"cannot resume from {path}: {type(exc).__name__}: {exc}") from exc
+    if recorded != leaf_key:
+        raise ConfigError(
+            f"cannot resume from {path}: its leaves were solved for another preset, grid, "
+            "center, band_limit, tol or max_iter" if recorded else
+            f"cannot resume from {path}: it records no leaf_sha256")
+    return solutions
 
 
 def cmd_foliate(config, grid, out_dir, fmt):
@@ -243,16 +266,17 @@ def cmd_foliate(config, grid, out_dir, fmt):
     r_range = (_number(section, "r_min"), _number(section, "r_max"))
     n_steps = _number(section, "n_steps", 6, integer=True)
     options = _solver_options(section)
-    warm = _load_resume(section["resume"]) if section.get("resume") else None
+    leaf_key = _leaf_key(config, grid, center, options)
+    warm = _load_resume(section["resume"], leaf_key) if section.get("resume") else None
     try:
         trace = foliate(ds, center, r_range, n_steps, grid=grid, warm_start=warm,
                         **options)
     except ContinuationBroken as exc:
         if exc.trace is not None:
-            _emit_trace(exc.trace, out_dir, fmt, config, name="foliate_partial")
+            _emit_trace(exc.trace, out_dir, fmt, config, leaf_key, name="foliate_partial")
             print(f"continuation broken: {exc}; partial trace flushed", file=sys.stderr)
         raise
-    _emit_trace(trace, out_dir, fmt, config)
+    _emit_trace(trace, out_dir, fmt, config, leaf_key)
     print(f"foliation: {trace.r.size} leaves, lambda(0) ~ {trace.lambda0_extrapolated:.10g}, "
           f"lapse_min {trace.lapse_min.min():.6f}, valid={trace.foliation_valid}")
     return 0

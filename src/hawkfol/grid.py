@@ -2,12 +2,14 @@
 
 The grid is a tensor product of Gauss-Legendre nodes in cos(theta) with a
 uniform azimuth, so the poles are never sampled and quadrature of polynomial
-integrands of combined degree <= 2L is exact.  Real orthonormal spherical
-harmonics and their first/second angle derivatives are tabulated in one
-stacked array of dense node-by-coefficient tables, each the outer product of
-a colatitude part and an azimuth part.  `harmonics` is the only module that
-multiplies against them; its transforms take all components of a field and
-all derivative orders in one product.
+integrands of combined degree <= 2L is exact.  Each real orthonormal
+spherical harmonic is a colatitude factor times an azimuth factor, and the
+grid caches only those factors: Q and its first and second theta
+derivatives per order m (`colatitude_tables`, O(n_theta L^2) entries) and
+the sampled cos/sin(|m| phi) with their phi derivatives (`azimuth_tables`).
+`harmonics` contracts against them one factor at a time.  The dense
+node-by-coefficient tables (`basis`, `basis_dtheta`, ..., `analysis_matrix`)
+are assembled from the factors on each access and are not cached.
 """
 
 from __future__ import annotations
@@ -25,6 +27,13 @@ def coeff_index(l: int, m: int) -> int:
 def coeff_degrees(band_limit: int) -> np.ndarray:
     """Degree l of every coefficient slot up to `band_limit`, in basis order."""
     return np.repeat(np.arange(band_limit + 1), 2 * np.arange(band_limit + 1) + 1)
+
+
+def per_order_index(band_limit: int):
+    """(m + band_limit, l) of every coefficient slot in basis order: where each
+    coefficient sits in a per-order layout with one row per signed order m."""
+    l = coeff_degrees(band_limit)
+    return np.arange(l.size) - l * l - l + band_limit, l
 
 
 def _normalized_legendre(band_limit, z):
@@ -126,6 +135,7 @@ class SphereGrid:
         phi = 2.0 * np.pi * np.arange(self.n_phi) / self.n_phi
 
         self.gauss_z = z
+        self.gauss_weights = wz
         self.theta_1d = np.arccos(z)
         self.phi_1d = phi
 
@@ -153,65 +163,78 @@ class SphereGrid:
     # ------------------------------------------------------------------
 
     @cached_property
-    def derivative_tables(self) -> np.ndarray:
-        """Y, Y_theta, Y_phi, Y_theta_theta, Y_theta_phi, Y_phi_phi at the nodes.
+    def colatitude_tables(self) -> np.ndarray:
+        """Q, dQ/dtheta and d2Q/dtheta2 per signed order, shape (3, 2L+1, n_theta, L+1).
 
-        One array of shape (6, n_nodes, n_coeffs).  Each table is the outer
-        product of a colatitude part (n_theta, n_coeffs) and an azimuth part
-        (n_phi, n_coeffs), written in place.
+        Entry [k, m + L, i, l] is the k-th theta derivative of the colatitude
+        factor of Y_lm at Gauss node i, with the sqrt(2) of the real basis on
+        m != 0; it is zero for l < |m|.
         """
         lmax = self.band_limit
         q = _normalized_legendre(lmax, self.gauss_z)
         dq, d2q = _theta_derivative_tables(lmax, q)
-        l = coeff_degrees(lmax)
-        m = np.arange(self.n_coeffs) - l * l - l   # signed order of each column
-        am = np.abs(m)
-        # colatitude parts: Q, dQ, d2Q; sqrt(2) on the m != 0 columns
-        colat = np.stack([q, dq, d2q])[:, :, am, l] * np.where(m == 0, 1.0, np.sqrt(2.0))
-        # azimuth parts: cos(m phi) for m >= 0, sin(|m| phi) for m < 0, and
-        # their first and second phi derivatives
-        ang = np.outer(self.phi_1d, am)
+        m = np.arange(-lmax, lmax + 1)
+        scale = np.where(m == 0, 1.0, np.sqrt(2.0))[:, None, None]
+        return np.ascontiguousarray(
+            np.stack([q, dq, d2q]).transpose(0, 2, 1, 3)[:, np.abs(m)] * scale)
+
+    @cached_property
+    def azimuth_tables(self) -> np.ndarray:
+        """Azimuth factors and their first and second phi derivatives per signed
+        order, shape (3, n_phi, 2L+1): cos(m phi) for m >= 0, sin(|m| phi) for
+        m < 0, column m + L."""
+        m = np.arange(-self.band_limit, self.band_limit + 1)
+        ang = np.outer(self.phi_1d, np.abs(m))
         cos, sin = np.cos(ang), np.sin(ang)
         az = np.where(m >= 0, cos, sin)
-        az_p = -m * np.where(m > 0, sin, cos)
-        az_pp = -(m * m) * az
+        return np.stack([az, -m * np.where(m > 0, sin, cos), -(m * m) * az])
 
-        tables = np.empty((6, self.n_theta, self.n_phi, self.n_coeffs))
-        parts = ((colat[0], az), (colat[1], az), (colat[0], az_p),
-                 (colat[2], az), (colat[1], az_p), (colat[0], az_pp))
-        for out, (theta_part, phi_part) in zip(tables, parts):
-            np.multiply(theta_part[:, None, :], phi_part[None, :, :], out=out)
-        return tables.reshape(6, self.n_nodes, self.n_coeffs)
+    def _dense(self, k_theta: int, k_phi: int, theta_weights=None) -> np.ndarray:
+        """d_theta^k_theta d_phi^k_phi Y as one (n_coeffs, n_nodes) table: each
+        row the product of its colatitude factor, times `theta_weights` per
+        colatitude row when given, and its azimuth factor."""
+        order, l = per_order_index(self.band_limit)
+        theta = self.colatitude_tables[k_theta][order, :, l]
+        if theta_weights is not None:
+            theta = theta * theta_weights
+        phi = np.ascontiguousarray(self.azimuth_tables[k_phi][:, order].T)
+        out = np.empty((self.n_coeffs, self.n_theta, self.n_phi))
+        np.multiply(theta[:, :, None], phi[:, None, :], out=out)
+        return out.reshape(self.n_coeffs, self.n_nodes)
+
+    # Dense node-by-coefficient tables, assembled on every access and not
+    # cached: no transform reads them.  Each is a transposed view of its
+    # coefficient-major product.
 
     @property
     def basis(self) -> np.ndarray:
         """Y_{lm} sampled at the nodes, shape (n_nodes, n_coeffs)."""
-        return self.derivative_tables[0]
+        return self._dense(0, 0).T
 
     @property
     def basis_dtheta(self) -> np.ndarray:
-        return self.derivative_tables[1]
+        return self._dense(1, 0).T
 
     @property
     def basis_dphi(self) -> np.ndarray:
-        return self.derivative_tables[2]
+        return self._dense(0, 1).T
 
     @property
     def basis_dtheta2(self) -> np.ndarray:
-        return self.derivative_tables[3]
+        return self._dense(2, 0).T
 
     @property
     def basis_dtheta_dphi(self) -> np.ndarray:
-        return self.derivative_tables[4]
+        return self._dense(1, 1).T
 
     @property
     def basis_dphi2(self) -> np.ndarray:
-        return self.derivative_tables[5]
+        return self._dense(0, 2).T
 
-    @cached_property
+    @property
     def analysis_matrix(self) -> np.ndarray:
         """Matrix A with A @ values = harmonic coefficients (quadrature analysis)."""
-        return (self.basis * self.weights[:, None]).T
+        return self._dense(0, 0, self.weights[::self.n_phi])
 
     # ------------------------------------------------------------------
     # closed-form unit-sphere parameterization derivatives

@@ -1,11 +1,16 @@
 """Real spherical-harmonic analysis on the parameter sphere.
 
 Scalar fields live either as node values on a SphereGrid or as real
-orthonormal-harmonic coefficients up to a band limit.  The kernel of the
-Euclidean linearized operator is K = span{1, x^1, x^2, x^3} (degrees 0 and 1);
-projections onto K are reported as plain L2 pairings <f, 1> and <f, x^i> so
-the closed-form kernel constants of the critical-sphere problem come out
-without conversion factors.
+orthonormal-harmonic coefficients up to a band limit.  The transforms are
+separable: synthesis scatters the coefficients per order m, sums over the
+degree l in one batched product with a colatitude factor of the grid, and
+over m in one product with an azimuth factor; analysis runs the same two
+contractions in reverse.  No transform forms a node-by-coefficient table.
+
+The kernel of the Euclidean linearized operator is K = span{1, x^1, x^2, x^3}
+(degrees 0 and 1); projections onto K are reported as plain L2 pairings
+<f, 1> and <f, x^i> so the closed-form kernel constants of the
+critical-sphere problem come out without conversion factors.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BandLimitExceeded, NotOrthogonal, UnsupportedDegree
-from .grid import SphereGrid, coeff_degrees, coeff_index
+from .grid import SphereGrid, coeff_degrees, coeff_index, per_order_index
 
 
 @dataclass(frozen=True)
@@ -83,15 +88,45 @@ class HarmonicField:
     __rmul__ = __mul__
 
 
-def _product(table: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """table @ x for x of shape (n, ...), as a C-contiguous (rows, ...) array.
+def _analysis(grid: SphereGrid, values: np.ndarray) -> np.ndarray:
+    """Quadrature coefficients (n_coeffs, ...) of node values (n_nodes, ...).
 
-    One product for all trailing components, with the thin operand on the
-    left: BLAS streams the large table once and runs faster than table @ x.
+    The values are contracted with (2 pi / n_phi) times the azimuth factors
+    in one product, then with the Gauss weights times Q in one batched
+    product over the orders.
     """
-    flat = x.reshape(x.shape[0], -1)
-    out = np.ascontiguousarray((flat.T @ table.T).T)
-    return out.reshape(table.shape[0], *x.shape[1:])
+    by_phi = values.reshape(grid.n_theta, grid.n_phi, -1).transpose(1, 0, 2)
+    az = grid.azimuth_tables[0] * (2.0 * np.pi / grid.n_phi)
+    per_order = (az.T @ by_phi.reshape(grid.n_phi, -1)).reshape(az.shape[1], grid.n_theta, -1)
+    weighted_q = grid.colatitude_tables[0].transpose(0, 2, 1) * grid.gauss_weights
+    rows, cols = per_order_index(grid.band_limit)
+    return np.matmul(weighted_q, per_order)[rows, cols].reshape(grid.n_coeffs, *values.shape[1:])
+
+
+def _synthesis(field: HarmonicField, grid: SphereGrid, order: int) -> dict:
+    """Angle derivatives of a field at the nodes: {(j, k): d_theta^j d_phi^k f}
+    for j + k <= order, each a (n_theta, n_phi, K) view over the flattened
+    components K.
+
+    The coefficients are scattered per order m; one batched product per
+    colatitude factor sums over l, and one product per azimuth factor sums
+    over m.  Every phi derivative reuses the colatitude sums.
+    """
+    b = field.band_limit
+    if b > grid.band_limit:
+        raise ValueError("field band limit exceeds grid band limit")
+    flat = field.coeffs.reshape(field.coeffs.shape[0], -1)
+    per_order = np.zeros((2 * b + 1, b + 1, flat.shape[1]))
+    per_order[per_order_index(b)] = flat
+    orders = slice(grid.band_limit - b, grid.band_limit + b + 1)
+    colat = grid.colatitude_tables[:order + 1, orders, :, :b + 1]
+    theta_sums = np.matmul(colat, per_order).reshape(order + 1, 2 * b + 1, -1)
+    out = {}
+    for k in range(order + 1):
+        az = grid.azimuth_tables[k, :, orders]
+        for j, sums in enumerate(np.matmul(az, theta_sums[:order + 1 - k])):
+            out[j, k] = sums.reshape(grid.n_phi, grid.n_theta, -1).transpose(1, 0, 2)
+    return out
 
 
 def analyze(grid: SphereGrid, values: np.ndarray, check: bool = True) -> HarmonicField:
@@ -102,7 +137,7 @@ def analyze(grid: SphereGrid, values: np.ndarray, check: bool = True) -> Harmoni
     `check` is set, `check_band_limit` runs on the result.
     """
     values = np.asarray(values, dtype=float)
-    field = HarmonicField(_product(grid.analysis_matrix, values), grid.band_limit)
+    field = HarmonicField(_analysis(grid, values), grid.band_limit)
     if check:
         check_band_limit(grid, values, field)
     return field
@@ -123,9 +158,8 @@ def check_band_limit(grid: SphereGrid, values: np.ndarray, field: HarmonicField)
 
 def synthesize(field: HarmonicField, grid: SphereGrid) -> np.ndarray:
     """Evaluate a harmonic field at the grid nodes, shape (n_nodes, ...)."""
-    if field.band_limit > grid.band_limit:
-        raise ValueError("field band limit exceeds grid band limit")
-    return _product(grid.basis[:, :field.coeffs.shape[0]], field.coeffs)
+    values = np.ascontiguousarray(_synthesis(field, grid, 0)[0, 0])
+    return values.reshape(grid.n_nodes, *field.coeffs.shape[1:])
 
 
 def analyze_compensated(grid: SphereGrid, values: np.ndarray) -> HarmonicField:
@@ -138,12 +172,12 @@ def analyze_compensated(grid: SphereGrid, values: np.ndarray) -> HarmonicField:
     the remainder instead of the full field.
     """
     values = np.asarray(values, dtype=float)
-    first = _product(grid.analysis_matrix, values)
+    first = _analysis(grid, values)
     ncut = 4
     baseline = np.zeros_like(first)
     baseline[:ncut] = first[:ncut]
-    remainder = values - _product(grid.basis[:, :ncut], first[:ncut])
-    coeffs = baseline + _product(grid.analysis_matrix, remainder)
+    low = synthesize(HarmonicField(first[:ncut], 1), grid)
+    coeffs = baseline + _analysis(grid, values - low)
     return HarmonicField(coeffs, grid.band_limit)
 
 
@@ -152,15 +186,20 @@ def synthesize_derivatives(field: HarmonicField, grid: SphereGrid):
 
     f has shape (n_nodes, ...), d1 (n_nodes, 2, ...) with d1[:, a] = d_a f,
     and d2 (n_nodes, 2, 2, ...) with d2[:, a, b] = d_a d_b f; the trailing
-    axes are the field's components.  One product against the stacked
-    derivative tables.
+    axes are the field's components.  The six outputs share the three
+    colatitude products of one separable synthesis.
     """
-    n = field.coeffs.shape[0]
-    out = _product(grid.derivative_tables[:, :, :n].reshape(-1, n), field.coeffs)
-    f, ft, fp, ftt, ftp, fpp = out.reshape(6, grid.n_nodes, *field.coeffs.shape[1:])
-    d1 = np.stack([ft, fp], axis=1)
-    d2 = np.stack([np.stack([ftt, ftp], axis=1), np.stack([ftp, fpp], axis=1)], axis=1)
-    return f, d1, d2
+    out = _synthesis(field, grid, 2)
+    nodes = (grid.n_theta, grid.n_phi)
+    k = out[0, 0].shape[-1]
+    f = np.ascontiguousarray(out[0, 0])
+    d1, d2 = np.empty(nodes + (2, k)), np.empty(nodes + (2, 2, k))
+    d1[:, :, 0], d1[:, :, 1] = out[1, 0], out[0, 1]
+    d2[:, :, 0, 0], d2[:, :, 1, 1] = out[2, 0], out[0, 2]
+    d2[:, :, 0, 1] = d2[:, :, 1, 0] = out[1, 1]
+    tail = field.coeffs.shape[1:]
+    return (f.reshape(grid.n_nodes, *tail), d1.reshape(grid.n_nodes, 2, *tail),
+            d2.reshape(grid.n_nodes, 2, 2, *tail))
 
 
 # ----------------------------------------------------------------------

@@ -369,13 +369,16 @@ def foliate(ds: InitialDataSet, p, r_range, n_steps: int,
     two halvings it aborts with ContinuationBroken (carrying the partial
     trace).  `warm_start` resumes a previous run: its solutions seed the
     trace, and every requested radius below, or within 1e-12 relative of,
-    its last leaf counts as solved.
+    its last leaf counts as solved.  A requested radius whose sphere reaches
+    the chart (|p| + r >= chart radius) is never solved: it raises
+    ContinuationBroken with the leaves solved below it.
     """
     grid = grid or default_grid()
     r_min, r_max = float(r_range[0]), float(r_range[1])
     if not (0 < r_min < r_max):
         raise ValueError("need 0 < r_min < r_max")
     radii = list(np.geomspace(r_min, r_max, int(n_steps)))
+    reach = float(np.linalg.norm(p))
 
     solutions = []
     guess = None
@@ -384,6 +387,11 @@ def foliate(ds: InitialDataSet, p, r_range, n_steps: int,
         guess = solutions[-1]
         radii = [r for r in radii if r > solutions[-1].r * (1 + 1e-12)]
     for r in radii:
+        if reach + r >= ds.chart_radius:
+            raise ContinuationBroken(
+                f"radius {r:.4g} at |p| = {reach:.4g} reaches the chart radius "
+                f"{ds.chart_radius:.4g}",
+                trace=_trace_from(solutions, grid) if solutions else None)
         attempt_r, halvings = r, 0
         while True:
             try:

@@ -220,3 +220,33 @@ def test_foliate_resume_matches_full_run(tmp_path):
     assert [s["energy"] for s in res["solutions"][:2]] == \
         [s["energy"] for s in prev["solutions"]]
     assert res["hawking_energy"][:2] == prev["hawking_energy"]
+
+
+def test_resume_into_another_config_exits_2(tmp_path, capsys):
+    base = {
+        "preset": {"name": "conformal_quadratic", "params": {"eps": 0.01}},
+        "grid": {"n_theta": 16, "n_phi": 32},
+        "foliate": {"r_min": 0.03, "r_max": 0.04, "n_steps": 2, "tol": 1e-6}}
+    out_first = tmp_path / "first"
+    assert main(["foliate", "--config", write_config(tmp_path, base, "first.json"),
+                 "--out", str(out_first)]) == 0
+    previous = out_first / "foliate_result.json"
+    assert len(json.loads(previous.read_text())["leaf_sha256"]) == 64
+
+    other = json.loads(json.dumps(base))
+    other["preset"]["params"]["eps"] = 0.03
+    other["foliate"].update(r_max=0.06, n_steps=3, resume=str(previous))
+    capsys.readouterr()
+    assert main(["foliate", "--config", write_config(tmp_path, other, "other.json"),
+                 "--out", str(tmp_path / "other")]) == 2
+    assert "solved for another preset" in capsys.readouterr().err
+    assert not (tmp_path / "other" / "foliate_result.json").exists()
+
+    unkeyed = json.loads(previous.read_text())
+    del unkeyed["leaf_sha256"]
+    (tmp_path / "unkeyed.json").write_text(json.dumps(unkeyed))
+    same = json.loads(json.dumps(base))
+    same["foliate"].update(r_max=0.06, n_steps=3, resume=str(tmp_path / "unkeyed.json"))
+    assert main(["foliate", "--config", write_config(tmp_path, same, "same.json"),
+                 "--out", str(tmp_path / "same")]) == 2
+    assert "records no leaf_sha256" in capsys.readouterr().err

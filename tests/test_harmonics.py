@@ -106,29 +106,85 @@ def test_batched_transforms_match_columns(grid):
         column = synthesize_derivatives(HarmonicField(coeffs[:, j], grid.band_limit), grid)
         for batched, single in zip((f, d1, d2), column):
             assert_close(batched[..., j], single)
-    for table in (grid.basis, grid.basis_dtheta, grid.basis_dphi, grid.basis_dtheta2,
-                  grid.basis_dtheta_dphi, grid.basis_dphi2):
-        assert np.shares_memory(table, grid.derivative_tables)
+    # the dense tables are assembled afresh on every access, never cached
+    for name in _DENSE_TABLES:
+        assert not np.shares_memory(getattr(grid, name), getattr(grid, name))
 
 
-def test_derivative_tables_match_per_column_construction(small_grid):
-    # reference: each column filled from its colatitude and azimuth factors
-    g = small_grid
+_DENSE_TABLES = ("basis", "basis_dtheta", "basis_dphi", "basis_dtheta2",
+                 "basis_dtheta_dphi", "basis_dphi2")
+# (theta order, phi order) of each dense table and of each synthesized derivative
+_ORDERS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
+
+
+def _per_column_table(g, band_limit, orders):
+    """Dense (n_nodes, n_coeffs) table of one angle derivative of the basis up
+    to `band_limit`, each column filled from its colatitude and azimuth factors."""
     q = _normalized_legendre(g.band_limit, g.gauss_z)
-    dq, d2q = _theta_derivative_tables(g.band_limit, q)
-    ref = np.zeros((6, g.n_nodes, g.n_coeffs))
-    for l in range(g.band_limit + 1):
+    theta_parts = (q, *_theta_derivative_tables(g.band_limit, q))
+    i, j = orders
+    ref = np.zeros((g.n_nodes, (band_limit + 1) ** 2))
+    for l in range(band_limit + 1):
         for m in range(-l, l + 1):
-            theta = [t[:, abs(m), l] * (np.sqrt(2.0) if m else 1.0) for t in (q, dq, d2q)]
+            theta = theta_parts[i][:, abs(m), l] * (np.sqrt(2.0) if m else 1.0)
             c, s = np.cos(abs(m) * g.phi_1d), np.sin(abs(m) * g.phi_1d)
             az = [np.ones(g.n_phi), np.zeros(g.n_phi), np.zeros(g.n_phi)]
             if m > 0:
                 az = [c, -m * s, -m * m * c]
             elif m < 0:
                 az = [s, -m * c, -m * m * s]
-            for k, (i, j) in enumerate(((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))):
-                ref[k, :, coeff_index(l, m)] = np.outer(theta[i], az[j]).ravel()
-    assert np.array_equal(g.derivative_tables, ref)
+            ref[:, coeff_index(l, m)] = np.outer(theta, az[j]).ravel()
+    return ref
+
+
+def test_derivative_tables_match_per_column_construction(small_grid):
+    g = small_grid
+    for name, orders in zip(_DENSE_TABLES, _ORDERS):
+        assert np.array_equal(getattr(g, name), _per_column_table(g, g.band_limit, orders))
+    reference = (_per_column_table(g, g.band_limit, (0, 0)) * g.weights[:, None]).T
+    assert np.abs(g.analysis_matrix - reference).max() < 1e-15
+
+
+@pytest.mark.parametrize("shape, band_limit", [((16, 32), None), ((32, 64), None),
+                                               ((64, 128), None), ((12, 16), 10)],
+                         ids=["16x32", "32x64", "64x128", "12x16-band10"])
+def test_separable_transforms_match_dense_products(shape, band_limit):
+    # 12x16 at band limit 10 samples orders |m| >= n_phi / 2: the azimuth
+    # factors alias there, and the transforms must alias exactly as the
+    # sampled cos/sin of the dense tables do
+    g = SphereGrid(*shape, band_limit=band_limit)
+    rng = np.random.default_rng(11)
+
+    def assert_close(separable, dense):
+        assert np.abs(separable - dense).max() <= 1e-13 * np.abs(dense).max()
+
+    for band in (g.band_limit, g.band_limit // 2):
+        coeffs = rng.normal(size=((band + 1) ** 2, 3))
+        field = HarmonicField(coeffs, band)
+        f, d1, d2 = synthesize_derivatives(field, g)
+        derivatives = (f, d1[:, 0], d1[:, 1], d2[:, 0, 0], d2[:, 0, 1], d2[:, 1, 1])
+        for orders, separable in zip(_ORDERS, derivatives):
+            assert_close(separable, _per_column_table(g, band, orders) @ coeffs)
+        assert np.array_equal(d2[:, 0, 1], d2[:, 1, 0])
+        assert_close(synthesize(field, g), f)
+
+    basis = _per_column_table(g, g.band_limit, (0, 0))
+    values = rng.normal(size=(g.n_nodes, 3))
+    assert_close(analyze(g, values, check=False).coeffs, (basis * g.weights[:, None]).T @ values)
+    smooth = synthesize(HarmonicField(rng.normal(size=(g.n_coeffs, 3)), g.band_limit), g)
+    smooth += 5.0 * g.nodes
+    assert_close(analyze_compensated(g, smooth).coeffs,
+                 (basis * g.weights[:, None]).T @ smooth)
+
+
+def test_grid_caches_no_dense_table():
+    g = SphereGrid(64, 128)
+    field = analyze(g, g.nodes)
+    synthesize_derivatives(field, g)
+    cached = [v for v in vars(g).values() if isinstance(v, np.ndarray)]
+    assert cached
+    assert all(v.size != g.n_nodes * g.n_coeffs for v in cached)
+    assert sum(v.nbytes for v in cached) < 10e6
 
 
 def test_projections_of_constant(grid):

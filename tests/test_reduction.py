@@ -272,6 +272,32 @@ class TestFoliateRadii:
         assert np.array_equal(info.value.trace.r, self.RADII[:2])
         assert len(failed) == 3  # the requested radius and two halvings
 
+    @pytest.mark.parametrize("center", [ORIGIN, np.array([0.0, 0.48, 0.64])],
+                             ids=["origin", "off-center"])
+    def test_no_solve_at_or_beyond_the_chart_radius(self, grid, monkeypatch, center):
+        ds = preset("conformal_quadratic", eps=-0.25)  # chart radius 1.8
+        radii = np.geomspace(0.5, 5.0, 4)
+        solved = []
+
+        def fake_solve(ds, p, r, guess=None, **kwargs):
+            solved.append(r)
+            return _leaf(r)
+
+        monkeypatch.setattr(reduction, "solve_critical", fake_solve)
+        with pytest.raises(ContinuationBroken) as info:
+            foliate(ds, center, (0.5, 5.0), 4, grid=grid)
+        inside = radii[np.linalg.norm(center) + radii < ds.chart_radius]
+        assert solved == list(inside)
+        assert np.array_equal(info.value.trace.r, inside)
+
+    def test_first_radius_beyond_the_chart_radius(self, grid, monkeypatch):
+        ds = preset("conformal_quadratic", eps=-0.25)
+        monkeypatch.setattr(reduction, "solve_critical",
+                            lambda *args, **kwargs: pytest.fail("solve attempted"))
+        with pytest.raises(ContinuationBroken) as info:
+            foliate(ds, ORIGIN, (2.0, 5.0), 3, grid=grid)
+        assert info.value.trace is None
+
     @pytest.mark.parametrize("shift", [0.0, 1e-13, -1e-13])
     def test_resume_is_keyed_by_radius(self, flat, grid, monkeypatch, shift):
         monkeypatch.setattr(reduction, "solve_critical",

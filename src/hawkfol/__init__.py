@@ -35,6 +35,5 @@ from .smallsphere import (ComparisonReport, SpacetimeCurvatureAtPoint,
                           lightcut_area, lightcut_area_quartic_identity,
                           lightcut_energy_coefficient, lightcut_expansions,
                           radius_matching)
-from .surface import (EmbeddedSurface, coordinate_sphere, fundamental_forms,
-                      geodesic_sphere, graph_surface, surface_from_positions,
-                      surface_integral, surface_to_csv)
+from .surface import (EmbeddedSurface, coordinate_sphere, geodesic_sphere,
+                      graph_surface, surface_from_positions, surface_to_csv)

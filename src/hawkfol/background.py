@@ -33,10 +33,13 @@ Tensor = Callable[[np.ndarray], np.ndarray]
 # Finite-difference steps: first derivatives of the supplied callables; direct
 # second-derivative stencils (larger, at the roundoff versus truncation
 # optimum of double precision); derivatives of assembled pointwise maps such
-# as Sc(x) or Ric(x).
+# as Sc(x) or Ric(x); and the Hessian of such a map when the map itself
+# comes from 2e-3 stencils, whose rounding the outer stencil amplifies by
+# 1/h^2 (eps / h^4 overall), so the outer step moves out to 1e-2.
 _STEP = 1e-4
 _SECOND_STEP = 2e-3
 _DERIVED_STEP = 1e-3
+_DERIVED_FD_SECOND_STEP = 1e-2
 
 
 @dataclass(frozen=True)
@@ -111,8 +114,11 @@ def _stencil_table():
 
 _STENCIL = _stencil_table()
 _SYM6 = np.array([[0, 3, 4], [3, 1, 5], [4, 5, 2]])   # (l, m) -> second-derivative row
-# farthest stencil point from its center: a mixed row at the largest step
-_REACH = 2.0 * np.sqrt(2.0) * _SECOND_STEP
+
+
+def _reach(h):
+    """Farthest point of a second-derivative stencil from its center: a mixed row."""
+    return 2.0 * np.sqrt(2.0) * h
 
 
 def _stencil(fun, pts, h, rows, order):
@@ -282,11 +288,13 @@ class AmbientFields:
     def rescaled(self, s: float) -> "AmbientFields":
         """The same data in coordinates stretched by 1/s (y = x / s).
 
-        The one chart-rescaling rule: metric components are unchanged, every
-        derivative brings a factor s and k scales with the connection, so
-        Gamma, k and tr k carry one power of s and Ric and grad k two.
-        `points` is kept as it is; `scalar` and `k_norm_sq` follow from the
-        weighted fields.
+        The one chart-rescaling rule, used for the blow-up chart of the
+        rescaled operator on the unit ball (surfaces and the physical
+        residual stay in the chart of the data set): metric components are
+        unchanged, every derivative brings a factor s and k scales with the
+        connection, so Gamma, k and tr k carry one power of s and Ric and
+        grad k two.  `points` is kept as it is; `scalar` and `k_norm_sq`
+        follow from the weighted fields.
         """
         return replace(self, christoffel=s * self.christoffel, ricci=s * s * self.ricci,
                        k=s * self.k, k_trace=s * self.k_trace, grad_k=s * s * self.grad_k)
@@ -294,7 +302,7 @@ class AmbientFields:
 
 def _ambient_reach(ds: InitialDataSet) -> float:
     """How far from a point ambient_fields evaluates the metric."""
-    return 0.0 if ds.derivative_mode == "closed_form" else _REACH
+    return 0.0 if ds.derivative_mode == "closed_form" else _reach(_SECOND_STEP)
 
 
 def ambient_fields(ds: InitialDataSet, pts: np.ndarray) -> AmbientFields:
@@ -339,17 +347,20 @@ def _point_jet(ds: InitialDataSet, x, quantity):
     `quantity` returns an array with optional trailing component axes; the
     Hessian of each component is covariantized as that of a scalar,
     nabla^2 f = partial^2 f - Gamma^l_{ij} partial_l f.  ambient_fields runs
-    once at x and once per stencil row: 1 + 3 + 6 calls.
+    once at x and once per stencil row: 1 + 3 + 6 calls.  The Hessian step
+    is 2e-3 on closed-form data and 1e-2 on finite-difference data.
     """
     x = np.asarray(x, dtype=float).reshape(3)
-    ds.check_chart(x, reach=_REACH + _ambient_reach(ds))
+    fd = ds.derivative_mode == "finite_difference"
+    hess_step = _DERIVED_FD_SECOND_STEP if fd else _SECOND_STEP
+    ds.check_chart(x, reach=_reach(hess_step) + _ambient_reach(ds))
     amb = ambient_fields(ds, x)
 
     def fun(pts):
         return quantity(ambient_fields(ds, pts))
 
     grad = _fd_grad(fun, x, _DERIVED_STEP)
-    hess = _fd_hess(fun, x, _SECOND_STEP) - np.einsum("lij,l...->ij...", amb.christoffel, grad)
+    hess = _fd_hess(fun, x, hess_step) - np.einsum("lij,l...->ij...", amb.christoffel, grad)
     return amb, quantity(amb), grad, 0.5 * (hess + np.swapaxes(hess, 0, 1))
 
 

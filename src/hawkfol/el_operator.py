@@ -21,9 +21,9 @@ k-independent part W1 from the k-dependent part W2 of the rescaled operator.
 
 Both evaluations run one term assembly, `_residual_terms`, on an
 `AmbientFields` in the chart of the surface: the physical residual in the
-surface coordinates stretched by 1/scale, the rescaled operator in the ball
-coordinates stretched by 1/r.  `AmbientFields.rescaled` is the one rule that
-carries the ambient data into either chart.
+chart of the data set, with the surface's own fields, and the rescaled
+operator in the ball coordinates stretched by 1/r, where
+`AmbientFields.rescaled` carries the ambient data.
 """
 
 from __future__ import annotations
@@ -87,18 +87,16 @@ def laplace_beltrami(surface: EmbeddedSurface, values: np.ndarray) -> np.ndarray
     uses the surface Christoffel symbols assembled pointwise from the ambient
     data, so no node-to-node differencing enters.
     """
-    stretched = surface.stretched
-    lap = _laplacian(surface.grid, stretched["metric_inv"],
-                     stretched["surface_christoffel"], values)
-    return lap / (surface.scale * surface.scale)
+    return _laplacian(surface.grid, surface.metric_inv, surface.surface_christoffel, values)
 
 
 def _residual_terms(grid, geo, amb: AmbientFields, lam):
     """All eight terms of the residual from geometry + ambient node data.
 
-    `geo` is the output of `geometry_from_embedding` with the same `amb`, in
-    the chart whose ambient components `amb` holds.  Returns a dict of
-    per-node arrays; the residual is their sum.
+    `geo` is the output of `geometry_from_embedding` with the same `amb`, or
+    the fields of a surface built from it, in the chart whose ambient
+    components `amb` holds.  Returns a dict of per-node arrays; the residual
+    is their sum.
     """
     h = geo["mean_curvature"]
     nu = geo["normal"]
@@ -153,21 +151,13 @@ def el_residual(ds: InitialDataSet, surface: EmbeddedSurface, lam: float,
     """Physical-surface residual of the area-constrained equation.
 
     Returns a ResidualField over the parameter sphere; with `return_terms`
-    also the dict of individual terms (in physical units).
-
-    The evaluation runs in the stretched surface coordinates, with the
-    ambient data taken there by `AmbientFields.rescaled(scale)` and the
-    Lagrange term scale^2 lam H, and divides by scale^3 at the end; this is an
-    exact identity for the operator and keeps the numerical floor independent
-    of the surface size.  `ds` must be the data set the surface was built on.
+    also the dict of individual terms.  The terms are assembled from the
+    surface's own fields and ambient data, in the chart of the data set.
+    `ds` must be the data set the surface was built on.
     """
     if ds is not surface.dataset:
         raise ValueError("el_residual: ds is not the data set of the surface")
-    s = surface.scale
-    terms = _residual_terms(surface.grid, surface.stretched,
-                            surface.ambient.rescaled(s), s * s * lam)
-    s3 = s ** 3
-    terms = {name: vals / s3 for name, vals in terms.items()}
+    terms = _residual_terms(surface.grid, vars(surface), surface.ambient, lam)
     values = sum(terms.values())
     res = ResidualField.from_values(surface.grid, values, lam)
     if return_terms:

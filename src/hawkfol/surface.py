@@ -39,11 +39,9 @@ class EmbeddedSurface:
     unit round-sphere measure, so quadrature against the grid weights
     integrates over the surface.
 
-    All public fields are physical.  Internally the geometry is assembled in
-    coordinates stretched by 1/scale around the surface so every spectral
-    stage acts on O(1) fields; `scale` and the stretched geometry dict (the
-    output of `geometry_from_embedding` with `ambient.rescaled(scale)`) are
-    kept for the residual operator, which needs the same conditioning.
+    Every field is in the chart of the data set: the geometric fields are
+    the output of `geometry_from_embedding` with `ambient`, as they are.
+    `radius` is the nominal radius the builder was given (metadata only).
     """
 
     dataset: InitialDataSet
@@ -65,14 +63,16 @@ class EmbeddedSurface:
     p_trace: np.ndarray             # (N,) P = tr k - k(nu, nu)
     surface_christoffel: np.ndarray  # (N, 2, 2, 2) Gamma^Sigma c_ab -> [c, a, b]
     ambient: AmbientFields
-    scale: float
-    stretched: dict
 
     @property
     def area(self) -> float:
         return float(np.sum(self.grid.weights * self.area_element))
 
-    def integral(self, values: np.ndarray) -> float:
+    def integral(self, values) -> float:
+        """Integral of a per-node field over the surface measure."""
+        values = np.asarray(values, dtype=float)
+        if values.shape != (self.grid.n_nodes,):
+            raise ValueError("field shape does not match the grid")
         return float(np.sum(self.grid.weights * values * self.area_element))
 
 
@@ -94,10 +94,10 @@ def spectral_embedding_derivatives(grid: SphereGrid, positions: np.ndarray, chec
 def geometry_from_embedding(grid: SphereGrid, d1, d2, amb: AmbientFields):
     """Fundamental forms from embedding derivatives and ambient node data.
 
-    Works for any chart: the physical one, the stretched surface chart and
-    the rescaled ball alike, as long as `amb` holds the ambient components
-    in the chart of `d1` and `d2` (see `AmbientFields.rescaled`).  Returns a
-    dict of per-node fields, `d1` and `d2` included.
+    Works for any chart, the physical one and the rescaled ball alike, as
+    long as `amb` holds the ambient components in the chart of `d1` and `d2`
+    (see `AmbientFields.rescaled`).  Returns a dict of per-node fields, `d1`
+    and `d2` included, keyed by the names of the `EmbeddedSurface` fields.
     """
     g = amb.metric
     gsig = np.einsum("nij,nai,nbj->nab", g, d1, d1)
@@ -143,50 +143,23 @@ def surface_from_positions(ds: InitialDataSet, grid: SphereGrid, positions: np.n
                            offsets: Optional[np.ndarray] = None) -> EmbeddedSurface:
     """Assemble an EmbeddedSurface from node positions (fundamental-forms core).
 
-    The assembly stretches coordinates by 1/scale around the quadrature mean
-    of the nodes (scale = nominal radius when available), takes the ambient
-    data there through `AmbientFields.rescaled(scale)`, and undoes the exact
-    power-of-scale weights of the surface fields afterwards; this keeps the
-    spectral differentiation floor independent of how small the surface is.
-    `offsets`, when given, are the node positions relative to some nearby
-    reference point, carried at full relative accuracy (the builders supply
-    them; positions alone lose accuracy when the surface sits far from the
-    chart origin).
+    The embedding is differentiated in the chart of the data set and the
+    geometry assembled there with `ambient_fields` at the nodes.  No
+    rescaling is needed for small surfaces: rounding error is relative, so
+    it does not depend on the units of the chart.  `offsets`, when given,
+    are the node positions relative to some nearby reference point, carried
+    at full relative accuracy (the builders supply them; positions alone
+    lose accuracy when the surface sits far from the chart origin).
     """
     positions = np.asarray(positions, dtype=float)
     rel = positions if offsets is None else np.asarray(offsets, dtype=float)
-    anchor = (grid.weights @ rel) / (4.0 * np.pi)
-    rel = rel - anchor
-    scale = float(radius) if radius > 0 else float(
-        np.sum(grid.weights * np.linalg.norm(rel, axis=1)) / (4.0 * np.pi))
-    if not scale > 0:
-        raise DegenerateInducedMetric("surface has zero extent")
-    y = rel / scale
-    d1y, d2y = spectral_embedding_derivatives(grid, y, check=check_band)
+    d1, d2 = spectral_embedding_derivatives(grid, rel, check=check_band)
     amb = ambient_fields(ds, positions)
-    geo = geometry_from_embedding(grid, d1y, d2y, amb.rescaled(scale))
-
     return EmbeddedSurface(
         dataset=ds, grid=grid, center=np.asarray(center, dtype=float),
         tau=np.asarray(tau, dtype=float), radius=float(radius), phi=phi,
-        positions=positions, d1=scale * d1y, d2=scale * d2y,
-        normal=geo["normal"],
-        metric=scale * scale * geo["metric"],
-        metric_inv=geo["metric_inv"] / (scale * scale),
-        area_element=scale * scale * geo["area_element"],
-        second_form=scale * geo["second_form"],
-        mean_curvature=geo["mean_curvature"] / scale,
-        traceless_second_norm_sq=geo["traceless_second_norm_sq"] / (scale * scale),
-        p_trace=geo["p_trace"] / scale,
-        surface_christoffel=geo["surface_christoffel"],
-        ambient=amb, scale=scale, stretched=geo)
-
-
-def fundamental_forms(surface: EmbeddedSurface) -> EmbeddedSurface:
-    """Recompute every geometric field from the stored positions."""
-    return surface_from_positions(
-        surface.dataset, surface.grid, surface.positions, center=surface.center,
-        tau=surface.tau, radius=surface.radius, phi=surface.phi)
+        positions=positions, ambient=amb,
+        **geometry_from_embedding(grid, d1, d2, amb))
 
 
 def graph_surface(ds: InitialDataSet, center, tau, radius: float,
@@ -235,14 +208,6 @@ def coordinate_sphere(ds: InitialDataSet, center, radius: float,
     offsets = radius * grid.nodes
     return surface_from_positions(ds, grid, center + offsets, center=center,
                                   radius=radius, offsets=offsets)
-
-
-def surface_integral(surface: EmbeddedSurface, values) -> float:
-    """Integral of a per-node field over the surface measure."""
-    values = np.asarray(values, dtype=float)
-    if values.shape != (surface.grid.n_nodes,):
-        raise ValueError("field shape does not match the grid")
-    return surface.integral(values)
 
 
 def surface_to_csv(surface: EmbeddedSurface, path) -> None:

@@ -17,6 +17,7 @@ from hawkfol.errors import (ChartExceeded, DegenerateMetric, InvalidParams,
                             UnknownPreset)
 
 ORIGIN = np.zeros(3)
+K_GENERIC = np.array([[0.3, 0.1, 0.0], [0.1, -0.2, 0.05], [0.0, 0.05, 0.4]])
 
 
 def test_flat_curvature_vanishes(flat):
@@ -100,6 +101,30 @@ def test_finite_difference_agrees_with_closed_form(name, params):
         scale = max(np.abs(c_cf.ricci).max(), np.abs(c_cf.scalar), 1e-3)
         assert np.abs(c_fd.ricci - c_cf.ricci).max() < 1e-6 * scale
         assert abs(c_fd.scalar - c_cf.scalar) < 1e-6 * scale
+
+
+def _fd_hessian_cases():
+    rng = np.random.default_rng(3)
+    c4 = rng.normal(size=(3, 3, 3, 3))
+    c4 = c4 + c4.transpose(1, 0, 2, 3)
+    c4 = 0.05 * (c4 + c4.transpose(0, 1, 3, 2))
+    k1 = rng.normal(size=(3, 3, 3))
+    k1 = 0.5 * (k1 + k1.transpose(0, 2, 1))
+    return [(preset("conformal_quadratic", eps=0.01), (0.08, -0.03, 0.05)),
+            (preset("conformal_quadratic", eps=-0.25, k=K_GENERIC), (0.3, -0.1, 0.2)),
+            (preset("polynomial", g_quadratic=c4, k_constant=K_GENERIC, k_linear=k1),
+             (0.1, -0.05, 0.08)),
+            (preset("schwarzschild_slice", mass=1.0), (0.6, 0.2, 0.5))]
+
+
+@pytest.mark.parametrize("ds,x", _fd_hessian_cases(),
+                         ids=["conformal", "conformal_k", "polynomial", "schwarzschild"])
+def test_finite_difference_hessian_agrees_with_closed_form(ds, x):
+    # Sc in finite-difference mode comes from 2e-3 stencils; a 2e-3 outer
+    # Hessian stencil amplified their rounding to 1e-4 here
+    _, _, hess = concentration_scalar(ds, x)
+    _, _, hess_fd = concentration_scalar(ds.with_finite_differences(), x)
+    assert np.abs(hess_fd - hess).max() < 2e-5
 
 
 class TestConcentrationScalar:

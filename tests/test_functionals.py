@@ -100,3 +100,21 @@ def test_schwarzschild_coordinate_spheres_carry_the_mass(request, grid_name, mas
     ds = preset("schwarzschild_slice", mass=mass)
     energy = hawking_energy(coordinate_sphere(ds, ORIGIN, rho, grid)).hawking_energy
     assert abs(energy - mass) < 1e-12
+
+
+@pytest.mark.parametrize("shape", [(16, 32), (32, 64), (64, 128)])
+@pytest.mark.parametrize("eps", [0.01, 0.03, -0.25])
+def test_conformal_coordinate_spheres_closed_form_energy(shape, eps):
+    # |x| = rho in g = w delta, w = 1 + eps |x|^2: sqrt(A / 16 pi) = rho sqrt(w) / 2
+    # and H = 2 (1 + eps rho^2 / w) / (rho sqrt(w)), so
+    # E = (rho sqrt(w) / 2)(1 - (1 + eps rho^2 / w)^2).  The bracket is a
+    # difference of nearly equal numbers at small rho, so the bound is
+    # absolute in units of sqrt(A / 16 pi), not relative to E
+    grid = default_grid(*shape)
+    ds = preset("conformal_quadratic", eps=eps)
+    for rho in (0.001, 0.005, 0.02, 0.1, 0.5, 1.0):
+        w = 1.0 + eps * rho * rho
+        size = rho * np.sqrt(w) / 2.0
+        exact = size * (1.0 - (1.0 + eps * rho * rho / w) ** 2)
+        energy = hawking_energy(coordinate_sphere(ds, ORIGIN, rho, grid)).hawking_energy
+        assert abs(energy - exact) <= 2e-15 * size

@@ -8,9 +8,8 @@ from numpy.testing import assert_allclose
 from scipy.integrate import solve_ivp
 
 from hawkfol import (HarmonicField, RayFan, VariationBundle,
-                     coordinate_sphere, exp_map, fundamental_forms,
-                     geodesic_sphere, graph_surface, moment_value, preset,
-                     surface_from_positions, surface_integral, surface_to_csv,
+                     coordinate_sphere, exp_map, geodesic_sphere, graph_surface,
+                     moment_value, preset, surface_from_positions, surface_to_csv,
                      synthesize, transported_center_frame)
 from hawkfol.errors import BandLimitExceeded, DegenerateInducedMetric, NonEmbedded
 from hawkfol.background import _dg_of, christoffel_from
@@ -251,25 +250,18 @@ def test_schwarzschild_centered_sphere_mean_curvature(grid):
 class TestSurfaceIntegral:
     def test_constant(self, flat, grid):
         s = geodesic_sphere(flat, ORIGIN, ORIGIN, 2.0, grid, n_steps=16)
-        assert abs(surface_integral(s, np.ones(grid.n_nodes)) - 16 * np.pi) < 1e-10
+        assert abs(s.integral(np.ones(grid.n_nodes)) - 16 * np.pi) < 1e-10
 
     def test_moment_fields(self, flat, grid):
         s = geodesic_sphere(flat, ORIGIN, ORIGIN, 1.0, grid, n_steps=16)
         x = grid.nodes
-        assert abs(surface_integral(s, x[:, 0] * x[:, 1])) < 1e-12
-        assert abs(surface_integral(s, x[:, 0] ** 2) - moment_value((0, 0))) < 1e-12
+        assert abs(s.integral(x[:, 0] * x[:, 1])) < 1e-12
+        assert abs(s.integral(x[:, 0] ** 2) - moment_value((0, 0))) < 1e-12
 
     def test_shape_mismatch(self, flat, grid):
         s = geodesic_sphere(flat, ORIGIN, ORIGIN, 1.0, grid, n_steps=16)
         with pytest.raises(ValueError):
-            surface_integral(s, np.ones(7))
-
-
-def test_fundamental_forms_recompute(conformal, grid):
-    s = geodesic_sphere(conformal, ORIGIN, ORIGIN, 0.05, grid)
-    s2 = fundamental_forms(s)
-    assert np.abs(s2.mean_curvature - s.mean_curvature).max() < 1e-10
-    assert np.abs(s2.second_form - s.second_form).max() < 1e-12
+            s.integral(np.ones(7))
 
 
 def test_degenerate_induced_metric(flat, grid):

@@ -33,12 +33,14 @@ Tensor = Callable[[np.ndarray], np.ndarray]
 # Finite-difference steps: first derivatives of the supplied callables; direct
 # second-derivative stencils (larger, at the roundoff versus truncation
 # optimum of double precision); derivatives of assembled pointwise maps such
-# as Sc(x) or Ric(x); and the Hessian of such a map when the map itself
-# comes from 2e-3 stencils, whose rounding the outer stencil amplifies by
-# 1/h^2 (eps / h^4 overall), so the outer step moves out to 1e-2.
+# as Sc(x) or Ric(x); and the gradient and Hessian of such a map when the map
+# itself comes from 2e-3 stencils, whose rounding the outer stencil amplifies
+# by 1/h and 1/h^2 (eps / h^3 and eps / h^4 overall), so the outer steps
+# move out to 5e-3 and 1e-2.
 _STEP = 1e-4
 _SECOND_STEP = 2e-3
 _DERIVED_STEP = 1e-3
+_DERIVED_FD_STEP = 5e-3
 _DERIVED_FD_SECOND_STEP = 1e-2
 
 
@@ -215,13 +217,13 @@ def christoffel_from(g_inv, dg):
     return 0.5 * (g_inv @ s.reshape(s.shape[:-3] + (3, 9))).reshape(s.shape)
 
 
-def dchristoffel_from(g_inv, dg, d2g):
-    """partial_m Gamma^i_{jk}, index layout [..., m, i, j, k]."""
-    s = _bracket(dg)
-    ds = _bracket(d2g)
-    dginv = -np.einsum("...ia,...mab,...bl->...mil", g_inv, dg, g_inv, optimize=True)
-    return (0.5 * np.einsum("...mil,...ljk->...mijk", dginv, s, optimize=True)
-            + 0.5 * np.einsum("...il,...mljk->...mijk", g_inv, ds, optimize=True))
+def dchristoffel_from(g_inv, dg, d2g, gamma):
+    """partial_m Gamma^i_{jk}, layout [..., m, i, j, k], from differentiating
+    g Gamma = S / 2 (S the bracket of dg): g^-1 (d_m S / 2 - d_m g Gamma)."""
+    lead = gamma.shape[:-3]
+    lowered = (0.5 * _bracket(d2g).reshape(lead + (3, 3, 9))
+               - dg @ gamma.reshape(lead + (1, 3, 9)))
+    return (g_inv[..., None, :, :] @ lowered).reshape(lead + (3, 3, 3, 3))
 
 
 def riemann_from(g, gamma, dgamma):
@@ -251,7 +253,7 @@ def _curvature_chain(ds: InitialDataSet, pts):
     g_inv = _inverse_metric(g)
     dg = _dg_of(ds, pts)
     gamma = christoffel_from(g_inv, dg)
-    dgamma = dchristoffel_from(g_inv, dg, _d2g_of(ds, pts))
+    dgamma = dchristoffel_from(g_inv, dg, _d2g_of(ds, pts), gamma)
     return g, g_inv, gamma, dgamma, ricci_from(gamma, dgamma)
 
 
@@ -347,11 +349,13 @@ def _point_jet(ds: InitialDataSet, x, quantity):
     `quantity` returns an array with optional trailing component axes; the
     Hessian of each component is covariantized as that of a scalar,
     nabla^2 f = partial^2 f - Gamma^l_{ij} partial_l f.  ambient_fields runs
-    once at x and once per stencil row: 1 + 3 + 6 calls.  The Hessian step
-    is 2e-3 on closed-form data and 1e-2 on finite-difference data.
+    once at x and once per stencil row: 1 + 3 + 6 calls.  The gradient and
+    Hessian steps are 1e-3 and 2e-3 on closed-form data and 5e-3 and 1e-2
+    on finite-difference data.
     """
     x = np.asarray(x, dtype=float).reshape(3)
     fd = ds.derivative_mode == "finite_difference"
+    grad_step = _DERIVED_FD_STEP if fd else _DERIVED_STEP
     hess_step = _DERIVED_FD_SECOND_STEP if fd else _SECOND_STEP
     ds.check_chart(x, reach=_reach(hess_step) + _ambient_reach(ds))
     amb = ambient_fields(ds, x)
@@ -359,7 +363,7 @@ def _point_jet(ds: InitialDataSet, x, quantity):
     def fun(pts):
         return quantity(ambient_fields(ds, pts))
 
-    grad = _fd_grad(fun, x, _DERIVED_STEP)
+    grad = _fd_grad(fun, x, grad_step)
     hess = _fd_hess(fun, x, hess_step) - np.einsum("lij,l...->ij...", amb.christoffel, grad)
     return amb, quantity(amb), grad, 0.5 * (hess + np.swapaxes(hess, 0, 1))
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .background import preset
-from .errors import ContinuationBroken, HawkfolError
+from .errors import ContinuationBroken, HawkfolError, InvalidParams
 from .functionals import hawking_energy
 from .grid import SphereGrid
 from .harmonics import HarmonicField
@@ -118,10 +118,8 @@ def _dataset(config):
         return preset(section["name"], **{
             key: (np.asarray(val, dtype=float) if isinstance(val, list) else val)
             for key, val in params.items()})
-    except HawkfolError:
-        raise
-    except TypeError as exc:
-        raise ConfigError(str(exc))
+    except InvalidParams as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _grid(config, override=None):

@@ -11,21 +11,25 @@ by the rescaled operator.
 
 Kernel
 ------
-Geodesics are driven by `geodesic_acceleration`, which contracts the velocity
-into the metric gradient before raising the index, so the Christoffel symbols
-are never formed: -Gamma(v, v) costs a few 3-vector contractions per node and
-one closed-form 3x3 inverse.  Parallel transport uses the same early
-contraction for the matrix Gamma(u, .).  Every integration here (exp_map,
-the center-frame transport, RayFan, VariationBundle) runs on one classical RK4
-stepper, `_rk4`, over tuples of arrays with a scalar or per-node step; each
-caller checks the chart after every step.
+Geodesics are driven by `geodesic_acceleration`, the one hand-contracted
+connection: it contracts the velocity into the metric gradient before raising
+the index, so -Gamma(v, v) costs a few 3-vector contractions per node and one
+closed-form 3x3 inverse at every step of every ray.  The center-frame
+transport and VariationBundle take Gamma and d Gamma from `christoffel_from`
+and `dchristoffel_from`; the bundle builds d^2 Gamma(v, v) by the same rule
+(differentiate g Gamma = S / 2), so no derivative of g^-1 is formed.  Every
+integration here (exp_map, the center-frame transport, RayFan,
+VariationBundle) runs on one classical RK4 stepper, `_rk4`, over tuples of
+arrays with a scalar or per-node step; each caller checks the chart after
+every step.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .background import InitialDataSet, _bracket, _d3g_of, _dg_of, _d2g_of, _inverse_metric
+from .background import (InitialDataSet, _d3g_of, _dg_of, _d2g_of, _inverse_metric,
+                         christoffel_from, dchristoffel_from)
 from .errors import ChartExceeded, StepSizeUnderflow
 
 
@@ -39,15 +43,6 @@ def geodesic_acceleration(ds: InitialDataSet, pts: np.ndarray, vel: np.ndarray) 
     lowered = (2.0 * np.einsum("...jl,...j->...l", dg_v, vel)
                - np.einsum("...lj,...j->...l", dg_v, vel))
     return -0.5 * np.einsum("...il,...l->...i", g_inv, lowered)
-
-
-def _connection_along(ds: InitialDataSet, pts: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Gamma(u, .) as matrices [..., i, k] = Gamma^i_{jk} u^j, without forming Gamma."""
-    g_inv = _inverse_metric(ds.metric(pts))
-    dg = _dg_of(ds, pts)
-    dg_u = np.einsum("...lkj,...j->...lk", dg, u)     # d_l g_kj u^j
-    lowered = np.einsum("...jlk,...j->...lk", dg, u) + np.swapaxes(dg_u, -1, -2) - dg_u
-    return 0.5 * (g_inv @ lowered)
 
 
 def _rk4(rhs, state, h, n_steps):
@@ -106,7 +101,8 @@ def _transport(ds: InitialDataSet, base, v, vectors, n_steps: int):
     v = np.asarray(v, dtype=float).reshape(3)
 
     def rhs(t, x, u, w):
-        gam_u = _connection_along(ds, x, u)[0]      # Gamma(u, .)
+        gam = christoffel_from(_inverse_metric(ds.metric(x)), _dg_of(ds, x))[0]
+        gam_u = np.einsum("ijk,j->ik", gam, u[0])      # Gamma(u, .)
         return u, -(gam_u @ u[0])[None], -gam_u @ w
 
     state = (base[None, :], v[None, :], np.asarray(vectors, dtype=float))
@@ -235,49 +231,28 @@ class VariationBundle:
         D = np.zeros((n, 6, 3))
 
         def rhs(t, x, v, A, B, C, D):
-            # Christoffel data contracted with the velocity as early as
-            # possible; the full d^2 Gamma tensor is never materialized.
+            # Gamma and d Gamma(v, .) from the curvature chain.  d^2 Gamma(v, v)
+            # differentiates g Gamma = S / 2 twice, contracted with v first:
+            # g^-1 (d_m d_q S(v, v) / 2 - d_m d_q g Gamma(v, v)
+            #       - d_m g d_q Gamma(v, v) - d_q g d_m Gamma(v, v)).
             g_inv = _inverse_metric(ds.metric(x))
             dg = _dg_of(ds, x)
             d2g = _d2g_of(ds, x)
             d3g = _d3g_of(ds, x)
+            gam = christoffel_from(g_inv, dg)
+            gam_v = np.einsum("nijk,nk->nij", gam, v)
+            gam_vv = np.einsum("nij,nj->ni", gam_v, v)
+            dgam_v = np.einsum("nmijk,nk->nmij", dchristoffel_from(g_inv, dg, d2g, gam), v)
+            dgam_vv = np.einsum("nmij,nj->nmi", dgam_v, v)
 
-            s = _bracket(dg)
-            s_v = np.einsum("nljk,nk->nlj", s, v)
-            s_vv = np.einsum("nlj,nj->nl", s_v, v)
-            ds_ = _bracket(d2g)
-            ds_v = np.einsum("nmljk,nk->nmlj", ds_, v)
-            ds_vv = np.einsum("nmlj,nj->nml", ds_v, v)
+            dg_dgam = np.einsum("nmil,nql->nmqi", dg, dgam_vv)
+            lowered = ((d2g @ gam_vv[:, None, None, :, None])[..., 0]
+                       + dg_dgam + np.swapaxes(dg_dgam, 1, 2))
             if d3g.any():
                 t1 = np.einsum("nmqjlk,nj,nk->nmql", d3g, v, v, optimize=True)
                 t3 = np.einsum("nmqljk,nj,nk->nmql", d3g, v, v, optimize=True)
-                d2s_vv = 2.0 * t1 - t3
-            else:
-                d2s_vv = np.zeros_like(ds_)[..., 0]
-
-            # batched 3x3 matmuls; [:, None] broadcasts over a derivative axis
-            dginv = -(g_inv[:, None] @ dg @ g_inv[:, None])
-            g_inv_t = np.swapaxes(g_inv, 1, 2)
-
-            gam = 0.5 * (g_inv @ s.reshape(n, 3, 9)).reshape(n, 3, 3, 3)
-            gam_v = 0.5 * (g_inv @ s_v)
-            gam_vv = 0.5 * np.einsum("nal,nl->na", g_inv, s_vv)
-            dgam_v = 0.5 * (dginv @ s_v[:, None] + g_inv[:, None] @ ds_v)
-            dgam_vv = 0.5 * (np.einsum("nmal,nl->nma", dginv, s_vv) + ds_vv @ g_inv_t)
-
-            # (d2 ginv)[m,q,i,l] s_vv[l] without materializing the rank-5 array
-            u = np.einsum("nbl,nl->nb", g_inv, s_vv)
-            dg_u = np.einsum("nqab,nb->nqa", dg, u)
-            d2g_u = np.einsum("nmqab,nb->nmqa", d2g, u)
-            dginv_s = np.einsum("nmbl,nl->nmb", dginv, s_vv)
-            ginv_dg = (g_inv[:, None] @ dg).reshape(n, 9, 3)          # [n, (q, i), b]
-            d2ginv_s = -(dg_u[:, None] @ np.swapaxes(dginv, 2, 3)
-                         + d2g_u @ g_inv_t[:, None]
-                         + (ginv_dg @ np.swapaxes(dginv_s, 1, 2)).reshape(n, 3, 3, 3)
-                         .transpose(0, 3, 1, 2))
-            dginv_dsvv = np.swapaxes(dginv @ np.swapaxes(ds_vv, 1, 2)[:, None], 2, 3)
-            d2gam_vv = 0.5 * (d2ginv_s + dginv_dsvv + np.swapaxes(dginv_dsvv, 1, 2)
-                              + d2s_vv @ g_inv_t[:, None])
+                lowered -= 0.5 * (2.0 * t1 - t3)
+            d2gam_vv = -(lowered @ g_inv[:, None])
 
             def pairs(X, Y):  # [n, p, (m, q)] = X[n, p, m] Y[n, p, q]
                 return (X[:, :, :, None] * Y[:, :, None, :]).reshape(n, 6, 9)

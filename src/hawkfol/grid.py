@@ -60,51 +60,25 @@ def _normalized_legendre(band_limit, z):
     return q
 
 
-def _theta_derivative_tables(band_limit, q):
-    """First and second theta derivatives of the normalized Legendre table.
+def _theta_derivative(q):
+    """Theta derivative of a table Q[node, m, l] of normalized Legendre values.
 
-    Built from the order-ladder identities (bounded coefficients, no 1/sin
-    divisions), which keeps pole-adjacent entries at machine accuracy:
+    The order-ladder identity (bounded coefficients, no 1/sin divisions, so
+    pole-adjacent entries keep machine accuracy):
 
         dQ_l^m/dtheta = 1/2 [c-(l,m) Q_l^{m-1} - c+(l,m) Q_l^{m+1}]
 
     with c-(l,m) = sqrt((l+m)(l-m+1)), c+(l,m) = sqrt((l-m)(l+m+1)) and the
-    convention Q_l^{-1} = -Q_l^1.
+    convention Q_l^{-1} = -Q_l^1.  The identity is linear with constant
+    coefficients, so applied to dQ it gives the second derivative.
     """
-    lmax = band_limit
-    nz = q.shape[0]
-    dq = np.zeros_like(q)
-    d2q = np.zeros_like(q)
-
-    def cminus(l, m):
-        val = (l + m) * (l - m + 1)
-        return np.sqrt(float(val)) if val > 0 else 0.0
-
-    def cplus(l, m):
-        val = (l - m) * (l + m + 1)
-        return np.sqrt(float(val)) if val > 0 else 0.0
-
-    def q_at(m, l):
-        if m == -1:
-            return -q[:, 1, l] if l >= 1 else np.zeros(nz)
-        if m > l:
-            return np.zeros(nz)
-        return q[:, m, l]
-
-    for l in range(lmax + 1):
-        for m in range(0, l + 1):
-            dq[:, m, l] = 0.5 * (cminus(l, m) * q_at(m - 1, l)
-                                 - cplus(l, m) * q_at(m + 1, l))
-    for l in range(1, lmax + 1):
-        # m = 0: d2Q^0 = -sqrt(l(l+1)) dQ^1
-        d2q[:, 0, l] = -np.sqrt(float(l * (l + 1))) * dq[:, 1, l] if l >= 1 else 0.0
-        for m in range(1, l + 1):
-            qm2 = -q_at(1, l) if m == 1 else q_at(m - 2, l)
-            mid = cminus(l, m) * cplus(l, m - 1) + cplus(l, m) * cminus(l, m + 1)
-            d2q[:, m, l] = 0.25 * (cminus(l, m) * cminus(l, m - 1) * qm2
-                                   - mid * q_at(m, l)
-                                   + cplus(l, m) * cplus(l, m + 1) * q_at(m + 2, l))
-    return dq, d2q
+    m = np.arange(q.shape[1])[:, None]
+    l = np.arange(q.shape[2])[None, :]
+    cminus = np.sqrt(np.maximum((l + m) * (l - m + 1), 0))
+    cplus = np.sqrt(np.maximum((l - m) * (l + m + 1), 0))
+    pad = np.concatenate([q, np.zeros_like(q[:, :1])], axis=1)     # Q^{L+1} = 0
+    lower = np.concatenate([-pad[:, 1:2], pad[:, :-2]], axis=1)     # Q^{m-1}
+    return 0.5 * (cminus * lower - cplus * pad[:, 1:])
 
 
 class SphereGrid:
@@ -172,7 +146,8 @@ class SphereGrid:
         """
         lmax = self.band_limit
         q = _normalized_legendre(lmax, self.gauss_z)
-        dq, d2q = _theta_derivative_tables(lmax, q)
+        dq = _theta_derivative(q)
+        d2q = _theta_derivative(dq)
         m = np.arange(-lmax, lmax + 1)
         scale = np.where(m == 0, 1.0, np.sqrt(2.0))[:, None, None]
         return np.ascontiguousarray(

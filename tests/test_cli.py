@@ -125,6 +125,18 @@ def test_malformed_number_exits_2(tmp_path, capsys, command, section, values, ba
     assert f"config error: {bad} must be" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, params", [
+    ("conformal_quadratic", {"epsilon": 0.01}),
+    ("conformal_quadratic", {"eps": 0.01, "k": [[1.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]}),
+    ("schwarzschild_slice", {"mass": -1}),
+], ids=["unknown-keyword", "k-nonsymmetric", "mass-negative"])
+def test_invalid_preset_params_exit_2(tmp_path, capsys, name, params):
+    cfg = write_config(tmp_path, {"preset": {"name": name, "params": params},
+                                  "surface": {"radius": 1.0}})
+    assert main(["energy", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "config error:" in capsys.readouterr().err
+
+
 def test_unknown_preset_exits_3(tmp_path, capsys):
     cfg = write_config(tmp_path, {"preset": {"name": "wat"},
                                   "surface": {"radius": 1.0}})

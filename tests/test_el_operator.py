@@ -95,17 +95,23 @@ class TestPhysicalResidual:
 
 
 class TestRescalingIdentity:
-    def test_identity_on_random_surfaces(self, conformal_k, grid):
+    # Schwarzschild has d3g != 0, so it pins the d^2 S(v, v) term of the
+    # VariationBundle, which vanishes on conformal_quadratic data
+    @pytest.mark.parametrize("which, center, n_surfaces",
+                             [("conformal_k", ORIGIN, 3),
+                              ("schwarzschild", np.array([2.0, 0.3, -0.4]), 1)],
+                             ids=["conformal_k", "schwarzschild"])
+    def test_identity_on_random_surfaces(self, which, center, n_surfaces, conformal_k, grid):
+        ds = conformal_k if which == "conformal_k" else preset("schwarzschild_slice", mass=1.0)
         rng = np.random.default_rng(7)
-        for _ in range(3):
+        for _ in range(n_surfaces):
             r = rng.uniform(0.03, 0.1)
             lam = rng.uniform(-1, 1)
             tau = rng.normal(size=3) * 0.01
             phi = smooth_phi(rng)
-            resc = rescaled_phi(conformal_k, ORIGIN, tau, r, phi, lam, grid,
-                                n_steps=16)
-            surf = graph_surface(conformal_k, ORIGIN, tau, r, phi, grid)
-            phys = el_residual(conformal_k, surf, lam)
+            resc = rescaled_phi(ds, center, tau, r, phi, lam, grid, n_steps=16)
+            surf = graph_surface(ds, center, tau, r, phi, grid)
+            phys = el_residual(ds, surf, lam)
             diff = np.sqrt(np.sum(grid.weights
                                   * (resc.values - r ** 3 * phys.values) ** 2))
             assert diff < 1e-9 * resc.l2_norm

@@ -12,8 +12,7 @@ from hawkfol import (HarmonicField, analyze, analyze_compensated, biharmonic_app
                      biharmonic_solve, moment_integral, moment_value, project_K0, project_K1,
                      project_Kperp, synthesize, synthesize_derivatives)
 from hawkfol.errors import BandLimitExceeded, NotOrthogonal, UnsupportedDegree
-from hawkfol.grid import (SphereGrid, _normalized_legendre, _theta_derivative_tables,
-                          coeff_index)
+from hawkfol.grid import SphereGrid, _normalized_legendre, _theta_derivative, coeff_index
 
 
 def test_weights_sum_to_sphere_area(grid):
@@ -121,7 +120,7 @@ def _per_column_table(g, band_limit, orders):
     """Dense (n_nodes, n_coeffs) table of one angle derivative of the basis up
     to `band_limit`, each column filled from its colatitude and azimuth factors."""
     q = _normalized_legendre(g.band_limit, g.gauss_z)
-    theta_parts = (q, *_theta_derivative_tables(g.band_limit, q))
+    theta_parts = (q, _theta_derivative(q), _theta_derivative(_theta_derivative(q)))
     i, j = orders
     ref = np.zeros((g.n_nodes, (band_limit + 1) ** 2))
     for l in range(band_limit + 1):
@@ -282,6 +281,15 @@ def test_derivative_tables_laplacian_eigenvalues(grid):
         v, d1, d2 = synthesize_derivatives(field, grid)
         lap = d2[:, 0, 0] + (z / st) * d1[:, 0] + d2[:, 1, 1] / st ** 2
         assert np.abs(lap + l * (l + 1) * v).max() < 5e-12
+
+
+def test_band_limit_zero_colatitude_tables():
+    # the smallest grid carries Y_00 alone, whose theta derivatives vanish
+    g = SphereGrid(2, 4)
+    q, dq, d2q = g.colatitude_tables
+    assert g.band_limit == 0
+    assert np.allclose(q, np.sqrt(1.0 / (4.0 * np.pi)))
+    assert not dq.any() and not d2q.any()
 
 
 def test_small_grid_band_limit_rule():

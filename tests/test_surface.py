@@ -70,21 +70,32 @@ def test_ray_fan_matches_exp_map(conformal, small_grid):
     assert np.abs(fan.positions_at(s) - direct).max() < 1e-12
 
 
-def test_christoffel_derivative_algebra_against_stencils(conformal_k):
+def _non_conformal_polynomial():
+    rng = np.random.default_rng(4)
+    c4 = rng.normal(size=(3, 3, 3, 3))
+    c4 = c4 + c4.transpose(1, 0, 2, 3)
+    return preset("polynomial", g_quadratic=0.05 * (c4 + c4.transpose(0, 1, 3, 2)))
+
+
+@pytest.mark.parametrize("which, x", [("conformal_k", (0.08, -0.03, 0.05)),
+                                      ("polynomial", (0.08, -0.03, 0.05)),
+                                      ("schwarzschild", (0.6, 0.2, 0.5))],
+                         ids=["conformal_k", "polynomial", "schwarzschild"])
+def test_christoffel_derivative_algebra_against_stencils(which, x, conformal_k):
     # dGamma closed-form assembly versus a direct stencil on the pointwise
     # Christoffel map
     from hawkfol.background import (_d2g_of, _dg_of, _fd_grad, _inverse_metric,
                                     christoffel_from, dchristoffel_from)
-    pts = np.array([[0.08, -0.03, 0.05]])
-    g_inv = _inverse_metric(conformal_k.metric(pts))
-    dg = _dg_of(conformal_k, pts)
-    d2g = _d2g_of(conformal_k, pts)
+    ds = {"conformal_k": conformal_k, "polynomial": _non_conformal_polynomial(),
+          "schwarzschild": preset("schwarzschild_slice", mass=1.0)}[which]
+    pts = np.array([x])
+    g_inv = _inverse_metric(ds.metric(pts))
+    dg = _dg_of(ds, pts)
 
     def gamma_map(q):
-        gi = _inverse_metric(conformal_k.metric(q))
-        return christoffel_from(gi, _dg_of(conformal_k, q))
+        return christoffel_from(_inverse_metric(ds.metric(q)), _dg_of(ds, q))
 
-    dgam = dchristoffel_from(g_inv, dg, d2g)[0]
+    dgam = dchristoffel_from(g_inv, dg, _d2g_of(ds, pts), christoffel_from(g_inv, dg))[0]
     assert np.abs(dgam - _fd_grad(gamma_map, pts, 1e-4)[0]).max() < 1e-9
 
 

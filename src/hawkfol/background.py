@@ -429,29 +429,43 @@ def _as_sym3(a, what):
     return 0.5 * (a + a.T)
 
 
-def _const_tensor(mat):
-    mat = np.asarray(mat, dtype=float)
+def _from_jets(g, k, chart_radius, name):
+    """The data set whose metric has the jet g and whose k has the jet k.
 
-    def fun(pts):
-        pts = np.asarray(pts, dtype=float)
-        return np.broadcast_to(mat, pts.shape[:-1] + (3, 3)).copy()
-    return fun
+    Every preset is built here.  A jet(pts, n) returns the n-th partial
+    derivatives of a field at points (..., 3), the n derivative axes between
+    the point axes and the tensor axes; an order that is the same at every
+    point may leave out the point axes.  Each order is its own branch, so
+    the metric never builds a higher derivative.  k is asked for orders 0
+    and 1.
+    """
+    def field(jet, n):
+        def values(pts):
+            pts = np.asarray(pts, dtype=float)
+            out, shape = jet(pts, n), pts.shape[:-1] + (3,) * (n + 2)
+            return out if out.shape == shape else np.broadcast_to(out, shape).copy()
+        return values
+    return InitialDataSet(
+        metric=field(g, 0), dmetric=field(g, 1), d2metric=field(g, 2), d3metric=field(g, 3),
+        k_tensor=field(k, 0), dk_tensor=field(k, 1), chart_radius=chart_radius, name=name)
 
 
-def _zero_field(rank):
-    def fun(pts):
-        pts = np.asarray(pts, dtype=float)
-        return np.zeros(pts.shape[:-1] + (3,) * rank)
-    return fun
+def _constant(value):
+    """Jet of a field that takes the same value everywhere."""
+    value = np.asarray(value, dtype=float)
+    return lambda pts, n: value.copy() if n == 0 else np.zeros((3,) * n + value.shape)
+
+
+def _conformally_flat(w, k, chart_radius, name):
+    """Data set with metric w delta from the jet of w: d^n g = d^n w (x) delta."""
+    eye = np.eye(3)
+    return _from_jets(lambda pts, n: w(pts, n)[..., None, None] * eye, k, chart_radius, name)
 
 
 def _flat(k_matrix=None):
     k = np.zeros((3, 3)) if k_matrix is None else _as_sym3(k_matrix, "k")
-    return InitialDataSet(
-        metric=_const_tensor(np.eye(3)), k_tensor=_const_tensor(k),
-        dmetric=_zero_field(3), d2metric=_zero_field(4), d3metric=_zero_field(5),
-        dk_tensor=_zero_field(3), chart_radius=np.inf,
-        name="flat" if k_matrix is None else "constant_k")
+    return _conformally_flat(_constant(1.0), _constant(k), np.inf,
+                             "flat" if k_matrix is None else "constant_k")
 
 
 def _conformal_quadratic(eps, k=None, chart_radius=None):
@@ -459,27 +473,17 @@ def _conformal_quadratic(eps, k=None, chart_radius=None):
     if chart_radius is None:
         chart_radius = np.inf if eps >= 0 else 0.9 / np.sqrt(-eps)
     kmat = np.zeros((3, 3)) if k is None else _as_sym3(k, "k")
-    eye = np.eye(3)
+    d2w = _constant(2.0 * eps * np.eye(3))
 
-    def metric(pts):
-        pts = np.asarray(pts, dtype=float)
-        r2 = np.sum(pts * pts, axis=-1)
-        return (1.0 + eps * r2)[..., None, None] * eye
+    def w(pts, n):   # 1 + eps |x|^2
+        if n == 0:
+            return 1.0 + eps * np.sum(pts * pts, axis=-1)
+        if n == 1:
+            return 2.0 * eps * pts
+        return d2w(pts, n - 2)
 
-    def dmetric(pts):
-        pts = np.asarray(pts, dtype=float)
-        return 2.0 * eps * pts[..., :, None, None] * eye
-
-    def d2metric(pts):
-        pts = np.asarray(pts, dtype=float)
-        return np.broadcast_to(2.0 * eps * np.einsum("lm,ij->lmij", eye, eye),
-                               pts.shape[:-1] + (3, 3, 3, 3)).copy()
-
-    return InitialDataSet(
-        metric=metric, k_tensor=_const_tensor(kmat),
-        dmetric=dmetric, d2metric=d2metric, d3metric=_zero_field(5),
-        dk_tensor=_zero_field(3), chart_radius=chart_radius,
-        name=f"conformal_quadratic(eps={eps})")
+    return _conformally_flat(w, _constant(kmat), chart_radius,
+                             f"conformal_quadratic(eps={eps})")
 
 
 def _schwarzschild_slice(mass, chart_radius=np.inf):
@@ -488,58 +492,35 @@ def _schwarzschild_slice(mass, chart_radius=np.inf):
         raise InvalidParams("Schwarzschild mass must be positive")
     eye = np.eye(3)
 
-    def rho_of(pts):
+    def w(pts, n):   # psi^4 with psi = 1 + m / (2 rho)
         rho = np.linalg.norm(pts, axis=-1)
         if np.any(rho < 1e-10):
             raise DegenerateMetric("Schwarzschild slice is singular at the puncture rho = 0")
-        return rho
-
-    def psi_parts(pts):
-        pts = np.asarray(pts, dtype=float)
-        rho = rho_of(pts)
         psi = 1.0 + 0.5 * m / rho
+        if n == 0:
+            return psi ** 4
         dpsi = -0.5 * m * pts / (rho ** 3)[..., None]
-        return rho, psi, dpsi
-
-    def metric(pts):
-        _, psi, _ = psi_parts(np.asarray(pts, dtype=float))
-        return (psi ** 4)[..., None, None] * eye
-
-    def dmetric(pts):
-        _, psi, dpsi = psi_parts(np.asarray(pts, dtype=float))
-        return 4.0 * (psi ** 3)[..., None, None, None] * dpsi[..., :, None, None] * eye
-
-    def d2metric(pts):
-        pts = np.asarray(pts, dtype=float)
-        rho, psi, dpsi = psi_parts(pts)
+        if n == 1:
+            return 4.0 * (psi ** 3)[..., None] * dpsi
         d2psi = -0.5 * m * (np.einsum("kl,...->...kl", eye, rho ** -3)
                             - 3.0 * np.einsum("...k,...l,...->...kl", pts, pts, rho ** -5))
-        coef = (12.0 * (psi ** 2)[..., None, None] * np.einsum("...k,...l->...kl", dpsi, dpsi)
-                + 4.0 * (psi ** 3)[..., None, None] * d2psi)
-        return coef[..., :, :, None, None] * eye
-
-    def d3metric(pts):
-        pts = np.asarray(pts, dtype=float)
-        rho, psi, dpsi = psi_parts(pts)
-        d2psi = -0.5 * m * (np.einsum("kl,...->...kl", eye, rho ** -3)
-                            - 3.0 * np.einsum("...k,...l,...->...kl", pts, pts, rho ** -5))
+        if n == 2:
+            return (12.0 * (psi ** 2)[..., None, None] * np.einsum("...k,...l->...kl", dpsi, dpsi)
+                    + 4.0 * (psi ** 3)[..., None, None] * d2psi)
         d3psi = -0.5 * m * (-3.0 * (np.einsum("kl,...n->...kln", eye, pts)
                                     + np.einsum("kn,...l->...kln", eye, pts)
                                     + np.einsum("ln,...k->...kln", eye, pts)) * (rho ** -5)[..., None, None, None]
                             + 15.0 * np.einsum("...k,...l,...n->...kln", pts, pts, pts)
                             * (rho ** -7)[..., None, None, None])
-        coef = (24.0 * psi[..., None, None, None] * np.einsum("...k,...l,...n->...kln", dpsi, dpsi, dpsi)
+        return (24.0 * psi[..., None, None, None] * np.einsum("...k,...l,...n->...kln", dpsi, dpsi, dpsi)
                 + 12.0 * (psi ** 2)[..., None, None, None]
                 * (np.einsum("...kl,...n->...kln", d2psi, dpsi)
                    + np.einsum("...kn,...l->...kln", d2psi, dpsi)
                    + np.einsum("...ln,...k->...kln", d2psi, dpsi))
                 + 4.0 * (psi ** 3)[..., None, None, None] * d3psi)
-        return coef[..., :, :, :, None, None] * eye
 
-    return InitialDataSet(
-        metric=metric, k_tensor=_zero_field(2), dmetric=dmetric, d2metric=d2metric,
-        d3metric=d3metric, dk_tensor=_zero_field(3), chart_radius=chart_radius,
-        name=f"schwarzschild_slice(m={m})")
+    return _conformally_flat(w, _constant(np.zeros((3, 3))), chart_radius,
+                             f"schwarzschild_slice(m={m})")
 
 
 def _polynomial(g_quadratic=None, k_constant=None, k_linear=None, chart_radius=None):
@@ -557,33 +538,21 @@ def _polynomial(g_quadratic=None, k_constant=None, k_linear=None, chart_radius=N
         cmax = np.abs(c).max()
         chart_radius = np.inf if cmax == 0 else min(2.0, 0.3 / np.sqrt(cmax))
     eye = np.eye(3)
+    d2g, dk = _constant(2.0 * c.transpose(2, 3, 0, 1)), _constant(k1)
 
-    def metric(pts):
-        pts = np.asarray(pts, dtype=float)
-        quad = np.einsum("ijkl,...k,...l->...ij", c, pts, pts)
-        return eye + quad
+    def g(pts, n):   # delta_ij + c_ijkl x^k x^l
+        if n == 0:
+            return eye + np.einsum("ijkl,...k,...l->...ij", c, pts, pts)
+        if n == 1:
+            return 2.0 * np.einsum("ijml,...l->...mij", c, pts)
+        return d2g(pts, n - 2)
 
-    def dmetric(pts):
-        pts = np.asarray(pts, dtype=float)
-        return 2.0 * np.einsum("ijml,...l->...mij", c, pts)
+    def k(pts, n):   # k0_ij + k1_lij x^l
+        if n == 0:
+            return k0 + np.einsum("lij,...l->...ij", k1, pts)
+        return dk(pts, n - 1)
 
-    def d2metric(pts):
-        pts = np.asarray(pts, dtype=float)
-        return np.broadcast_to(2.0 * c.transpose(2, 3, 0, 1),
-                               pts.shape[:-1] + (3, 3, 3, 3)).copy()
-
-    def k_tensor(pts):
-        pts = np.asarray(pts, dtype=float)
-        return k0 + np.einsum("lij,...l->...ij", k1, pts)
-
-    def dk_tensor(pts):
-        pts = np.asarray(pts, dtype=float)
-        return np.broadcast_to(k1, pts.shape[:-1] + (3, 3, 3)).copy()
-
-    return InitialDataSet(
-        metric=metric, k_tensor=k_tensor, dmetric=dmetric, d2metric=d2metric,
-        d3metric=_zero_field(5), dk_tensor=dk_tensor, chart_radius=chart_radius,
-        name="polynomial")
+    return _from_jets(g, k, chart_radius, "polynomial")
 
 
 _PRESETS = {
@@ -605,5 +574,5 @@ def preset(name: str, **params) -> InitialDataSet:
         raise UnknownPreset(f"unknown preset {name!r}; known: {sorted(_PRESETS)}")
     try:
         return _PRESETS[name](**params)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise InvalidParams(str(exc)) from exc

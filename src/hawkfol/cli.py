@@ -13,6 +13,7 @@ import inspect
 import json
 import math
 import sys
+from itertools import combinations_with_replacement
 from pathlib import Path
 
 import numpy as np
@@ -20,9 +21,11 @@ import numpy as np
 from . import __version__
 from .background import preset
 from .errors import ContinuationBroken, HawkfolError, InvalidParams
-from .functionals import hawking_energy
+from .el_operator import el_residual
+from .functionals import hawking_energy, willmore
 from .grid import SphereGrid
-from .harmonics import HarmonicField
+from .harmonics import (HarmonicField, analyze, biharmonic_apply, moment_value,
+                        synthesize)
 from .reduction import (CriticalSurfaceSolution, FoliationTrace, foliate,
                         solve_critical)
 from .smallsphere import (SpacetimeCurvatureAtPoint, comparison_report,
@@ -115,9 +118,7 @@ def _dataset(config):
     if not isinstance(params, dict):
         raise ConfigError(f"params must be an object, got {params!r}")
     try:
-        return preset(section["name"], **{
-            key: (np.asarray(val, dtype=float) if isinstance(val, list) else val)
-            for key, val in params.items()})
+        return preset(section["name"], **params)
     except InvalidParams as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -319,11 +320,6 @@ def cmd_smallsphere(config, grid, out_dir, fmt):
 def cmd_check(config, grid, out_dir, fmt, seed=0):
     """Fast invariant suite: quadrature, transforms, moments, baseline energies,
     the light-cut area identity."""
-    from itertools import combinations_with_replacement
-
-    from .background import preset as mk
-    from .harmonics import analyze, biharmonic_apply, moment_value, synthesize
-
     rng = np.random.default_rng(seed)
     checks = []
 
@@ -348,15 +344,13 @@ def cmd_check(config, grid, out_dir, fmt, seed=0):
     checks.append(("biharmonic operator annihilates the kernel",
                    biharmonic_apply(y1).l2_norm() == 0.0))
 
-    flat = mk("flat")
+    flat = preset("flat")
     ok = True
     for r in (0.1, 1.0, 10.0):
         surf = geodesic_sphere(flat, [0, 0, 0], [0, 0, 0], r, grid)
-        from .functionals import willmore
         ok &= abs(willmore(surf) - 4 * np.pi) < 1e-10
     checks.append(("flat round spheres have Willmore energy 4 pi", ok))
 
-    from .el_operator import el_residual
     surf = geodesic_sphere(flat, [0, 0, 0], [0, 0, 0], 1.0, grid)
     res = el_residual(flat, surf, 0.0)
     checks.append(("flat-sphere residual vanishes to 1e-9", res.l2_norm < 1e-9))

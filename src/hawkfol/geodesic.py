@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .background import (InitialDataSet, _d3g_of, _dg_of, _d2g_of, _inverse_metric,
+from .background import (_SYM6, InitialDataSet, _d3g_of, _dg_of, _d2g_of, _inverse_metric,
                          christoffel_from, dchristoffel_from)
 from .errors import ChartExceeded, StepSizeUnderflow
 
@@ -199,6 +199,8 @@ class RayFan:
         return self.center + self.offsets_at(s)
 
 
+# The pairs (i, j) of the second variations C, D: the order (00, 11, 22, 01, 02, 12) of
+# the second-derivative stencil rows, so background._SYM6 maps (i, j) to the pair.
 _PAIR_I = np.array([0, 1, 2, 0, 0, 1])
 _PAIR_J = np.array([0, 1, 2, 1, 2, 2])
 
@@ -277,9 +279,5 @@ class VariationBundle:
         self.points = x
         # DF[:, a, i] = (A_i(s))^a / s ; D2F[:, a, i, j] = (C_ij(s))^a / s^2
         self.df = np.einsum("nia->nai", A) / radii[:, None, None]
-        d2f = np.zeros((n, 3, 3, 3))
-        s2 = radii ** 2
-        for p, (i, j) in enumerate(zip(_PAIR_I, _PAIR_J)):
-            d2f[:, :, i, j] = C[:, p] / s2[:, None]
-            d2f[:, :, j, i] = C[:, p] / s2[:, None]
-        self.d2f = d2f
+        self.d2f = (np.take(C, _SYM6, axis=1).transpose(0, 3, 1, 2)
+                    / (radii ** 2)[:, None, None, None])

@@ -214,7 +214,12 @@ def geodesic_area(stc: SpacetimeCurvatureAtPoint, r: float) -> float:
 
 
 def radius_matching(stc: SpacetimeCurvatureAtPoint, l: float):
-    """Geodesic radius with |S_r| = |Sigma_l|, by Newton on the quartics.
+    """Geodesic radius with |S_r| = |Sigma_l|, the smaller root of the quartics.
+
+    4 pi r^2 - (2 pi / 9) Sc r^4 = T is quadratic in r^2, with the root
+    r^2 = 2 T / (4 pi + sqrt(16 pi^2 - (8 pi / 9) Sc T)).  NoRoot when
+    T <= 0, when there is no real root, or when Sc l^2 >= 9 (the geodesic
+    area truncation is past its maximum at the parameter).
 
     Returns (r, closed_form_r) where the second entry evaluates the
     first-order closed-form relation r - l = (1/18) [ r^4/(r+l) (|k|^2 - (tr k)^2)
@@ -222,27 +227,13 @@ def radius_matching(stc: SpacetimeCurvatureAtPoint, l: float):
     """
     target = lightcut_area(stc, l)
     sc = stc.slice_scalar
-
-    def f(r):
-        return 4.0 * np.pi * r * r - (2.0 * np.pi / 9.0) * r ** 4 * sc - target
-
-    def fp(r):
-        return 8.0 * np.pi * r - (8.0 * np.pi / 9.0) * r ** 3 * sc
-
-    r = float(l)
-    for _ in range(60):
-        d = fp(r)
-        if d <= 0:
-            raise NoRoot(f"geodesic area expansion non-monotone at r = {r:.4g}; "
-                         "parameter too large for the quartic truncation")
-        step = f(r) / d
-        r -= step
-        if abs(step) < 1e-15 * max(1.0, r):
-            break
-    else:
-        raise NoRoot("Newton iteration on the area quartics did not converge")
-    if r <= 0:
-        raise NoRoot("area matching produced a nonpositive radius")
+    if sc * l * l >= 9.0:
+        raise NoRoot(f"geodesic area expansion non-monotone at r = {l:.4g}; "
+                     "parameter too large for the quartic truncation")
+    disc = 16.0 * np.pi ** 2 - (8.0 * np.pi / 9.0) * sc * target
+    if target <= 0 or disc < 0:
+        raise NoRoot(f"no geodesic radius has the light-cut area {target:.4g}")
+    r = float(np.sqrt(2.0 * target / (4.0 * np.pi + np.sqrt(disc))))
 
     closed = l + (1.0 / 18.0) * (
         l ** 4 / (2.0 * l) * (stc.k_norm_sq - stc.tr_k ** 2)

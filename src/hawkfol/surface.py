@@ -41,18 +41,12 @@ class EmbeddedSurface:
 
     Every field is in the chart of the data set: the geometric fields are
     the output of `geometry_from_embedding` with `ambient`, as they are.
-    `radius` is the nominal radius the builder was given (metadata only).
     """
 
     dataset: InitialDataSet
     grid: SphereGrid
-    center: np.ndarray
-    tau: np.ndarray
-    radius: float
-    phi: Optional[HarmonicField]
     positions: np.ndarray           # (N, 3)
     d1: np.ndarray                  # (N, 2, 3) embedding theta/phi derivatives
-    d2: np.ndarray                  # (N, 2, 2, 3)
     normal: np.ndarray              # (N, 3) outward unit normal
     metric: np.ndarray              # (N, 2, 2) induced metric
     metric_inv: np.ndarray
@@ -97,7 +91,7 @@ def geometry_from_embedding(grid: SphereGrid, d1, d2, amb: AmbientFields):
     Works for any chart, the physical one and the rescaled ball alike, as
     long as `amb` holds the ambient components in the chart of `d1` and `d2`
     (see `AmbientFields.rescaled`).  Returns a dict of per-node fields, `d1`
-    and `d2` included, keyed by the names of the `EmbeddedSurface` fields.
+    included, keyed by the names of the `EmbeddedSurface` fields.
     """
     g = amb.metric
     gsig = np.einsum("nij,nai,nbj->nab", g, d1, d1)
@@ -132,13 +126,11 @@ def geometry_from_embedding(grid: SphereGrid, d1, d2, amb: AmbientFields):
         "metric": gsig, "metric_inv": ginv, "normal": nu, "second_form": b,
         "mean_curvature": h, "traceless_second_norm_sq": trless,
         "surface_christoffel": gamma_sigma, "area_element": area_element,
-        "p_trace": p, "d1": d1, "d2": d2,
+        "p_trace": p, "d1": d1,
     }
 
 
 def surface_from_positions(ds: InitialDataSet, grid: SphereGrid, positions: np.ndarray,
-                           center=(0.0, 0.0, 0.0), tau=(0.0, 0.0, 0.0), radius: float = 0.0,
-                           phi: Optional[HarmonicField] = None,
                            check_band: bool = True,
                            offsets: Optional[np.ndarray] = None) -> EmbeddedSurface:
     """Assemble an EmbeddedSurface from node positions (fundamental-forms core).
@@ -155,11 +147,8 @@ def surface_from_positions(ds: InitialDataSet, grid: SphereGrid, positions: np.n
     rel = positions if offsets is None else np.asarray(offsets, dtype=float)
     d1, d2 = spectral_embedding_derivatives(grid, rel, check=check_band)
     amb = ambient_fields(ds, positions)
-    return EmbeddedSurface(
-        dataset=ds, grid=grid, center=np.asarray(center, dtype=float),
-        tau=np.asarray(tau, dtype=float), radius=float(radius), phi=phi,
-        positions=positions, ambient=amb,
-        **geometry_from_embedding(grid, d1, d2, amb))
+    return EmbeddedSurface(dataset=ds, grid=grid, positions=positions, ambient=amb,
+                           **geometry_from_embedding(grid, d1, d2, amb))
 
 
 def graph_surface(ds: InitialDataSet, center, tau, radius: float,
@@ -186,9 +175,8 @@ def graph_surface(ds: InitialDataSet, center, tau, radius: float,
         fan = RayFan(ds, center_pt, frame, grid.nodes, s_max=float(np.max(s)),
                      n_steps=n_steps)
     offsets = fan.offsets_at(s)
-    return surface_from_positions(ds, grid, fan.center + offsets, center=center,
-                                  tau=tau, radius=radius, phi=phi,
-                                  check_band=check_band, offsets=offsets)
+    return surface_from_positions(ds, grid, fan.center + offsets, check_band=check_band,
+                                  offsets=offsets)
 
 
 def geodesic_sphere(ds: InitialDataSet, center, tau, radius: float, grid: SphereGrid,
@@ -206,8 +194,7 @@ def coordinate_sphere(ds: InitialDataSet, center, radius: float,
     """
     center = np.asarray(center, dtype=float).reshape(3)
     offsets = radius * grid.nodes
-    return surface_from_positions(ds, grid, center + offsets, center=center,
-                                  radius=radius, offsets=offsets)
+    return surface_from_positions(ds, grid, center + offsets, offsets=offsets)
 
 
 def surface_to_csv(surface: EmbeddedSurface, path) -> None:

@@ -129,7 +129,9 @@ def test_malformed_number_exits_2(tmp_path, capsys, command, section, values, ba
     ("conformal_quadratic", {"epsilon": 0.01}),
     ("conformal_quadratic", {"eps": 0.01, "k": [[1.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]}),
     ("schwarzschild_slice", {"mass": -1}),
-], ids=["unknown-keyword", "k-nonsymmetric", "mass-negative"])
+    ("conformal_quadratic", {"eps": "abc"}),
+    ("constant_k", {"k": [[1.0, "x", 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]}),
+], ids=["unknown-keyword", "k-nonsymmetric", "mass-negative", "eps-string", "k-string-entry"])
 def test_invalid_preset_params_exit_2(tmp_path, capsys, name, params):
     cfg = write_config(tmp_path, {"preset": {"name": name, "params": params},
                                   "surface": {"radius": 1.0}})

@@ -189,6 +189,14 @@ class TestRadiusMatching:
         with pytest.raises(NoRoot):
             radius_matching(stc, 0.05)
 
+    def test_root_where_newton_from_l_overshoots(self):
+        # Sc l^2 = 7.5, near the limit 9: the matched radius lies far below l
+        stc = SpacetimeCurvatureAtPoint.from_components(ric4=np.diag([10.0, 0, 0, 0]), sc4=10.0)
+        r, _ = radius_matching(stc, 0.5)
+        assert r == pytest.approx(0.29973543298164107, rel=1e-14)
+        assert abs(geodesic_area(stc, r) - lightcut_area(stc, 0.5)) < 1e-14
+        assert 8 * np.pi * r - (8 * np.pi / 9) * r ** 3 * stc.slice_scalar > 0
+
     def test_area_expansions(self):
         stc = stc_from(k=np.diag([1.0, 0.0, 0.0]))
         l = 0.04

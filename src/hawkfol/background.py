@@ -257,10 +257,27 @@ def _curvature_chain(ds: InitialDataSet, pts):
     return g, g_inv, gamma, dgamma, ricci_from(gamma, dgamma)
 
 
-def _covariant_dk(ds: InitialDataSet, pts, gamma, k):
-    """nabla_s k_ij = partial_s k_ij - Gamma^l_{si} k_lj - Gamma^l_{sj} k_il."""
-    return (_dk_of(ds, pts) - np.einsum("...lsi,...lj->...sij", gamma, k)
-            - np.einsum("...lsj,...il->...sij", gamma, k))
+def _covariant_d(dt, gamma, t):
+    """nabla_s T_ij = partial_s T_ij - Gamma^l_{si} T_lj - Gamma^l_{sj} T_il of a
+    2-tensor T from its partial derivatives dt [..., s, i, j]."""
+    return (dt - np.einsum("...lsi,...lj->...sij", gamma, t)
+            - np.einsum("...lsj,...il->...sij", gamma, t))
+
+
+def _in_frame(frame, t):
+    """Components of a covariant tensor t on the rows e_a of a frame (..., m, 3).
+
+    A 2-tensor [..., i, j] gives t(e_a, e_b) [..., a, b]; a 3-tensor
+    [..., s, i, j] such as grad k gives t(e_c, e_a, e_b) [..., c, a, b].  Each
+    slot is one batched matmul: contract the first slot, move its frame index
+    last.
+    """
+    lead, m = frame.shape[:-2], frame.shape[-2]
+    for _ in range(t.ndim - len(lead)):
+        rest = t.shape[len(lead) + 1:]
+        t = np.moveaxis((frame @ t.reshape(lead + (3, -1))).reshape(lead + (m,) + rest),
+                        len(lead), -1)
+    return t
 
 
 @dataclass
@@ -320,7 +337,7 @@ def ambient_fields(ds: InitialDataSet, pts: np.ndarray) -> AmbientFields:
     trk = np.einsum("...ij,...ij->...", g_inv, k)
     return AmbientFields(points=pts, metric=g, metric_inv=g_inv, christoffel=gamma,
                          ricci=ric, k=k, k_trace=trk,
-                         grad_k=_covariant_dk(ds, pts, gamma, k))
+                         grad_k=_covariant_d(_dk_of(ds, pts), gamma, k))
 
 
 # ----------------------------------------------------------------------
@@ -391,10 +408,7 @@ def curvature_at(ds: InitialDataSet, x) -> CurvatureAtPoint:
 
     amb, _, grad, hess = _point_jet(ds, x, sc_ric)
     gamma, ric = amb.christoffel, amb.ricci
-    # nabla_s Ric_ij = partial_s Ric_ij - Gamma^l_{si} Ric_lj - Gamma^l_{sj} Ric_il
-    grad_ric = (grad[:, 1:].reshape(3, 3, 3)
-                - np.einsum("lsi,lj->sij", gamma, ric)
-                - np.einsum("lsj,il->sij", gamma, ric))
+    grad_ric = _covariant_d(grad[:, 1:].reshape(3, 3, 3), gamma, ric)
     # Riemann needs d Gamma, which AmbientFields does not carry
     dgamma = _curvature_chain(ds, amb.points)[3]
     trk, norm_k_sq = float(amb.k_trace), float(amb.k_norm_sq)

@@ -110,6 +110,14 @@ def _load_config(path: str) -> dict:
     return config
 
 
+def _has_nonfinite(value) -> bool:
+    """Whether a JSON value is, or holds in nested lists, a NaN or an infinity
+    (Python's json reads both)."""
+    if isinstance(value, list):
+        return any(_has_nonfinite(v) for v in value)
+    return isinstance(value, float) and not math.isfinite(value)
+
+
 def _dataset(config):
     section = config.get("preset")
     if not section or "name" not in section:
@@ -117,6 +125,9 @@ def _dataset(config):
     params = section.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError(f"params must be an object, got {params!r}")
+    for key, value in params.items():
+        if _has_nonfinite(value):
+            raise ConfigError(f"preset parameter {key} must be finite, got {value!r}")
     try:
         return preset(section["name"], **params)
     except InvalidParams as exc:

@@ -23,7 +23,9 @@ Both evaluations run one term assembly, `_residual_terms`, on an
 `AmbientFields` in the chart of the surface: the physical residual in the
 chart of the data set, with the surface's own fields, and the rescaled
 operator in the ball coordinates stretched by 1/r, where
-`AmbientFields.rescaled` carries the ambient data.
+`AmbientFields.rescaled` carries the ambient data.  The terms read k and
+grad k on the frame (X_theta, X_phi, nu), and the rescaled operator pulls g,
+k, Ric and grad k back on the rows of DF^T, both through `_in_frame`.
 """
 
 from __future__ import annotations
@@ -34,7 +36,8 @@ from typing import Optional
 
 import numpy as np
 
-from .background import AmbientFields, InitialDataSet, _inverse_metric, ambient_fields
+from .background import (AmbientFields, InitialDataSet, _in_frame, _inverse_metric,
+                         ambient_fields, preset)
 from .errors import NonEmbedded
 from .geodesic import VariationBundle, transported_center_frame
 from .grid import SphereGrid
@@ -100,69 +103,52 @@ def _residual_terms(grid, geo, amb: AmbientFields, lam):
     """
     h = geo["mean_curvature"]
     nu = geo["normal"]
-    d1 = geo["d1"]
     ginv_s = geo["metric_inv"]
     b = geo["second_form"]
+    p = geo["p_trace"]
 
-    ric_nn = np.einsum("nij,ni,nj->n", amb.ricci, nu, nu)
-    k = amb.k
-    grad_k = amb.grad_k
-    trk = amb.k_trace
-    g_inv = amb.metric_inv
+    # k and grad k on the frame (X_theta, X_phi, nu); its inverse metric is
+    # diag(g_Sigma^-1, 1), so a trace less its (nu, nu) entry is a tangent trace
+    frame = np.concatenate([geo["d1"], nu[:, None]], axis=1)
+    k_f = _in_frame(frame, amb.k)          # k(e_a, e_b)
+    dk_f = _in_frame(frame, amb.grad_k)    # grad_{e_c} k(e_a, e_b)
 
-    k_nn = np.einsum("nij,ni,nj->n", k, nu, nu)
-    p = trk - k_nn
+    def tangent_trace(t):                  # g_Sigma^ab t_ab over the last two axes
+        return np.einsum("nab,n...ab->n...", ginv_s, t[..., :2, :2])
 
-    # grad_nu tr k and grad_nu k(nu, nu) from the covariant gradient of k
-    grad_trk = np.einsum("nij,nsij->ns", g_inv, grad_k)
-    grad_k_nn = np.einsum("nsij,ni,nj->ns", grad_k, nu, nu)
-    nu_trk = np.einsum("ns,ns->n", grad_trk, nu)
-    nu_k_nn = np.einsum("ns,ns->n", grad_k_nn, nu)
-
+    # grad_c tr k - grad_c k(nu, nu) for c = X_theta, X_phi, nu
+    grad_tan = tangent_trace(dk_f)
+    b_mixed = b @ ginv_s                   # B_a^b
     # div_Sigma(k(., nu)) via the expanded first-variation identity
-    div_k_nu_full = np.einsum("nsl,nslj,nj->n", g_inv, grad_k, nu)
-    k_surf = np.einsum("nij,nai,nbj->nab", k, d1, d1)
-    k_dot_b = np.einsum("nac,nbd,nab,ncd->n", ginv_s, ginv_s, k_surf, b)
-    div_sigma = div_k_nu_full - nu_k_nn - h * k_nn + k_dot_b
-
-    # tangential gradient of P: dP_a = d1_a^l (grad_l trk - grad_l k(nu,nu))
-    #                                  - 2 B_a^b k(d1_b, nu)
-    b_mixed = np.einsum("nbc,nac->nab", ginv_s, b)  # B_a^b
-    k_d1_nu = np.einsum("nij,nbi,nj->nb", k, d1, nu)
-    dp = (np.einsum("nal,nl->na", d1, grad_trk - grad_k_nn)
-          - 2.0 * np.einsum("nab,nb->na", b_mixed, k_d1_nu))
-    grad_p_vec = np.einsum("nab,nb,nai->ni", ginv_s, dp, d1)
-    k_gradp_nu = np.einsum("nij,ni,nj->n", k, grad_p_vec, nu)
+    div_sigma = (tangent_trace(dk_f[..., 2]) - h * k_f[:, 2, 2]
+                 + tangent_trace(b_mixed @ k_f[:, :2, :2]))
+    # tangential gradient of P: dP_a = grad_a tr k - grad_a k(nu, nu) - 2 B_a^b k(X_b, nu)
+    dp = grad_tan[:, :2] - 2.0 * (b_mixed @ k_f[:, :2, 2:])[..., 0]
+    k_gradp_nu = np.einsum("na,na->n", (ginv_s @ dp[..., None])[..., 0], k_f[:, :2, 2])
 
     return {
         "lam_h": lam * h,
         "laplacian_h": _laplacian(grid, ginv_s, geo["surface_christoffel"], h),
         "h_b_traceless": h * geo["traceless_second_norm_sq"],
-        "h_ricci": h * ric_nn,
-        "p_normal_derivatives": p * (nu_trk - nu_k_nn),
+        "h_ricci": h * _in_frame(nu[:, None], amb.ricci)[:, 0, 0],
+        "p_normal_derivatives": p * grad_tan[:, 2],
         "p_divergence": -2.0 * p * div_sigma,
         "h_p_squared": 0.5 * h * p * p,
         "k_grad_p": -2.0 * k_gradp_nu,
     }
 
 
-def el_residual(ds: InitialDataSet, surface: EmbeddedSurface, lam: float,
-                return_terms: bool = False):
+def el_residual(ds: InitialDataSet, surface: EmbeddedSurface, lam: float) -> ResidualField:
     """Physical-surface residual of the area-constrained equation.
 
-    Returns a ResidualField over the parameter sphere; with `return_terms`
-    also the dict of individual terms.  The terms are assembled from the
-    surface's own fields and ambient data, in the chart of the data set.
-    `ds` must be the data set the surface was built on.
+    Returns a ResidualField over the parameter sphere.  The terms are
+    assembled from the surface's own fields and ambient data, in the chart
+    of the data set.  `ds` must be the data set the surface was built on.
     """
     if ds is not surface.dataset:
         raise ValueError("el_residual: ds is not the data set of the surface")
     terms = _residual_terms(surface.grid, vars(surface), surface.ambient, lam)
-    values = sum(terms.values())
-    res = ResidualField.from_values(surface.grid, values, lam)
-    if return_terms:
-        return res, terms
-    return res
+    return ResidualField.from_values(surface.grid, sum(terms.values()), lam)
 
 
 # ----------------------------------------------------------------------
@@ -179,13 +165,8 @@ def _rescaled_node_data(ds: InitialDataSet, center, tau, radius: float,
     variations), then stretches the chart by 1/r with
     `AmbientFields.rescaled(radius)`.  At r = 0 the ball data is flat.
     """
-    n = grid.n_nodes
     if radius == 0.0:
-        eye = np.broadcast_to(np.eye(3), (n, 3, 3))
-        return AmbientFields(points=np.zeros((n, 3)), metric=eye.copy(), metric_inv=eye.copy(),
-                             christoffel=np.zeros((n, 3, 3, 3)), ricci=np.zeros((n, 3, 3)),
-                             k=np.zeros((n, 3, 3)), k_trace=np.zeros(n),
-                             grad_k=np.zeros((n, 3, 3, 3)))
+        return ambient_fields(preset("flat"), np.zeros((grid.n_nodes, 3)))
 
     center_pt, frame = transported_center_frame(ds, center, tau)
     radii = radius * radial_factor
@@ -193,18 +174,17 @@ def _rescaled_node_data(ds: InitialDataSet, center, tau, radius: float,
     amb = ambient_fields(ds, bundle.points)
 
     df = bundle.df        # (n, a, i): manifold a, chart i
-    d2f = bundle.d2f      # (n, a, i, j)
-    g_hat = np.einsum("nab,nai,nbj->nij", amb.metric, df, df)
+    dft = np.swapaxes(df, 1, 2)   # rows DF e_i: the pullback is the frame rule on them
+    g_hat = _in_frame(dft, amb.metric)
     g_inv = _inverse_metric(g_hat)
-    df_inv = g_inv @ np.swapaxes(df, 1, 2) @ amb.metric   # DF^-1 = ghat^-1 DF^T g
+    df_inv = g_inv @ dft @ amb.metric   # DF^-1 = ghat^-1 DF^T g
     gamma_hat = np.einsum("nkc,ncij->nkij", df_inv,
-                          d2f + np.einsum("ncab,nai,nbj->ncij", amb.christoffel, df, df))
-    k_hat = np.einsum("nab,nai,nbj->nij", amb.k, df, df)
+                          bundle.d2f + np.einsum("ncab,nai,nbj->ncij", amb.christoffel, df, df))
+    # tr k is a scalar, so the pullback keeps it
     pulled = AmbientFields(
         points=radii[:, None] * grid.nodes, metric=g_hat, metric_inv=g_inv,
-        christoffel=gamma_hat, ricci=np.einsum("nab,nai,nbj->nij", amb.ricci, df, df),
-        k=k_hat, k_trace=np.einsum("nij,nij->n", g_inv, k_hat),
-        grad_k=np.einsum("ncab,ncs,nai,nbj->nsij", amb.grad_k, df, df, df))
+        christoffel=gamma_hat, ricci=_in_frame(dft, amb.ricci), k=_in_frame(dft, amb.k),
+        k_trace=amb.k_trace, grad_k=_in_frame(dft, amb.grad_k))
     return pulled.rescaled(radius)
 
 

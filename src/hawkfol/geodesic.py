@@ -32,6 +32,8 @@ from .background import (_SYM6, InitialDataSet, _d3g_of, _dg_of, _d2g_of, _inver
                          christoffel_from, dchristoffel_from)
 from .errors import ChartExceeded, StepSizeUnderflow
 
+_CENTER_FRAME_STEPS = 64
+
 
 def geodesic_acceleration(ds: InitialDataSet, pts: np.ndarray, vel: np.ndarray) -> np.ndarray:
     """-Gamma(v, v) = -1/2 g^-1 (2 d_j g_lk v^j v^k - d_l g_jk v^j v^k).
@@ -111,18 +113,18 @@ def _transport(ds: InitialDataSet, base, v, vectors, n_steps: int):
     return x[0], w
 
 
-def transported_center_frame(ds: InitialDataSet, p, tau, n_steps: int = 64):
+def transported_center_frame(ds: InitialDataSet, p, tau):
     """Center c(tau) = exp_p(tau^i e_i) and the parallel frame e_i^tau there.
 
-    `tau` is given in the orthonormal frame at p.  One integration carries
-    both the center and the frame.
+    `tau` is given in the orthonormal frame at p.  One integration of
+    `_CENTER_FRAME_STEPS` RK4 steps carries both the center and the frame.
     """
     p = np.asarray(p, dtype=float).reshape(3)
     tau = np.asarray(tau, dtype=float).reshape(3)
     frame_p = orthonormal_frame(ds, p)
     if np.allclose(tau, 0.0):
         return p.copy(), frame_p
-    return _transport(ds, p, frame_p @ tau, frame_p, n_steps)
+    return _transport(ds, p, frame_p @ tau, frame_p, _CENTER_FRAME_STEPS)
 
 
 class RayFan:

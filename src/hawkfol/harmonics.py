@@ -239,17 +239,17 @@ def biharmonic_apply(field: HarmonicField) -> HarmonicField:
                          field.band_limit)
 
 
-def biharmonic_solve(rhs: HarmonicField, tol: float = 1e-10) -> HarmonicField:
+def biharmonic_solve(rhs: HarmonicField) -> HarmonicField:
     """Unique solution of -Lap(-Lap - 2) u = rhs with u in the kernel complement.
 
     Raises NotOrthogonal if the right-hand side carries degree-0/1 content
-    above `tol` (absolute, relative to max(1, |rhs|)).
+    above 1e-10 times max(1, |rhs|).
     """
     kernel_part = float(np.linalg.norm(rhs.coeffs[:4]))
     scale = max(1.0, float(np.linalg.norm(rhs.coeffs)))
-    if kernel_part > tol * scale:
+    if kernel_part > 1e-10 * scale:
         raise NotOrthogonal(
-            f"rhs has kernel content {kernel_part:.3e} (tolerance {tol * scale:.3e})")
+            f"rhs has kernel content {kernel_part:.3e} (tolerance {1e-10 * scale:.3e})")
     mu = biharmonic_eigenvalues(rhs.band_limit)
     out = np.zeros_like(rhs.coeffs)
     mask = mu > 0

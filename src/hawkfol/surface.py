@@ -1,11 +1,13 @@
 """Discretized embedded surfaces: geodesic spheres and radial graphs.
 
 A surface is stored as node positions over a SphereGrid together with its
-first/second fundamental forms.  Parameter derivatives of the embedding are
-taken spectrally: each Cartesian component of the node positions is an
-analytic function on the parameter sphere, so its harmonic coefficients decay
-below roundoff well inside the grid band limit and differentiation through
-the basis tables is exact for every surface this package builds.
+fundamental forms, which read the ambient data on the frame (X_theta, X_phi,
+nu) at each node through `background._in_frame`.  Parameter derivatives of
+the embedding are taken spectrally: each Cartesian component of the node
+positions is an analytic function on the parameter sphere, so its harmonic
+coefficients decay below roundoff well inside the grid band limit and
+differentiation through the basis tables is exact for every surface this
+package builds.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .background import AmbientFields, InitialDataSet, ambient_fields
+from .background import AmbientFields, InitialDataSet, _in_frame, ambient_fields
 from .errors import DegenerateInducedMetric, NonEmbedded
 from .geodesic import RayFan, transported_center_frame
 from .grid import SphereGrid
@@ -24,12 +26,6 @@ from .grid import SphereGrid
 # because perfbench/spans.py wraps that binding.
 from .harmonics import (HarmonicField, analyze, analyze_compensated,  # noqa: F401
                         check_band_limit, synthesize, synthesize_derivatives)
-
-_EPS3 = np.zeros((3, 3, 3))
-for _i, _j, _k, _s in ((0, 1, 2, 1), (1, 2, 0, 1), (2, 0, 1, 1),
-                       (0, 2, 1, -1), (2, 1, 0, -1), (1, 0, 2, -1)):
-    _EPS3[_i, _j, _k] = _s
-
 
 @dataclass
 class EmbeddedSurface:
@@ -93,8 +89,7 @@ def geometry_from_embedding(grid: SphereGrid, d1, d2, amb: AmbientFields):
     (see `AmbientFields.rescaled`).  Returns a dict of per-node fields, `d1`
     included, keyed by the names of the `EmbeddedSurface` fields.
     """
-    g = amb.metric
-    gsig = np.einsum("nij,nai,nbj->nab", g, d1, d1)
+    gsig = _in_frame(d1, amb.metric)
     det = gsig[:, 0, 0] * gsig[:, 1, 1] - gsig[:, 0, 1] * gsig[:, 1, 0]
     if not np.all(det > 0):
         raise DegenerateInducedMetric("induced metric is singular at a node")
@@ -104,23 +99,22 @@ def geometry_from_embedding(grid: SphereGrid, d1, d2, amb: AmbientFields):
     ginv[:, 0, 1] = -gsig[:, 0, 1] / det
     ginv[:, 1, 0] = -gsig[:, 1, 0] / det
 
-    n_cov = np.einsum("ijk,nj,nk->ni", _EPS3, d1[:, 0], d1[:, 1])
+    n_cov = np.cross(d1[:, 0], d1[:, 1])
     n_up = np.einsum("nij,nj->ni", amb.metric_inv, n_cov)
-    norm = np.sqrt(np.einsum("ni,ni->n", n_cov, n_up))
-    nu = n_up / norm[:, None]
-    nu_cov = np.einsum("nij,nj->ni", g, nu)
+    nu = n_up / np.sqrt(np.einsum("ni,ni->n", n_cov, n_up))[:, None]
+    frame = np.concatenate([d1, nu[:, None]], axis=1)
 
-    # ambient second derivative of the embedding: d2 + Gamma(d1, d1)
+    # g(d2 + Gamma(d1, d1), e_c) on the frame (X_theta, X_phi, nu): -B for
+    # c = nu, the lowered surface connection for c = X_theta, X_phi
     w = d2 + np.einsum("nijk,naj,nbk->nabi", amb.christoffel, d1, d1)
-    b = -np.einsum("ni,nabi->nab", nu_cov, w)
+    w_frame = np.swapaxes(w.reshape(-1, 4, 3) @ amb.metric @ np.swapaxes(frame, 1, 2), 1, 2)
+    b = -w_frame[:, 2].reshape(-1, 2, 2)
+    gamma_sigma = (ginv @ w_frame[:, :2]).reshape(-1, 2, 2, 2)
     h = np.einsum("nab,nab->n", ginv, b)
-    b_up = np.einsum("nac,nbd,ncd->nab", ginv, ginv, b)
-    b_norm_sq = np.einsum("nab,nab->n", b_up, b)
-    trless = b_norm_sq - 0.5 * h * h
+    b_mixed = ginv @ b
+    trless = np.einsum("nab,nba->n", b_mixed, b_mixed) - 0.5 * h * h
 
-    gamma_sigma = np.einsum("ncd,nabi,nij,ndj->ncab", ginv, w, g, d1)
-
-    p = amb.k_trace - np.einsum("nij,ni,nj->n", amb.k, nu, nu)
+    p = amb.k_trace - _in_frame(nu[:, None], amb.k)[:, 0, 0]
     area_element = np.sqrt(det) / grid.sin_theta
     return {
         "metric": gsig, "metric_inv": ginv, "normal": nu, "second_form": b,

@@ -11,7 +11,7 @@ from numpy.testing import assert_allclose
 from hawkfol import (InitialDataSet, RayFan, ambient_fields, concentration_scalar,
                      curvature_at, geodesic_acceleration, initial_guess, preset)
 from hawkfol.background import (_DERIVED_STEP, _SECOND_STEP, _dg_of, _fd_grad, _fd_hess,
-                                _inverse_metric, christoffel_from)
+                                _in_frame, _inverse_metric, christoffel_from)
 from hawkfol.errors import (ChartExceeded, DegenerateMetric, InvalidParams,
                             UnknownPreset)
 
@@ -413,3 +413,17 @@ def test_single_bad_node_raises_degenerate_metric(kind):
         ambient_fields(ds, 0.1 * directions)
     # a batch of another size never sees the bad node and passes
     ambient_fields(ds, 0.1 * directions[:2047])
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_in_frame_matches_slot_contractions(m):
+    """The frame rule against one einsum per slot, on tensors with no symmetry."""
+    rng = np.random.default_rng(m)
+    frame = rng.normal(size=(64, m, 3))
+    t2, t3 = rng.normal(size=(64, 3, 3)), rng.normal(size=(64, 3, 3, 3))
+    ref2 = np.einsum("nij,nai,nbj->nab", t2, frame, frame)
+    ref3 = np.einsum("nsij,ncs,nai,nbj->ncab", t3, frame, frame, frame)
+    assert _in_frame(frame, t2).shape == (64, m, m)
+    assert _in_frame(frame, t3).shape == (64, m, m, m)
+    assert np.abs(_in_frame(frame, t2) - ref2).max() <= 1e-14 * np.abs(ref2).max()
+    assert np.abs(_in_frame(frame, t3) - ref3).max() <= 1e-14 * np.abs(ref3).max()

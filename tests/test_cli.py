@@ -125,18 +125,26 @@ def test_malformed_number_exits_2(tmp_path, capsys, command, section, values, ba
     assert f"config error: {bad} must be" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("name, params", [
-    ("conformal_quadratic", {"epsilon": 0.01}),
-    ("conformal_quadratic", {"eps": 0.01, "k": [[1.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]}),
-    ("schwarzschild_slice", {"mass": -1}),
-    ("conformal_quadratic", {"eps": "abc"}),
-    ("constant_k", {"k": [[1.0, "x", 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]}),
-], ids=["unknown-keyword", "k-nonsymmetric", "mass-negative", "eps-string", "k-string-entry"])
-def test_invalid_preset_params_exit_2(tmp_path, capsys, name, params):
+@pytest.mark.parametrize("name, params, finite", [
+    ("conformal_quadratic", {"epsilon": 0.01}, False),
+    ("conformal_quadratic", {"eps": 0.01, "k": [[1.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]},
+     False),
+    ("schwarzschild_slice", {"mass": -1}, False),
+    ("conformal_quadratic", {"eps": "abc"}, False),
+    ("constant_k", {"k": [[1.0, "x", 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]}, False),
+    ("conformal_quadratic", {"eps": float("nan")}, True),
+    ("schwarzschild_slice", {"mass": float("inf")}, True),
+    ("conformal_quadratic", {"eps": -0.25, "chart_radius": float("nan")}, True),
+    ("constant_k", {"k": [[1.0, 0.0, 0.0], [0.0, float("nan"), 0.0], [0.0, 0.0, 1.0]]}, True),
+], ids=["unknown-keyword", "k-nonsymmetric", "mass-negative", "eps-string", "k-string-entry",
+        "eps-nan", "mass-inf", "chart_radius-nan", "k-nan-entry"])
+def test_invalid_preset_params_exit_2(tmp_path, capsys, name, params, finite):
     cfg = write_config(tmp_path, {"preset": {"name": name, "params": params},
                                   "surface": {"radius": 1.0}})
     assert main(["energy", "--config", cfg, "--out", str(tmp_path)]) == 2
-    assert "config error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error:" in err
+    assert not finite or "finite" in err
 
 
 def test_unknown_preset_exits_3(tmp_path, capsys):

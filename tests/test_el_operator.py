@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
-from hawkfol import (HarmonicField, analyze, curvature_at, el_residual,
+from hawkfol import (HarmonicField, analyze, curvature_at, default_grid, el_residual,
                      geodesic_sphere, graph_surface, laplace_beltrami, preset,
                      rescaled_phi, synthesize, w_split)
+from hawkfol.el_operator import _laplacian, _residual_terms
 from hawkfol.grid import coeff_index
+from hawkfol.surface import geometry_from_embedding, spectral_embedding_derivatives
 
 ORIGIN = np.zeros(3)
 K_GENERIC = np.array([[0.3, 0.1, 0.0], [0.1, -0.2, 0.05], [0.0, 0.05, 0.4]])
@@ -17,6 +19,103 @@ def smooth_phi(rng, band_limit=8, amp=0.02):
     for l in range(2, band_limit + 1):
         coeffs[l * l:(l + 1) * (l + 1)] = rng.normal(size=2 * l + 1) * amp / (1 + l) ** 3
     return HarmonicField(coeffs, band_limit)
+
+
+_EPS3 = np.zeros((3, 3, 3))
+for _i, _j, _k, _s in ((0, 1, 2, 1), (1, 2, 0, 1), (2, 0, 1, 1),
+                       (0, 2, 1, -1), (2, 1, 0, -1), (1, 0, 2, -1)):
+    _EPS3[_i, _j, _k] = _s
+
+
+def reference_geometry(d1, d2, amb):
+    """Normal, second form, surface connection and P contraction by
+    contraction, with the normal from the epsilon tensor."""
+    g = amb.metric
+    gsig = np.einsum("nij,nai,nbj->nab", g, d1, d1)
+    ginv = np.linalg.inv(gsig)
+    n_cov = np.einsum("ijk,nj,nk->ni", _EPS3, d1[:, 0], d1[:, 1])
+    n_up = np.einsum("nij,nj->ni", amb.metric_inv, n_cov)
+    nu = n_up / np.sqrt(np.einsum("ni,ni->n", n_cov, n_up))[:, None]
+    nu_cov = np.einsum("nij,nj->ni", g, nu)
+    w = d2 + np.einsum("nijk,naj,nbk->nabi", amb.christoffel, d1, d1)
+    b = -np.einsum("ni,nabi->nab", nu_cov, w)
+    h = np.einsum("nab,nab->n", ginv, b)
+    b_up = np.einsum("nac,nbd,ncd->nab", ginv, ginv, b)
+    return {
+        "metric_inv": ginv, "normal": nu, "second_form": b, "mean_curvature": h,
+        "traceless_second_norm_sq": np.einsum("nab,nab->n", b_up, b) - 0.5 * h * h,
+        "surface_christoffel": np.einsum("ncd,nabi,nij,ndj->ncab", ginv, w, g, d1),
+        "p_trace": amb.k_trace - np.einsum("nij,ni,nj->n", amb.k, nu, nu), "d1": d1,
+    }
+
+
+def reference_residual_terms(grid, geo, amb, lam):
+    """The eight residual terms, each ambient derivative contracted on its own."""
+    h, nu, d1 = geo["mean_curvature"], geo["normal"], geo["d1"]
+    ginv_s, b = geo["metric_inv"], geo["second_form"]
+    k, grad_k, g_inv = amb.k, amb.grad_k, amb.metric_inv
+    k_nn = np.einsum("nij,ni,nj->n", k, nu, nu)
+    p = amb.k_trace - k_nn
+    grad_trk = np.einsum("nij,nsij->ns", g_inv, grad_k)
+    grad_k_nn = np.einsum("nsij,ni,nj->ns", grad_k, nu, nu)
+    nu_trk = np.einsum("ns,ns->n", grad_trk, nu)
+    nu_k_nn = np.einsum("ns,ns->n", grad_k_nn, nu)
+    div_k_nu_full = np.einsum("nsl,nslj,nj->n", g_inv, grad_k, nu)
+    k_surf = np.einsum("nij,nai,nbj->nab", k, d1, d1)
+    k_dot_b = np.einsum("nac,nbd,nab,ncd->n", ginv_s, ginv_s, k_surf, b)
+    div_sigma = div_k_nu_full - nu_k_nn - h * k_nn + k_dot_b
+    b_mixed = np.einsum("nbc,nac->nab", ginv_s, b)
+    k_d1_nu = np.einsum("nij,nbi,nj->nb", k, d1, nu)
+    dp = (np.einsum("nal,nl->na", d1, grad_trk - grad_k_nn)
+          - 2.0 * np.einsum("nab,nb->na", b_mixed, k_d1_nu))
+    grad_p_vec = np.einsum("nab,nb,nai->ni", ginv_s, dp, d1)
+    return {
+        "lam_h": lam * h,
+        "laplacian_h": _laplacian(grid, ginv_s, geo["surface_christoffel"], h),
+        "h_b_traceless": h * geo["traceless_second_norm_sq"],
+        "h_ricci": h * np.einsum("nij,ni,nj->n", amb.ricci, nu, nu),
+        "p_normal_derivatives": p * (nu_trk - nu_k_nn),
+        "p_divergence": -2.0 * p * div_sigma,
+        "h_p_squared": 0.5 * h * p * p,
+        "k_grad_p": -2.0 * np.einsum("nij,ni,nj->n", k, grad_p_vec, nu),
+    }
+
+
+def frame_rule_cases():
+    """(data set, center) pairs with k, grad k, Ric and Gamma all nonzero
+    somewhere, and Schwarzschild off the puncture."""
+    rng = np.random.default_rng(4)
+    m = rng.normal(size=(3, 3, 3))
+    return [
+        (preset("conformal_quadratic", eps=0.01, k=K_GENERIC), ORIGIN),
+        (preset("polynomial", g_quadratic=0.05 * np.ones((3, 3, 3, 3)),
+                k_constant=K_GENERIC, k_linear=0.3 * (m + m.transpose(0, 2, 1))), ORIGIN),
+        (preset("schwarzschild_slice", mass=1.0), np.array([2.0, 0.3, -0.4])),
+    ]
+
+
+@pytest.mark.parametrize("case", [0, 1, 2], ids=["conformal_k", "polynomial", "schwarzschild"])
+@pytest.mark.parametrize("r", [0.05, 0.2])
+def test_frame_rule_matches_contractions(case, r):
+    """Geometry and residual terms read on the frame (X_theta, X_phi, nu)
+    agree with the slot-by-slot contractions on seeded graphs."""
+    grid = default_grid(32, 64, 8)
+    ds, center = frame_rule_cases()[case]
+    rng = np.random.default_rng(11)
+    s = graph_surface(ds, center, rng.normal(size=3) * 0.01, r, smooth_phi(rng), grid)
+    d1, d2 = spectral_embedding_derivatives(grid, s.positions - center)
+    geo = geometry_from_embedding(grid, d1, d2, s.ambient)
+    ref = reference_geometry(d1, d2, s.ambient)
+    for name in ("mean_curvature", "second_form", "normal", "surface_christoffel", "p_trace"):
+        assert np.abs(geo[name] - ref[name]).max() <= 1e-13 * np.abs(ref[name]).max(), name
+    # |B0|^2 = |B|^2 - H^2 / 2 cancels down from the size of H^2
+    assert (np.abs(geo["traceless_second_norm_sq"] - ref["traceless_second_norm_sq"]).max()
+            <= 1e-13 * np.max(ref["mean_curvature"] ** 2))
+    terms = _residual_terms(grid, geo, s.ambient, 0.7)
+    ref_terms = reference_residual_terms(grid, ref, s.ambient, 0.7)
+    bound = 1e-12 * np.abs(sum(ref_terms.values())).max()
+    for name, values in ref_terms.items():
+        assert np.abs(terms[name] - values).max() <= bound, name
 
 
 class TestLaplaceBeltrami:
@@ -62,7 +161,7 @@ class TestPhysicalResidual:
 
     def test_k_zero_reduces_to_willmore_terms(self, conformal, grid):
         s = geodesic_sphere(conformal, ORIGIN, ORIGIN, 0.05, grid)
-        _, terms = el_residual(conformal, s, 0.3, return_terms=True)
+        terms = _residual_terms(s.grid, vars(s), s.ambient, 0.3)
         for name in ("p_normal_derivatives", "p_divergence", "h_p_squared",
                      "k_grad_p"):
             assert np.abs(terms[name]).max() == 0.0

@@ -1,10 +1,10 @@
 """Initial data sets (M, g, k) on a coordinate chart.
 
-An InitialDataSet carries vectorized callables for the metric and the
-symmetric 2-tensor k on a single chart of R^3, optionally with closed-form
-partial derivatives.  All ambient curvature quantities used elsewhere
-(Christoffel symbols, Riemann/Ricci/scalar curvature and their derivatives,
-covariant derivatives of k) are assembled here.
+An InitialDataSet is two jets on a single chart of R^3, closed-form or finite
+differences of values: functions returning the n-th partial derivatives of
+the metric and of the symmetric 2-tensor k.  All ambient curvature quantities
+used elsewhere (Christoffel symbols, Riemann/Ricci/scalar curvature and their
+derivatives, covariant derivatives of k) are assembled here.
 
 Index conventions
 -----------------
@@ -21,22 +21,22 @@ grad_k[..., s, i, j]    covariant derivative nabla_s k_ij
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Callable, ClassVar
 
 import numpy as np
 
 from .errors import ChartExceeded, DegenerateMetric, InvalidParams, UnknownPreset
 
-Tensor = Callable[[np.ndarray], np.ndarray]
+Jet = Callable[[np.ndarray, int], np.ndarray]
 
 
-# Finite-difference steps: first derivatives of the supplied callables; direct
-# second-derivative stencils (larger, at the roundoff versus truncation
-# optimum of double precision); derivatives of assembled pointwise maps such
-# as Sc(x) or Ric(x); and the gradient and Hessian of such a map when the map
-# itself comes from 2e-3 stencils, whose rounding the outer stencil amplifies
-# by 1/h and 1/h^2 (eps / h^3 and eps / h^4 overall), so the outer steps
-# move out to 5e-3 and 1e-2.
+# Finite-difference steps: first derivatives of the values of a data set given
+# by them; direct second-derivative stencils (larger, at the roundoff versus
+# truncation optimum of double precision); derivatives of assembled pointwise
+# maps such as Sc(x) or Ric(x); and the gradient and Hessian of such a map
+# when the map itself comes from 2e-3 stencils, whose rounding the outer
+# stencil amplifies by 1/h and 1/h^2 (eps / h^3 and eps / h^4 overall), so the
+# outer steps move out to 5e-3 and 1e-2.
 _STEP = 1e-4
 _SECOND_STEP = 2e-3
 _DERIVED_STEP = 1e-3
@@ -44,51 +44,61 @@ _DERIVED_FD_STEP = 5e-3
 _DERIVED_FD_SECOND_STEP = 1e-2
 
 
+def _check_chart(pts, chart_radius):
+    r = np.linalg.norm(np.atleast_2d(pts), axis=-1)
+    if np.any(r >= chart_radius):
+        raise ChartExceeded(
+            f"point radius {r.max():.4g} exceeds chart radius {chart_radius:.4g}")
+
+
 @dataclass(frozen=True)
 class InitialDataSet:
-    """Analytic background (g, k) on a chart of R^3.
+    """Initial data (g, k) on a chart of R^3, given by two jets.
 
     Parameters
     ----------
-    metric : callable
-        Maps points of shape (..., 3) to symmetric matrices (..., 3, 3).
-    k_tensor : callable
-        Same shape contract; the symmetric 2-tensor of the data set.
-    dmetric, d2metric, d3metric, dk_tensor : callable, optional
-        Closed-form partial derivatives (see module docstring for the index
-        layout).  Missing ones are filled by central finite differences.
+    metric_jet : callable
+        metric_jet(pts, n), n = 0..3: the n-th partial derivatives of g at
+        points (..., 3), the n derivative axes between the point axes and the
+        tensor axes (see the module docstring for the index layout).
+    k_jet : callable
+        The same for k, n = 0 and 1.
     chart_radius : float
-        Coordinate validity radius; operations whose stencils would leave
-        |x| < chart_radius raise ChartExceeded.
+        Coordinate validity radius; evaluating the data at |x| >=
+        chart_radius raises ChartExceeded.
     """
 
-    metric: Tensor
-    k_tensor: Tensor
-    dmetric: Optional[Tensor] = None
-    d2metric: Optional[Tensor] = None
-    d3metric: Optional[Tensor] = None
-    dk_tensor: Optional[Tensor] = None
+    metric_jet: Jet
+    k_jet: Jet
     chart_radius: float = np.inf
     name: str = ""
 
-    @property
-    def derivative_mode(self) -> str:
-        closed = all(f is not None for f in (self.dmetric, self.d2metric, self.dk_tensor))
-        return "closed_form" if closed else "finite_difference"
+    derivative_mode: ClassVar[str] = "closed_form"   # fixed by the constructor
+
+    @staticmethod
+    def from_values(metric, k_tensor, chart_radius: float = np.inf,
+                    name: str = "") -> "InitialDataSet":
+        """Data set from vectorized callables mapping points (..., 3) to the
+        values (..., 3, 3) of g and k.  Its jets are central differences with
+        steps 1e-4 and 2e-3, the third derivative of g the 1e-3 gradient of the
+        2e-3 Hessian, and every point they evaluate is checked against the chart."""
+        return _FiniteDifferenceData(_stencil_jet(metric, chart_radius),
+                                     _stencil_jet(k_tensor, chart_radius), chart_radius, name)
 
     def with_finite_differences(self) -> "InitialDataSet":
-        """Copy of the data set that ignores closed-form derivatives."""
-        return replace(self, dmetric=None, d2metric=None, d3metric=None,
-                       dk_tensor=None, name=self.name + "[fd]")
+        """The same data with its derivatives from finite differences of the values."""
+        return InitialDataSet.from_values(lambda pts: self.metric_jet(pts, 0),
+                                          lambda pts: self.k_jet(pts, 0),
+                                          self.chart_radius, self.name + "[fd]")
 
-    # -- guarded evaluations ------------------------------------------------
+    def check_chart(self, pts: np.ndarray) -> None:
+        _check_chart(pts, self.chart_radius)
 
-    def check_chart(self, pts: np.ndarray, reach: float = 0.0) -> None:
-        r = np.linalg.norm(np.atleast_2d(pts), axis=-1)
-        if np.any(r + reach >= self.chart_radius):
-            raise ChartExceeded(
-                f"point radius {r.max():.4g} + stencil reach {reach:.2g} exceeds "
-                f"chart radius {self.chart_radius:.4g}")
+
+class _FiniteDifferenceData(InitialDataSet):
+    """A data set whose jets difference its values (see `from_values`)."""
+
+    derivative_mode = "finite_difference"
 
 
 # ----------------------------------------------------------------------
@@ -118,11 +128,6 @@ _STENCIL = _stencil_table()
 _SYM6 = np.array([[0, 3, 4], [3, 1, 5], [4, 5, 2]])   # (l, m) -> second-derivative row
 
 
-def _reach(h):
-    """Farthest point of a second-derivative stencil from its center: a mixed row."""
-    return 2.0 * np.sqrt(2.0) * h
-
-
 def _stencil(fun, pts, h, rows, order):
     """Stencil rows applied to fun at pts (leading point axes), over h**order.
 
@@ -150,30 +155,18 @@ def _fd_hess(fun, pts, h):
     return np.take(_stencil(fun, pts, h, _STENCIL[3:], 2), _SYM6, axis=np.ndim(pts) - 1)
 
 
-def _dg_of(ds: InitialDataSet, pts):
-    if ds.dmetric is not None:
-        return ds.dmetric(pts)
-    return _fd_grad(ds.metric, pts, _STEP)
+def _stencil_jet(values, chart_radius) -> Jet:
+    """Jet of a field from its values (see `InitialDataSet.from_values`)."""
+    def guarded(pts):
+        _check_chart(pts, chart_radius)
+        return values(pts)
 
+    def hess(pts):
+        return _fd_hess(guarded, pts, _SECOND_STEP)
 
-def _d2g_of(ds: InitialDataSet, pts):
-    if ds.d2metric is not None:
-        return ds.d2metric(pts)
-    return _fd_hess(ds.metric, pts, _SECOND_STEP)
-
-
-def _d3g_of(ds: InitialDataSet, pts):
-    if ds.d3metric is not None:
-        return ds.d3metric(pts)
-    if ds.d2metric is not None:
-        return _fd_grad(ds.d2metric, pts, _DERIVED_STEP)
-    return _fd_grad(lambda q: _fd_hess(ds.metric, q, _SECOND_STEP), pts, _DERIVED_STEP)
-
-
-def _dk_of(ds: InitialDataSet, pts):
-    if ds.dk_tensor is not None:
-        return ds.dk_tensor(pts)
-    return _fd_grad(ds.k_tensor, pts, _STEP)
+    orders = (guarded, lambda pts: _fd_grad(guarded, pts, _STEP), hess,
+              lambda pts: _fd_grad(hess, pts, _DERIVED_STEP))
+    return lambda pts, n: orders[n](np.asarray(pts, dtype=float))
 
 
 # ----------------------------------------------------------------------
@@ -249,11 +242,11 @@ def ricci_from(gamma, dgamma):
 
 def _curvature_chain(ds: InitialDataSet, pts):
     """The staged chain g -> g^-1 -> Gamma -> d Gamma -> Ric at a batch of points."""
-    g = ds.metric(pts)
+    g = ds.metric_jet(pts, 0)
     g_inv = _inverse_metric(g)
-    dg = _dg_of(ds, pts)
+    dg = ds.metric_jet(pts, 1)
     gamma = christoffel_from(g_inv, dg)
-    dgamma = dchristoffel_from(g_inv, dg, _d2g_of(ds, pts), gamma)
+    dgamma = dchristoffel_from(g_inv, dg, ds.metric_jet(pts, 2), gamma)
     return g, g_inv, gamma, dgamma, ricci_from(gamma, dgamma)
 
 
@@ -319,11 +312,6 @@ class AmbientFields:
                        k=s * self.k, k_trace=s * self.k_trace, grad_k=s * s * self.grad_k)
 
 
-def _ambient_reach(ds: InitialDataSet) -> float:
-    """How far from a point ambient_fields evaluates the metric."""
-    return 0.0 if ds.derivative_mode == "closed_form" else _reach(_SECOND_STEP)
-
-
 def ambient_fields(ds: InitialDataSet, pts: np.ndarray) -> AmbientFields:
     """Metric, connection, Ricci and k data at a batch of points.
 
@@ -331,13 +319,13 @@ def ambient_fields(ds: InitialDataSet, pts: np.ndarray) -> AmbientFields:
     here and nowhere else.
     """
     pts = np.asarray(pts, dtype=float)
-    ds.check_chart(pts, reach=_ambient_reach(ds))
+    ds.check_chart(pts)
     g, g_inv, gamma, _, ric = _curvature_chain(ds, pts)
-    k = ds.k_tensor(pts)
+    k = ds.k_jet(pts, 0)
     trk = np.einsum("...ij,...ij->...", g_inv, k)
     return AmbientFields(points=pts, metric=g, metric_inv=g_inv, christoffel=gamma,
                          ricci=ric, k=k, k_trace=trk,
-                         grad_k=_covariant_d(_dk_of(ds, pts), gamma, k))
+                         grad_k=_covariant_d(ds.k_jet(pts, 1), gamma, k))
 
 
 # ----------------------------------------------------------------------
@@ -366,15 +354,14 @@ def _point_jet(ds: InitialDataSet, x, quantity):
     `quantity` returns an array with optional trailing component axes; the
     Hessian of each component is covariantized as that of a scalar,
     nabla^2 f = partial^2 f - Gamma^l_{ij} partial_l f.  ambient_fields runs
-    once at x and once per stencil row: 1 + 3 + 6 calls.  The gradient and
-    Hessian steps are 1e-3 and 2e-3 on closed-form data and 5e-3 and 1e-2
-    on finite-difference data.
+    once at x and once per stencil row: 1 + 3 + 6 calls, each checking its
+    points against the chart.  The gradient and Hessian steps are 1e-3 and
+    2e-3 on closed-form data and 5e-3 and 1e-2 on finite-difference data.
     """
     x = np.asarray(x, dtype=float).reshape(3)
     fd = ds.derivative_mode == "finite_difference"
     grad_step = _DERIVED_FD_STEP if fd else _DERIVED_STEP
     hess_step = _DERIVED_FD_SECOND_STEP if fd else _SECOND_STEP
-    ds.check_chart(x, reach=_reach(hess_step) + _ambient_reach(ds))
     amb = ambient_fields(ds, x)
 
     def fun(pts):
@@ -444,24 +431,17 @@ def _as_sym3(a, what):
 
 
 def _from_jets(g, k, chart_radius, name):
-    """The data set whose metric has the jet g and whose k has the jet k.
-
-    Every preset is built here.  A jet(pts, n) returns the n-th partial
-    derivatives of a field at points (..., 3), the n derivative axes between
-    the point axes and the tensor axes; an order that is the same at every
-    point may leave out the point axes.  Each order is its own branch, so
-    the metric never builds a higher derivative.  k is asked for orders 0
-    and 1.
+    """The closed-form data set with the jets g and k; every preset is built
+    here.  An order that is the same at every point may leave out the point
+    axes.  Each order is its own branch, so no jet builds a higher derivative.
     """
-    def field(jet, n):
-        def values(pts):
+    def broadcast(jet):
+        def full(pts, n):
             pts = np.asarray(pts, dtype=float)
             out, shape = jet(pts, n), pts.shape[:-1] + (3,) * (n + 2)
             return out if out.shape == shape else np.broadcast_to(out, shape).copy()
-        return values
-    return InitialDataSet(
-        metric=field(g, 0), dmetric=field(g, 1), d2metric=field(g, 2), d3metric=field(g, 3),
-        k_tensor=field(k, 0), dk_tensor=field(k, 1), chart_radius=chart_radius, name=name)
+        return full
+    return InitialDataSet(broadcast(g), broadcast(k), chart_radius, name)
 
 
 def _constant(value):

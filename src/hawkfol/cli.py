@@ -95,6 +95,15 @@ def _solver_options(section: dict) -> dict:
             for key in ("band_limit", "tol", "max_iter") if key in section}
 
 
+def _check_solver_band(options: dict, grid) -> None:
+    """The surfaces r x (1 + r^2 phi) have degree band_limit + 1; the grid must resolve it."""
+    default = inspect.signature(foliate).parameters["band_limit"].default
+    band_limit = options.get("band_limit", default)
+    if band_limit >= grid.band_limit:
+        raise ConfigError(f"solver band_limit {band_limit} must be below the grid band "
+                          f"limit {grid.band_limit}")
+
+
 def _config_hash(config: dict) -> str:
     canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
@@ -200,8 +209,10 @@ def cmd_solve(config, grid, out_dir, fmt):
     section = config.get("solve")
     if not section or "radius" not in section:
         raise ConfigError("solve needs a solve section with a radius")
-    sol = solve_critical(ds, _numbers(section, "center", np.zeros(3), shape=(3,)),
-                         _number(section, "radius"), grid=grid, **_solver_options(section))
+    center = _numbers(section, "center", np.zeros(3), shape=(3,))
+    radius, options = _number(section, "radius"), _solver_options(section)
+    _check_solver_band(options, grid)
+    sol = solve_critical(ds, center, radius, grid=grid, **options)
     if fmt in ("json", "both"):
         _write_json(out_dir, "solve_result", {"solution": sol.to_dict()}, config)
     if fmt in ("csv", "both"):
@@ -278,6 +289,7 @@ def cmd_foliate(config, grid, out_dir, fmt):
     options = _solver_options(section)
     leaf_key = _leaf_key(config, grid, center, options)
     warm = _load_resume(section["resume"], leaf_key) if section.get("resume") else None
+    _check_solver_band(options, grid)
     try:
         trace = foliate(ds, center, r_range, n_steps, grid=grid, warm_start=warm,
                         **options)
@@ -376,6 +388,9 @@ def cmd_check(config, grid, out_dir, fmt, seed=0):
         _write_json(out_dir, "check_result",
                     {"checks": [{"name": n, "passed": bool(g)} for n, g in checks]},
                     config)
+    if fmt in ("csv", "both"):
+        _write_csv(out_dir, "check_result", ["name", "passed"],
+                   [[n, bool(g)] for n, g in checks], config)
     return 0 if not failed else 3
 
 

@@ -28,8 +28,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .background import (_SYM6, InitialDataSet, _d3g_of, _dg_of, _d2g_of, _inverse_metric,
-                         christoffel_from, dchristoffel_from)
+from .background import (_SYM6, InitialDataSet, _inverse_metric, christoffel_from,
+                         dchristoffel_from)
 from .errors import ChartExceeded, StepSizeUnderflow
 
 _CENTER_FRAME_STEPS = 64
@@ -40,8 +40,8 @@ def geodesic_acceleration(ds: InitialDataSet, pts: np.ndarray, vel: np.ndarray) 
 
     v is contracted into the metric gradient first; Gamma is never formed.
     """
-    g_inv = _inverse_metric(ds.metric(pts))
-    dg_v = np.einsum("...lij,...j->...li", _dg_of(ds, pts), vel)
+    g_inv = _inverse_metric(ds.metric_jet(pts, 0))
+    dg_v = np.einsum("...lij,...j->...li", ds.metric_jet(pts, 1), vel)
     lowered = (2.0 * np.einsum("...jl,...j->...l", dg_v, vel)
                - np.einsum("...lj,...j->...l", dg_v, vel))
     return -0.5 * np.einsum("...il,...l->...i", g_inv, lowered)
@@ -70,7 +70,7 @@ def _rk4(rhs, state, h, n_steps):
 def orthonormal_frame(ds: InitialDataSet, point) -> np.ndarray:
     """Columns form a g-orthonormal basis at the point (Cholesky gauge)."""
     point = np.asarray(point, dtype=float).reshape(3)
-    g = ds.metric(point)
+    g = ds.metric_jet(point, 0)
     _inverse_metric(g)  # raises DegenerateMetric unless g is positive definite
     chol = np.linalg.cholesky(g)
     return np.linalg.inv(chol).T
@@ -103,7 +103,7 @@ def _transport(ds: InitialDataSet, base, v, vectors, n_steps: int):
     v = np.asarray(v, dtype=float).reshape(3)
 
     def rhs(t, x, u, w):
-        gam = christoffel_from(_inverse_metric(ds.metric(x)), _dg_of(ds, x))[0]
+        gam = christoffel_from(_inverse_metric(ds.metric_jet(x, 0)), ds.metric_jet(x, 1))[0]
         gam_u = np.einsum("ijk,j->ik", gam, u[0])      # Gamma(u, .)
         return u, -(gam_u @ u[0])[None], -gam_u @ w
 
@@ -239,10 +239,8 @@ class VariationBundle:
             # differentiates g Gamma = S / 2 twice, contracted with v first:
             # g^-1 (d_m d_q S(v, v) / 2 - d_m d_q g Gamma(v, v)
             #       - d_m g d_q Gamma(v, v) - d_q g d_m Gamma(v, v)).
-            g_inv = _inverse_metric(ds.metric(x))
-            dg = _dg_of(ds, x)
-            d2g = _d2g_of(ds, x)
-            d3g = _d3g_of(ds, x)
+            g_inv = _inverse_metric(ds.metric_jet(x, 0))
+            dg, d2g, d3g = (ds.metric_jet(x, n) for n in (1, 2, 3))
             gam = christoffel_from(g_inv, dg)
             gam_v = np.einsum("nijk,nk->nij", gam, v)
             gam_vv = np.einsum("nij,nj->ni", gam_v, v)

@@ -60,7 +60,7 @@ class CriticalSurfaceSolution:
     residual_norm_full: float     # full-field L2 norm of Phi~
     newton_iterations: int
     converged: bool
-    energy: Optional[EnergyReport] = None
+    energy: EnergyReport
 
     def to_dict(self) -> dict:
         return {
@@ -69,7 +69,7 @@ class CriticalSurfaceSolution:
             "residual_norm": self.residual_norm,
             "residual_norm_full": self.residual_norm_full,
             "newton_iterations": self.newton_iterations, "converged": self.converged,
-            "energy": self.energy.to_dict() if self.energy else None,
+            "energy": self.energy.to_dict(),
         }
 
     @classmethod
@@ -79,7 +79,7 @@ class CriticalSurfaceSolution:
                    residual_norm=d["residual_norm"],
                    residual_norm_full=d["residual_norm_full"],
                    newton_iterations=d["newton_iterations"], converged=d["converged"],
-                   energy=EnergyReport.from_dict(d["energy"]) if d["energy"] else None)
+                   energy=EnergyReport.from_dict(d["energy"]))
 
 
 @dataclass
@@ -177,6 +177,9 @@ class _ReducedSystem:
     """Projected residual and Jacobian of the reduced equations."""
 
     def __init__(self, ds, p, r, grid, band_limit, hess=None):
+        if band_limit >= grid.band_limit:   # r x (1 + r^2 phi) has degree band_limit + 1
+            raise ValueError(f"solver band limit {band_limit} must be below the grid band "
+                             f"limit {grid.band_limit}")
         self.ds = ds
         self.p = np.asarray(p, dtype=float).reshape(3)
         self.r = float(r)
@@ -289,8 +292,9 @@ def solve_critical(ds: InitialDataSet, p, r: float, guess=None,
         Convergence threshold on the projected L2 norm of Phi~ (the rescaled
         residual Phi then satisfies |Phi| < tol * r^3).
 
-    Raises DegenerateHessian when the concentration-scalar Hessian at p is
-    singular or ill-conditioned, and NonConvergence when Newton fails.
+    Raises ValueError when `band_limit` is not below `grid.band_limit`,
+    DegenerateHessian when the concentration-scalar Hessian at p is singular
+    or ill-conditioned, and NonConvergence when Newton fails.
     """
     grid = grid or default_grid()
     _, _, hess = concentration_scalar(ds, p)
@@ -300,6 +304,7 @@ def solve_critical(ds: InitialDataSet, p, r: float, guess=None,
             f"concentration-scalar Hessian condition {cond:.2e} "
             "exceeds 1e8; no isolated critical point to center on")
 
+    system = _ReducedSystem(ds, p, r, grid, band_limit, hess)
     if guess is None:
         lam0, phi0 = initial_guess(ds, p, band_limit=band_limit, grid=grid)
         tau0 = np.zeros(3)
@@ -308,7 +313,6 @@ def solve_critical(ds: InitialDataSet, p, r: float, guess=None,
     else:
         tau0, lam0, phi0 = guess
 
-    system = _ReducedSystem(ds, p, r, grid, band_limit, hess)
     u = system.pack(tau0, lam0, phi0)
     u, r_vec, full_norm, surf, iterations = _newton(system, u, np.arange(u.size), tol,
                                                     max_iter)
@@ -328,8 +332,8 @@ def kernel_obstruction(ds: InitialDataSet, p, r: float, grid=None,
     quantitative obstruction to concentrations of critical spheres.
     """
     grid = grid or default_grid()
-    lam0, phi0 = initial_guess(ds, p, band_limit=band_limit, grid=grid)
     system = _ReducedSystem(ds, p, r, grid, band_limit)
+    lam0, phi0 = initial_guess(ds, p, band_limit=band_limit, grid=grid)
     u = system.pack(np.zeros(3), lam0, phi0)
     r_vec = _newton(system, u, np.arange(3, u.size), tol, max_iter=25)[1]
     return r_vec[:3]
@@ -433,10 +437,9 @@ def _trace_from(solutions, grid) -> FoliationTrace:
         lam0 = float(lam[0])
     dtau0 = dtau[0] - r[0] * (dtau[1] - dtau[0]) / (r[1] - r[0]) if r.size > 1 else dtau[0]
 
-    hf = np.array([s.energy.hawking_functional_value if s.energy else np.nan
-                   for s in solutions])
-    he = np.array([s.energy.hawking_energy if s.energy else np.nan for s in solutions])
-    area = np.array([s.energy.area if s.energy else np.nan for s in solutions])
+    hf = np.array([s.energy.hawking_functional_value for s in solutions])
+    he = np.array([s.energy.hawking_energy for s in solutions])
+    area = np.array([s.energy.area for s in solutions])
 
     return FoliationTrace(
         solutions=solutions, r=r, tau=tau, lam=lam, dtau_dr=dtau,

@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from hawkfol import (InitialDataSet, RayFan, ambient_fields, concentration_scalar,
-                     curvature_at, geodesic_acceleration, initial_guess, preset)
-from hawkfol.background import (_DERIVED_STEP, _SECOND_STEP, _dg_of, _fd_grad, _fd_hess,
+from hawkfol import (InitialDataSet, RayFan, VariationBundle, ambient_fields,
+                     concentration_scalar, curvature_at, geodesic_acceleration,
+                     initial_guess, orthonormal_frame, preset)
+from hawkfol.background import (_DERIVED_STEP, _SECOND_STEP, _fd_grad, _fd_hess,
                                 _in_frame, _inverse_metric, christoffel_from)
 from hawkfol.errors import (ChartExceeded, DegenerateMetric, InvalidParams,
                             UnknownPreset)
@@ -60,7 +61,7 @@ def test_riemann_symmetries_and_contraction():
     assert np.abs(rm - rm.transpose(2, 3, 0, 1)).max() < 1e-12
     bianchi = rm + rm.transpose(0, 2, 3, 1) + rm.transpose(0, 3, 1, 2)
     assert np.abs(bianchi).max() < 1e-12
-    g_inv = np.linalg.inv(ds.metric(p[None])[0])
+    g_inv = np.linalg.inv(ds.metric_jet(p[None], 0)[0])
     assert np.abs(np.einsum("ab,aibj->ij", g_inv, rm) - c.ricci).max() < 1e-12
 
 
@@ -70,7 +71,7 @@ def test_bianchi_and_contraction_in_fd_mode():
     rm = c.riemann
     bianchi = rm + rm.transpose(0, 2, 3, 1) + rm.transpose(0, 3, 1, 2)
     assert np.abs(bianchi).max() < 1e-8
-    g_inv = np.linalg.inv(ds.metric(np.array([[0.2, -0.1, 0.15]]))[0])
+    g_inv = np.linalg.inv(ds.metric_jet(np.array([[0.2, -0.1, 0.15]]), 0)[0])
     assert np.abs(np.einsum("ab,aibj->ij", g_inv, rm) - c.ricci).max() < 1e-8
 
 
@@ -167,11 +168,12 @@ def test_point_quantities_evaluate_the_metric_once_per_stencil_row(conformal_k, 
     # stencil row: the value, 3 gradient rows and 6 Hessian rows
     calls = []
 
-    def metric(pts):
-        calls.append(np.shape(pts))
-        return conformal_k.metric(pts)
+    def metric_jet(pts, n):
+        if n == 0:
+            calls.append(np.shape(pts))
+        return conformal_k.metric_jet(pts, n)
 
-    ds = replace(conformal_k, metric=metric)
+    ds = replace(conformal_k, metric_jet=metric_jet)
     initial_guess(ds, ORIGIN, grid=small_grid)
     assert len(calls) == 1
     calls.clear()
@@ -182,8 +184,8 @@ def test_point_quantities_evaluate_the_metric_once_per_stencil_row(conformal_k, 
 def test_pointwise_contractions_match_curvature_report(conformal_k):
     p = np.array([0.08, -0.03, 0.05])
     amb = ambient_fields(conformal_k, p)
-    g_inv = np.linalg.inv(conformal_k.metric(p))
-    k = conformal_k.k_tensor(p)
+    g_inv = np.linalg.inv(conformal_k.metric_jet(p, 0))
+    k = conformal_k.k_jet(p, 0)
     assert amb.scalar == pytest.approx(np.sum(g_inv * amb.ricci), rel=1e-13)
     assert amb.k_norm_sq == pytest.approx(np.sum((g_inv @ k @ g_inv) * k), rel=1e-13)
     c = curvature_at(conformal_k, p)
@@ -265,7 +267,7 @@ class TestPresets:
     def test_schwarzschild_rejects_puncture(self):
         ds = preset("schwarzschild_slice", mass=1.0)
         with pytest.raises(DegenerateMetric):
-            ds.metric(np.zeros((1, 3)))
+            ds.metric_jet(np.zeros((1, 3)), 0)
 
     def test_constant_k_invariants(self):
         a = 0.7
@@ -301,6 +303,35 @@ def test_chart_exceeded():
         curvature_at(ds, [2.0, 0.0, 0.0])
 
 
+# every point a finite-difference jet evaluates is checked against the chart,
+# not only the points ambient_fields is asked for
+
+def test_finite_difference_acceleration_stays_in_chart():
+    ds = preset("conformal_quadratic", eps=-0.25)  # chart radius 1.8
+    fd = ds.with_finite_differences()
+    x, v = np.array([[1.8 - 5e-5, 0.0, 0.0]]), np.array([[0.0, 1.0, 0.0]])
+    with pytest.raises(ChartExceeded):
+        ambient_fields(fd, x)
+    # the 1e-4 gradient stencil of the metric reaches 2e-4 past x
+    geodesic_acceleration(ds, x, v)
+    with pytest.raises(ChartExceeded):
+        geodesic_acceleration(fd, x, v)
+
+
+def test_finite_difference_bundle_stays_in_chart():
+    # a bundle ending at radius 1.7931 along a diagonal, where the d3g stencil
+    # (the 1e-3 gradient of the 2e-3 Hessian) reaches 7.1e-3 further out
+    ds = preset("conformal_quadratic", eps=-0.25)  # chart radius 1.8
+    e = np.array([[1.0, 1.0, 0.0]]) / np.sqrt(2.0)
+    center = 1.75 * e[0]
+    frame = orthonormal_frame(ds, center)
+    bundle = VariationBundle(ds, center, frame, e, np.array([0.02]), n_steps=16)
+    assert np.linalg.norm(bundle.points) == pytest.approx(1.7931, abs=1e-4)
+    with pytest.raises(ChartExceeded):
+        VariationBundle(ds.with_finite_differences(), center, frame, e, np.array([0.02]),
+                        n_steps=16)
+
+
 def test_degenerate_metric_detected():
     def bad_metric(pts):
         pts = np.asarray(pts)
@@ -311,7 +342,7 @@ def test_degenerate_metric_detected():
         pts = np.asarray(pts)
         return np.zeros(pts.shape[:-1] + (3, 3))
 
-    ds = InitialDataSet(metric=bad_metric, k_tensor=zero_k)
+    ds = InitialDataSet.from_values(bad_metric, zero_k)
     with pytest.raises(DegenerateMetric):
         curvature_at(ds, ORIGIN)
 
@@ -319,6 +350,9 @@ def test_degenerate_metric_detected():
 def test_derivative_mode_flag(conformal):
     assert conformal.derivative_mode == "closed_form"
     assert conformal.with_finite_differences().derivative_mode == "finite_difference"
+    values = InitialDataSet.from_values(lambda pts: conformal.metric_jet(pts, 0),
+                                        lambda pts: conformal.k_jet(pts, 0))
+    assert values.derivative_mode == "finite_difference"
 
 
 def test_normal_coordinate_presets_centered(flat, conformal, constant_k):
@@ -328,8 +362,8 @@ def test_normal_coordinate_presets_centered(flat, conformal, constant_k):
     c4 = 0.1 * (c4 + c4.transpose(0, 1, 3, 2))
     poly = preset("polynomial", g_quadratic=c4)
     for ds in (flat, conformal, constant_k, poly):
-        assert np.abs(ds.metric(ORIGIN[None])[0] - np.eye(3)).max() < 1e-15
-        assert np.abs(ds.dmetric(ORIGIN[None])[0]).max() < 1e-15
+        assert np.abs(ds.metric_jet(ORIGIN[None], 0)[0] - np.eye(3)).max() < 1e-15
+        assert np.abs(ds.metric_jet(ORIGIN[None], 1)[0]).max() < 1e-15
 
 
 # ----------------------------------------------------------------------
@@ -373,7 +407,7 @@ def test_gamma_free_contractions_match_christoffel(seed, which, conformal_k):
     rng = np.random.default_rng(seed)
     pts = rng.uniform(-0.2, 0.2, size=(64, 3))
     vel = rng.normal(size=(64, 3))
-    gamma = christoffel_from(np.linalg.inv(ds.metric(pts)), _dg_of(ds, pts))
+    gamma = christoffel_from(np.linalg.inv(ds.metric_jet(pts, 0)), ds.metric_jet(pts, 1))
     scale = np.abs(gamma).max() * np.abs(vel).max() ** 2
     expected = -np.einsum("nijk,nj,nk->ni", gamma, vel, vel)
     assert np.abs(geodesic_acceleration(ds, pts, vel) - expected).max() < 1e-13 * scale
@@ -394,11 +428,13 @@ def _one_bad_node(kind, node=1234, n=2048):
             g[node] = _BAD_NODE[kind]
         return g
 
-    def zeros(rank):
-        return lambda pts: np.zeros(pts.shape[:-1] + (3,) * rank)
+    def metric_jet(pts, n):
+        return metric(pts) if n == 0 else np.zeros(pts.shape[:-1] + (3,) * (n + 2))
 
-    return InitialDataSet(metric=metric, k_tensor=zeros(2), dmetric=zeros(3),
-                          d2metric=zeros(4), d3metric=zeros(5), dk_tensor=zeros(3))
+    def k_jet(pts, n):
+        return np.zeros(pts.shape[:-1] + (3,) * (n + 2))
+
+    return InitialDataSet(metric_jet, k_jet)
 
 
 @pytest.mark.parametrize("kind", sorted(_BAD_NODE))

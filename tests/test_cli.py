@@ -5,7 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from hawkfol.cli import main
+from hawkfol import EnergyReport, HarmonicField
+from hawkfol.cli import _grid, _leaf_key, main
+from hawkfol.reduction import CriticalSurfaceSolution
 
 
 def write_config(tmp_path, config, name="config.json"):
@@ -55,16 +57,31 @@ def test_malformed_config_exits_2(tmp_path, capsys):
     assert main(["energy", "--config", cfg]) == 2
 
 
-@pytest.mark.parametrize("content", [None, "{not json", '{"trace": {"r": [0.03]}}'],
-                         ids=["missing", "bad_json", "no_solutions"])
+def _null_energy_resume(config):
+    """A resume file keyed to `config` whose one leaf records no energy."""
+    leaf = CriticalSurfaceSolution(
+        r=0.03, tau=np.zeros(3), lam=0.04, phi=HarmonicField.zero(8), residual_norm=0.0,
+        residual_norm_full=0.0, newton_iterations=1, converged=True,
+        energy=EnergyReport(*[1.0] * 6)).to_dict()
+    leaf["energy"] = None
+    key = _leaf_key(config, _grid(config), np.zeros(3), {})
+    return json.dumps({"leaf_sha256": key, "trace": {"solutions": [leaf]}})
+
+
+@pytest.mark.parametrize("content", [None, "{not json", '{"trace": {"r": [0.03]}}',
+                                     "null_energy"],
+                         ids=["missing", "bad_json", "no_solutions", "null_energy"])
 def test_unreadable_resume_exits_2(tmp_path, capsys, content):
     resume = tmp_path / "previous.json"
-    if content is not None:
-        resume.write_text(content)
-    cfg = write_config(tmp_path, {
+    config = {
         "preset": {"name": "conformal_quadratic", "params": {"eps": 0.01}},
         "grid": {"n_theta": 8, "n_phi": 16},
-        "foliate": {"r_min": 0.03, "r_max": 0.08, "resume": str(resume)}})
+        "foliate": {"r_min": 0.03, "r_max": 0.08, "resume": str(resume)}}
+    if content == "null_energy":
+        content = _null_energy_resume(config)
+    if content is not None:
+        resume.write_text(content)
+    cfg = write_config(tmp_path, config)
     assert main(["foliate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     assert "cannot resume from" in capsys.readouterr().err
 
@@ -183,6 +200,30 @@ def test_check_command(tmp_path):
     out = json.loads((tmp_path / "check_result.json").read_text())
     assert all(c["passed"] for c in out["checks"])
     assert "light-cut quartic area identity holds exactly" in [c["name"] for c in out["checks"]]
+
+
+def test_check_csv(tmp_path):
+    assert main(["check", "--out", str(tmp_path), "--format", "csv"]) == 0
+    assert not (tmp_path / "check_result.json").exists()
+    lines = (tmp_path / "check_result.csv").read_text().splitlines()
+    assert lines[0].startswith("# hawkfol") and lines[1] == "name,passed"
+    assert len(lines) == 9 and all(line.endswith(",True") for line in lines[2:])
+    assert "light-cut quartic area identity holds exactly,True" in lines
+
+
+@pytest.mark.parametrize("command, section", [
+    ("solve", {"radius": 0.05}),
+    ("foliate", {"r_min": 0.03, "r_max": 0.04, "n_steps": 2}),
+    ("solve", {"radius": 0.05, "band_limit": 9}),
+], ids=["solve", "foliate", "solve-above"])
+def test_unresolved_solver_band_limit_exits_2(tmp_path, capsys, command, section):
+    # the solver's default band limit is 8; the embedding has degree 9
+    cfg = write_config(tmp_path, {
+        "preset": {"name": "conformal_quadratic", "params": {"eps": 0.01}},
+        "grid": {"n_theta": 16, "n_phi": 32, "band_limit": 8}, command: section})
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "must be below the grid band limit 8" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*_result.*"))
 
 
 def test_grid_flag_parse_error():

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from hawkfol import (HarmonicField, concentration_scalar, el_residual, foliate,
-                     initial_guess, kernel_obstruction, nonexistence_check,
-                     preset, reduction, solve_critical)
+from hawkfol import (EnergyReport, HarmonicField, SphereGrid, concentration_scalar,
+                     el_residual, foliate, initial_guess, kernel_obstruction,
+                     nonexistence_check, preset, reduction, solve_critical)
 from hawkfol.errors import ContinuationBroken, DegenerateHessian, NonConvergence
 from hawkfol.reduction import CriticalSurfaceSolution, _newton, _ReducedSystem
 
@@ -68,6 +68,15 @@ class TestSolveCritical:
         assert np.abs(res.proj_k1).max() < 1e-6
         # the physical residual obeys |Phi~| = |Phi| / r^3
         assert sol.residual_norm < 1e-7
+
+    def test_band_limit_the_grid_cannot_resolve(self, conformal):
+        # the embedding has degree band_limit + 1: a grid of band limit 8
+        # truncates the surfaces of solver band limit 8
+        grid = SphereGrid(16, 32, 8)
+        with pytest.raises(ValueError, match="band limit 8 must be below the grid band limit 8"):
+            solve_critical(conformal, ORIGIN, 0.05, grid=grid, band_limit=8)
+        with pytest.raises(ValueError, match="must be below the grid band limit 8"):
+            kernel_obstruction(conformal, ORIGIN, 0.05, grid=grid, band_limit=9)
 
     def test_nonconvergence_raises(self, conformal_k, grid):
         with pytest.raises(NonConvergence):
@@ -232,7 +241,8 @@ class TestFoliate:
 def _leaf(r):
     return CriticalSurfaceSolution(
         r=r, tau=np.zeros(3), lam=0.04, phi=HarmonicField.zero(8), residual_norm=0.0,
-        residual_norm_full=0.0, newton_iterations=1, converged=True)
+        residual_norm_full=0.0, newton_iterations=1, converged=True,
+        energy=EnergyReport(*[0.0] * 6))
 
 
 class TestFoliateRadii:

@@ -285,7 +285,7 @@ def test_cross_module_energy_coefficient(conformal_k, grid):
     # the geodesic-side cubic coefficient equals the concentration scalar / 12
     from hawkfol import concentration_scalar
     value, _, _ = concentration_scalar(conformal_k, ORIGIN)
-    k = conformal_k.k_tensor(ORIGIN[None])[0]
+    k = conformal_k.k_jet(ORIGIN[None], 0)[0]
     from hawkfol import curvature_at
     sc = curvature_at(conformal_k, ORIGIN).scalar
     # spacetime data realizing the same slice scalar and k: choose Ric4(e0,e0)

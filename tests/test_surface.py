@@ -12,14 +12,14 @@ from hawkfol import (HarmonicField, RayFan, VariationBundle,
                      moment_value, preset, surface_from_positions, surface_to_csv,
                      synthesize, transported_center_frame)
 from hawkfol.errors import BandLimitExceeded, DegenerateInducedMetric, NonEmbedded
-from hawkfol.background import _dg_of, christoffel_from
+from hawkfol.background import christoffel_from
 
 ORIGIN = np.zeros(3)
 
 
 def _gamma_at(ds, pts):
     """Christoffel symbols for the oracles, independent of the geodesic kernel."""
-    return christoffel_from(np.linalg.inv(ds.metric(pts)), _dg_of(ds, pts))
+    return christoffel_from(np.linalg.inv(ds.metric_jet(pts, 0)), ds.metric_jet(pts, 1))
 
 
 class TestExpMap:
@@ -47,10 +47,10 @@ class TestExpMap:
         ys = sol.sol(ts)
         speeds = np.empty(ts.size)
         for i in range(ts.size):
-            g = conformal.metric(ys[:3, i][None])[0]
+            g = conformal.metric_jet(ys[:3, i][None], 0)[0]
             speeds[i] = np.sqrt(ys[3:, i] @ g @ ys[3:, i])
         arclength = np.trapezoid(speeds, ts)
-        g0 = conformal.metric(ORIGIN[None])[0]
+        g0 = conformal.metric_jet(ORIGIN[None], 0)[0]
         assert abs(arclength - np.sqrt(v @ g0 @ v)) < 1e-8
 
 
@@ -58,7 +58,7 @@ def test_parallel_transport_preserves_frame(conformal):
     p = np.array([0.05, 0.02, 0.0])
     tau = np.array([0.03, -0.01, 0.02])
     center, frame = transported_center_frame(conformal, p, tau)
-    g = conformal.metric(center[None])[0]
+    g = conformal.metric_jet(center[None], 0)[0]
     assert np.abs(frame.T @ g @ frame - np.eye(3)).max() < 1e-12
 
 
@@ -84,18 +84,18 @@ def _non_conformal_polynomial():
 def test_christoffel_derivative_algebra_against_stencils(which, x, conformal_k):
     # dGamma closed-form assembly versus a direct stencil on the pointwise
     # Christoffel map
-    from hawkfol.background import (_d2g_of, _dg_of, _fd_grad, _inverse_metric,
-                                    christoffel_from, dchristoffel_from)
+    from hawkfol.background import (_fd_grad, _inverse_metric, christoffel_from,
+                                    dchristoffel_from)
     ds = {"conformal_k": conformal_k, "polynomial": _non_conformal_polynomial(),
           "schwarzschild": preset("schwarzschild_slice", mass=1.0)}[which]
     pts = np.array([x])
-    g_inv = _inverse_metric(ds.metric(pts))
-    dg = _dg_of(ds, pts)
+    g_inv = _inverse_metric(ds.metric_jet(pts, 0))
+    dg = ds.metric_jet(pts, 1)
 
     def gamma_map(q):
-        return christoffel_from(_inverse_metric(ds.metric(q)), _dg_of(ds, q))
+        return christoffel_from(_inverse_metric(ds.metric_jet(q, 0)), ds.metric_jet(q, 1))
 
-    dgam = dchristoffel_from(g_inv, dg, _d2g_of(ds, pts), christoffel_from(g_inv, dg))[0]
+    dgam = dchristoffel_from(g_inv, dg, ds.metric_jet(pts, 2), christoffel_from(g_inv, dg))[0]
     assert np.abs(dgam - _fd_grad(gamma_map, pts, 1e-4)[0]).max() < 1e-9
 
 

@@ -563,10 +563,17 @@ def preset(name: str, **params) -> InitialDataSet:
 
     Known names: flat, constant_k(k), conformal_quadratic(eps, k=None),
     schwarzschild_slice(mass), polynomial(g_quadratic, k_constant, k_linear).
+    Raises UnknownPreset for any other name, and InvalidParams for a parameter
+    that is malformed, out of range, or holds a NaN or an infinity.
     """
-    if name not in _PRESETS:
+    if not isinstance(name, str) or name not in _PRESETS:
         raise UnknownPreset(f"unknown preset {name!r}; known: {sorted(_PRESETS)}")
     try:
+        for key, value in params.items():
+            if value is not None and not np.isfinite(np.asarray(value, dtype=float)).all():
+                raise InvalidParams(f"preset parameter {key} must be finite, got {value!r}")
         return _PRESETS[name](**params)
+    except InvalidParams:
+        raise
     except (TypeError, ValueError) as exc:
         raise InvalidParams(str(exc)) from exc

@@ -38,7 +38,7 @@ import numpy as np
 
 from .background import (AmbientFields, InitialDataSet, _in_frame, _inverse_metric,
                          ambient_fields, preset)
-from .errors import NonEmbedded
+from .errors import InvalidParams, NonEmbedded
 from .geodesic import VariationBundle, transported_center_frame
 from .grid import SphereGrid
 from .harmonics import (HarmonicField, analyze_compensated, project_K0,
@@ -146,7 +146,7 @@ def el_residual(ds: InitialDataSet, surface: EmbeddedSurface, lam: float) -> Res
     of the data set.  `ds` must be the data set the surface was built on.
     """
     if ds is not surface.dataset:
-        raise ValueError("el_residual: ds is not the data set of the surface")
+        raise InvalidParams("el_residual: ds is not the data set of the surface")
     terms = _residual_terms(surface.grid, vars(surface), surface.ambient, lam)
     return ResidualField.from_values(surface.grid, sum(terms.values()), lam)
 

@@ -1,4 +1,10 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package.
+
+InvalidParams is the one input-error type: every argument that is out of
+range or malformed raises it (or its subclass UnknownPreset), and the CLI
+maps it to exit code 2.  Every other HawkfolError reports a numerical
+failure, exit code 3.
+"""
 
 
 class HawkfolError(Exception):
@@ -13,12 +19,12 @@ class DegenerateMetric(HawkfolError):
     """The metric is not positive definite at a requested point."""
 
 
-class UnknownPreset(HawkfolError):
+class InvalidParams(HawkfolError, ValueError):
+    """An argument is out of range or malformed."""
+
+
+class UnknownPreset(InvalidParams):
     """Requested preset name is not registered."""
-
-
-class InvalidParams(HawkfolError):
-    """Preset parameters are out of range or malformed."""
 
 
 class StepSizeUnderflow(HawkfolError):

@@ -30,7 +30,7 @@ import numpy as np
 
 from .background import (_SYM6, InitialDataSet, _inverse_metric, christoffel_from,
                          dchristoffel_from)
-from .errors import ChartExceeded, StepSizeUnderflow
+from .errors import ChartExceeded, InvalidParams, StepSizeUnderflow
 
 _CENTER_FRAME_STEPS = 64
 
@@ -144,7 +144,7 @@ class RayFan:
         center = np.asarray(center, dtype=float).reshape(3)
         directions = np.asarray(directions, dtype=float)
         if s_max <= 0:
-            raise ValueError("s_max must be positive")
+            raise InvalidParams("s_max must be positive")
         if s_max / n_steps < 1e-14:
             raise StepSizeUnderflow("ray step underflows double precision")
         self.ds = ds
@@ -223,7 +223,7 @@ class VariationBundle:
         radii = np.asarray(radii, dtype=float)
         n = directions.shape[0]
         if np.any(radii <= 0):
-            raise ValueError("bundle radii must be positive (use the flat shortcut at r = 0)")
+            raise InvalidParams("bundle radii must be positive (use the flat shortcut at r = 0)")
         frame = np.asarray(frame, dtype=float)
 
         h = radii / n_steps  # per-node step

@@ -18,6 +18,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .errors import InvalidParams
+
 
 def coeff_index(l: int, m: int) -> int:
     """Position of the (l, m) coefficient in the flattened real basis."""
@@ -98,9 +100,11 @@ class SphereGrid:
 
     def __init__(self, n_theta: int = 32, n_phi: int = 64, band_limit: int | None = None):
         if n_theta < 2 or n_phi < 4:
-            raise ValueError("grid too small: need n_theta >= 2 and n_phi >= 4")
+            raise InvalidParams("grid too small: need n_theta >= 2 and n_phi >= 4")
         if band_limit is None:
             band_limit = (2 * min(n_theta, n_phi // 2) - 2) // 3
+        if band_limit < 0:
+            raise InvalidParams(f"grid band_limit must be nonnegative, got {band_limit}")
         self.n_theta = int(n_theta)
         self.n_phi = int(n_phi)
         self.band_limit = int(band_limit)

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import BandLimitExceeded, NotOrthogonal, UnsupportedDegree
+from .errors import BandLimitExceeded, InvalidParams, NotOrthogonal, UnsupportedDegree
 from .grid import SphereGrid, coeff_degrees, coeff_index, per_order_index
 
 
@@ -41,7 +41,7 @@ class HarmonicField:
     def __post_init__(self):
         expected = (self.band_limit + 1) ** 2
         if self.coeffs.shape[:1] != (expected,):
-            raise ValueError(f"expected {expected} coefficients, got {self.coeffs.shape}")
+            raise InvalidParams(f"expected {expected} coefficients, got {self.coeffs.shape}")
 
     @classmethod
     def zero(cls, band_limit: int) -> "HarmonicField":
@@ -52,7 +52,7 @@ class HarmonicField:
         f = np.zeros((band_limit + 1) ** 2)
         for (l, m), value in entries.items():
             if l > band_limit:
-                raise ValueError(f"degree {l} above band limit {band_limit}")
+                raise InvalidParams(f"degree {l} above band limit {band_limit}")
             f[coeff_index(l, m)] = value
         return cls(f, band_limit)
 
@@ -74,12 +74,12 @@ class HarmonicField:
 
     def __add__(self, other: "HarmonicField") -> "HarmonicField":
         if other.band_limit != self.band_limit:
-            raise ValueError("band limits differ")
+            raise InvalidParams("band limits differ")
         return HarmonicField(self.coeffs + other.coeffs, self.band_limit)
 
     def __sub__(self, other: "HarmonicField") -> "HarmonicField":
         if other.band_limit != self.band_limit:
-            raise ValueError("band limits differ")
+            raise InvalidParams("band limits differ")
         return HarmonicField(self.coeffs - other.coeffs, self.band_limit)
 
     def __mul__(self, scalar: float) -> "HarmonicField":
@@ -114,7 +114,7 @@ def _synthesis(field: HarmonicField, grid: SphereGrid, order: int) -> dict:
     """
     b = field.band_limit
     if b > grid.band_limit:
-        raise ValueError("field band limit exceeds grid band limit")
+        raise InvalidParams("field band limit exceeds grid band limit")
     flat = field.coeffs.reshape(field.coeffs.shape[0], -1)
     per_order = np.zeros((2 * b + 1, b + 1, flat.shape[1]))
     per_order[per_order_index(b)] = flat
@@ -272,7 +272,7 @@ def moment_integral(multi_index) -> Fraction:
     if len(idx) > 6:
         raise UnsupportedDegree(f"degree {len(idx)} > 6")
     if any(i not in (0, 1, 2) for i in idx):
-        raise ValueError("axes must be 0, 1 or 2")
+        raise InvalidParams("axes must be 0, 1 or 2")
     exps = [idx.count(ax) for ax in (0, 1, 2)]
     if any(e % 2 for e in exps):
         return Fraction(0)

@@ -34,7 +34,8 @@ import numpy as np
 
 from .background import InitialDataSet, ambient_fields, concentration_scalar
 from .el_operator import ResidualField, el_residual
-from .errors import ContinuationBroken, DegenerateHessian, HawkfolError, NonConvergence
+from .errors import (ContinuationBroken, DegenerateHessian, HawkfolError, InvalidParams,
+                     NonConvergence)
 from .functionals import EnergyReport, hawking_energy
 from .geodesic import RayFan, orthonormal_frame, transported_center_frame
 from .grid import SphereGrid, default_grid
@@ -173,13 +174,18 @@ def _hessian_spectrum(hess):
 _FAN_STEPS = 64
 
 
+def _check_band_limit(band_limit: int, grid: SphereGrid) -> None:
+    """The surfaces r x (1 + r^2 phi) have degree band_limit + 1; the grid must resolve it."""
+    if not 0 <= band_limit < grid.band_limit:
+        raise InvalidParams(f"solver band limit {band_limit} must be below the grid band "
+                            f"limit {grid.band_limit} and nonnegative")
+
+
 class _ReducedSystem:
     """Projected residual and Jacobian of the reduced equations."""
 
     def __init__(self, ds, p, r, grid, band_limit, hess=None):
-        if band_limit >= grid.band_limit:   # r x (1 + r^2 phi) has degree band_limit + 1
-            raise ValueError(f"solver band limit {band_limit} must be below the grid band "
-                             f"limit {grid.band_limit}")
+        _check_band_limit(band_limit, grid)
         self.ds = ds
         self.p = np.asarray(p, dtype=float).reshape(3)
         self.r = float(r)
@@ -292,11 +298,15 @@ def solve_critical(ds: InitialDataSet, p, r: float, guess=None,
         Convergence threshold on the projected L2 norm of Phi~ (the rescaled
         residual Phi then satisfies |Phi| < tol * r^3).
 
-    Raises ValueError when `band_limit` is not below `grid.band_limit`,
-    DegenerateHessian when the concentration-scalar Hessian at p is singular
-    or ill-conditioned, and NonConvergence when Newton fails.
+    Raises InvalidParams when r or tol is not positive or `band_limit` is not
+    in [0, grid.band_limit), DegenerateHessian when the concentration-scalar
+    Hessian at p is singular or ill-conditioned, and NonConvergence when
+    Newton fails.
     """
     grid = grid or default_grid()
+    if not (r > 0 and tol > 0):
+        raise InvalidParams(f"need r > 0 and tol > 0, got r = {r}, tol = {tol}")
+    _check_band_limit(band_limit, grid)
     _, _, hess = concentration_scalar(ds, p)
     _, cond, degenerate = _hessian_spectrum(hess)
     if degenerate:
@@ -375,12 +385,15 @@ def foliate(ds: InitialDataSet, p, r_range, n_steps: int,
     trace, and every requested radius below, or within 1e-12 relative of,
     its last leaf counts as solved.  A requested radius whose sphere reaches
     the chart (|p| + r >= chart radius) is never solved: it raises
-    ContinuationBroken with the leaves solved below it.
+    ContinuationBroken with the leaves solved below it.  An r_range, n_steps
+    or band_limit out of range raises InvalidParams before the first solve.
     """
     grid = grid or default_grid()
     r_min, r_max = float(r_range[0]), float(r_range[1])
-    if not (0 < r_min < r_max):
-        raise ValueError("need 0 < r_min < r_max")
+    if not (0 < r_min < r_max and n_steps >= 1):
+        raise InvalidParams(f"need 0 < r_min < r_max and n_steps >= 1, got r_range = "
+                            f"({r_min}, {r_max}), n_steps = {n_steps}")
+    _check_band_limit(band_limit, grid)
     radii = list(np.geomspace(r_min, r_max, int(n_steps)))
     reach = float(np.linalg.norm(p))
 
@@ -401,6 +414,8 @@ def foliate(ds: InitialDataSet, p, r_range, n_steps: int,
             try:
                 sol = solve_critical(ds, p, attempt_r, guess=guess, grid=grid,
                                      band_limit=band_limit, tol=tol, max_iter=max_iter)
+            except InvalidParams:   # a bad argument, not a failed solve
+                raise
             except HawkfolError:
                 if not solutions:
                     raise

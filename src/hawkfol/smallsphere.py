@@ -40,7 +40,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import NoRoot
+from .errors import InvalidParams, NoRoot
 from .harmonics import moment_integral
 
 _ETA = np.diag([-1.0, 1.0, 1.0, 1.0])
@@ -51,11 +51,11 @@ def _check_riemann_symmetries(rm4, tol=1e-10):
     if (np.abs(rm4 + rm4.transpose(1, 0, 2, 3)).max() > tol * scale
             or np.abs(rm4 + rm4.transpose(0, 1, 3, 2)).max() > tol * scale
             or np.abs(rm4 - rm4.transpose(2, 3, 0, 1)).max() > tol * scale):
-        raise ValueError("rm4 must be antisymmetric in each index pair and "
-                         "symmetric under pair exchange")
+        raise InvalidParams("rm4 must be antisymmetric in each index pair and "
+                            "symmetric under pair exchange")
     bianchi = rm4 + rm4.transpose(0, 2, 3, 1) + rm4.transpose(0, 3, 1, 2)
     if np.abs(bianchi).max() > tol * scale:
-        raise ValueError("rm4 must be a tensor satisfying the first Bianchi identity")
+        raise InvalidParams("rm4 must be a tensor satisfying the first Bianchi identity")
 
 
 @dataclass(frozen=True)
@@ -79,24 +79,24 @@ class SpacetimeCurvatureAtPoint:
                         slice_scalar=None) -> "SpacetimeCurvatureAtPoint":
         rm4 = np.zeros((4, 4, 4, 4)) if rm4 is None else np.asarray(rm4, dtype=float)
         if rm4.shape != (4, 4, 4, 4):
-            raise ValueError("rm4 must have shape (4, 4, 4, 4)")
+            raise InvalidParams("rm4 must have shape (4, 4, 4, 4)")
         _check_riemann_symmetries(rm4)
         if ric4 is None:
             ric4 = np.einsum("ab,aibj->ij", _ETA, rm4)
         else:
             ric4 = np.asarray(ric4, dtype=float)
             if ric4.shape != (4, 4) or not np.allclose(ric4, ric4.T, atol=1e-12):
-                raise ValueError("ric4 must be a symmetric 4x4 matrix")
+                raise InvalidParams("ric4 must be a symmetric 4x4 matrix")
         if sc4 is None:
             sc4 = float(np.einsum("ac,ac->", _ETA, ric4))
         k = np.zeros((3, 3)) if k is None else np.asarray(k, dtype=float)
         if k.shape != (3, 3) or not np.allclose(k, k.T, atol=1e-12):
-            raise ValueError("k must be a symmetric 3x3 matrix")
+            raise InvalidParams("k must be a symmetric 3x3 matrix")
         trk = float(np.trace(k))
         ksq = float(np.sum(k * k))
         gauss = sc4 + 2.0 * ric4[0, 0] - trk * trk + ksq
         if slice_scalar is not None and abs(slice_scalar - gauss) > 1e-10 * max(1.0, abs(gauss)):
-            raise ValueError(
+            raise InvalidParams(
                 f"slice scalar {slice_scalar} inconsistent with the Gauss equation value {gauss}")
         return cls(rm4=rm4, ric4=ric4, sc4=float(sc4), k=k, slice_scalar=float(gauss))
 
@@ -311,7 +311,7 @@ def comparison_report(stc: SpacetimeCurvatureAtPoint, l_values,
     x = np.asarray(sample_direction, dtype=float)
     norm = np.linalg.norm(x)
     if not norm > 0:
-        raise ValueError(f"sample_direction must be a nonzero vector, got {x}")
+        raise InvalidParams(f"sample_direction must be a nonzero vector, got {x}")
     x = x / norm
     rows = [_comparison_row(stc, l, x) for l in l_values]
 

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .background import AmbientFields, InitialDataSet, _in_frame, ambient_fields
-from .errors import DegenerateInducedMetric, NonEmbedded
+from .errors import DegenerateInducedMetric, InvalidParams, NonEmbedded
 from .geodesic import RayFan, transported_center_frame
 from .grid import SphereGrid
 # `analyze` is not called here; it stays importable as `hawkfol.surface.analyze`
@@ -62,7 +62,7 @@ class EmbeddedSurface:
         """Integral of a per-node field over the surface measure."""
         values = np.asarray(values, dtype=float)
         if values.shape != (self.grid.n_nodes,):
-            raise ValueError("field shape does not match the grid")
+            raise InvalidParams("field shape does not match the grid")
         return float(np.sum(self.grid.weights * values * self.area_element))
 
 
@@ -155,7 +155,7 @@ def graph_surface(ds: InitialDataSet, center, tau, radius: float,
     Passing a prebuilt RayFan for the same center/grid skips re-integration.
     """
     if radius <= 0:
-        raise ValueError("radius must be positive")
+        raise InvalidParams("radius must be positive")
     if phi is None:
         phi_vals = np.zeros(grid.n_nodes)
     else:

@@ -251,6 +251,11 @@ class TestPresets:
         with pytest.raises(UnknownPreset):
             preset("nope")
 
+    def test_unknown_unhashable_name(self):
+        # a JSON list as the name once raised a bare TypeError
+        with pytest.raises(UnknownPreset):
+            preset(["flat"])
+
     def test_invalid_mass(self):
         with pytest.raises(InvalidParams):
             preset("schwarzschild_slice", mass=-1.0)
@@ -258,6 +263,22 @@ class TestPresets:
     def test_invalid_k(self):
         with pytest.raises(InvalidParams):
             preset("constant_k", k=[[0, 1, 0], [0, 0, 0], [0, 0, 0]])
+
+    @pytest.mark.parametrize("name, params", [
+        ("conformal_quadratic", {"eps": np.nan}),
+        ("schwarzschild_slice", {"mass": np.inf}),
+        ("conformal_quadratic", {"eps": 0.01, "k": [[0.1, 0.0, 0.0], [0.0, np.nan, 0.0],
+                                                     [0.0, 0.0, 0.1]]}),
+    ], ids=["eps-nan", "mass-inf", "k-nan-entry"])
+    def test_nonfinite_params(self, name, params):
+        # a NaN eps once gave a data set of NaN chart radius, which no chart
+        # check rejects, and failed only at its first evaluation
+        with pytest.raises(InvalidParams, match="finite"):
+            preset(name, **params)
+
+    def test_none_params_allowed(self):
+        ds = preset("conformal_quadratic", eps=0.01, k=None, chart_radius=None)
+        assert ds.chart_radius == np.inf
 
     def test_schwarzschild_is_scalar_flat(self):
         ds = preset("schwarzschild_slice", mass=1.0)

@@ -86,6 +86,16 @@ def test_unreadable_resume_exits_2(tmp_path, capsys, content):
     assert "cannot resume from" in capsys.readouterr().err
 
 
+def test_resume_not_a_path_exits_2(tmp_path, capsys):
+    # an integer would be opened as a file descriptor, and closed after
+    cfg = write_config(tmp_path, {
+        "preset": {"name": "conformal_quadratic", "params": {"eps": 0.01}},
+        "grid": {"n_theta": 8, "n_phi": 16},
+        "foliate": {"r_min": 0.03, "r_max": 0.08, "resume": 12345}})
+    assert main(["foliate", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "resume must be a path string" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command, section, values, bad", [
     ("solve", "solve", {"radius": "big"}, "radius"),
     ("solve", "solve", {"radius": 0.05, "tol": "abc"}, "tol"),
@@ -164,10 +174,45 @@ def test_invalid_preset_params_exit_2(tmp_path, capsys, name, params, finite):
     assert not finite or "finite" in err
 
 
-def test_unknown_preset_exits_3(tmp_path, capsys):
+def test_unknown_preset_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, {"preset": {"name": "wat"},
                                   "surface": {"radius": 1.0}})
-    assert main(["energy", "--config", cfg, "--out", str(tmp_path)]) == 3
+    assert main(["energy", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "config error: unknown preset 'wat'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, section, values", [
+    ("energy", "surface", {"radius": -1.0}),
+    ("energy", "surface", {"radius": 0.0}),
+    ("solve", "solve", {"radius": 0.0}),
+    ("solve", "solve", {"radius": 0.05, "tol": -1.0}),
+    ("solve", "solve", {"radius": 0.05, "band_limit": -1}),
+    ("foliate", "foliate", {"r_min": 0.1, "r_max": 0.02}),
+    ("foliate", "foliate", {"r_min": 0.02, "r_max": 0.1, "n_steps": 0}),
+    ("energy", "grid", {"n_theta": 1, "n_phi": 32}),
+    ("energy", "grid", {"n_theta": 16, "n_phi": 32, "band_limit": -1}),
+], ids=["energy-radius-negative", "energy-radius-zero", "solve-radius-zero",
+        "solve-tol-negative", "solve-band_limit-negative", "foliate-r_min-above-r_max",
+        "foliate-n_steps-zero", "grid-n_theta-1", "grid-band_limit-negative"])
+def test_out_of_range_config_exits_2(tmp_path, capsys, command, section, values):
+    # finite numbers that the library rejects, before any numerical work
+    config = {"preset": {"name": "conformal_quadratic", "params": {"eps": 0.01}},
+              "grid": {"n_theta": 16, "n_phi": 32}, "surface": {"radius": 0.1}, section: values}
+    cfg = write_config(tmp_path, config)
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*_result.*"))
+
+
+def test_flat_solve_unresolved_band_limit_exits_2(tmp_path, capsys):
+    # the band limit is checked before the flat Hessian, which is degenerate
+    cfg = write_config(tmp_path, {
+        "preset": {"name": "flat"}, "grid": {"n_theta": 16, "n_phi": 32, "band_limit": 8},
+        "solve": {"radius": 0.05, "band_limit": 8}})
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err and "DegenerateHessian" not in err
+    assert not list(tmp_path.glob("*_result.*"))
 
 
 def test_flat_foliate_degenerate_exits_3(tmp_path, capsys):

@@ -11,7 +11,7 @@ from numpy.testing import assert_allclose
 from hawkfol import (HarmonicField, analyze, analyze_compensated, biharmonic_apply,
                      biharmonic_solve, moment_integral, moment_value, project_K0, project_K1,
                      project_Kperp, synthesize, synthesize_derivatives)
-from hawkfol.errors import BandLimitExceeded, NotOrthogonal, UnsupportedDegree
+from hawkfol.errors import BandLimitExceeded, InvalidParams, NotOrthogonal, UnsupportedDegree
 from hawkfol.grid import SphereGrid, _normalized_legendre, _theta_derivative, coeff_index
 
 
@@ -295,6 +295,13 @@ def test_band_limit_zero_colatitude_tables():
 def test_small_grid_band_limit_rule():
     assert SphereGrid(32, 64).band_limit == 20
     assert SphereGrid(16, 32).band_limit == 10
+
+
+@pytest.mark.parametrize("sizes", [(1, 32), (16, 2), (16, 32, -1)],
+                         ids=["n_theta-1", "n_phi-2", "band_limit-negative"])
+def test_grid_rejects_bad_sizes(sizes):
+    with pytest.raises(InvalidParams):
+        SphereGrid(*sizes)
 
 
 def test_coeff_index_layout():

@@ -6,7 +6,8 @@ import pytest
 from hawkfol import (EnergyReport, HarmonicField, SphereGrid, concentration_scalar,
                      el_residual, foliate, initial_guess, kernel_obstruction,
                      nonexistence_check, preset, reduction, solve_critical)
-from hawkfol.errors import ContinuationBroken, DegenerateHessian, NonConvergence
+from hawkfol.errors import (ContinuationBroken, DegenerateHessian, InvalidParams,
+                            NonConvergence)
 from hawkfol.reduction import CriticalSurfaceSolution, _newton, _ReducedSystem
 
 ORIGIN = np.zeros(3)
@@ -77,6 +78,16 @@ class TestSolveCritical:
             solve_critical(conformal, ORIGIN, 0.05, grid=grid, band_limit=8)
         with pytest.raises(ValueError, match="must be below the grid band limit 8"):
             kernel_obstruction(conformal, ORIGIN, 0.05, grid=grid, band_limit=9)
+
+    @pytest.mark.parametrize("r, kwargs", [
+        (0.0, {}), (-0.05, {}), (0.05, {"tol": 0.0}), (0.05, {"tol": np.nan}),
+        (0.05, {"band_limit": -1}), (0.05, {"band_limit": 20}),
+    ], ids=["r-zero", "r-negative", "tol-zero", "tol-nan", "band_limit-negative",
+            "band_limit-grid"])
+    def test_rejects_bad_arguments_before_the_hessian(self, flat, grid, r, kwargs):
+        # the flat Hessian is degenerate: the argument checks come first
+        with pytest.raises(InvalidParams):
+            solve_critical(flat, ORIGIN, r, grid=grid, **kwargs)
 
     def test_nonconvergence_raises(self, conformal_k, grid):
         with pytest.raises(NonConvergence):
@@ -307,6 +318,23 @@ class TestFoliateRadii:
         with pytest.raises(ContinuationBroken) as info:
             foliate(ds, ORIGIN, (2.0, 5.0), 3, grid=grid)
         assert info.value.trace is None
+
+    @pytest.mark.parametrize("r_range, n_steps, band_limit", [
+        ((0.1, 0.02), 5, 8), ((0.0, 0.1), 5, 8), ((0.02, 0.1), 0, 8), ((0.02, 0.1), 5, 20),
+    ], ids=["r_min-above-r_max", "r_min-zero", "n_steps-zero", "band_limit-grid"])
+    def test_bad_arguments_raise_before_any_solve(self, flat, grid, monkeypatch, r_range,
+                                                  n_steps, band_limit):
+        monkeypatch.setattr(reduction, "solve_critical",
+                            lambda *args, **kwargs: pytest.fail("solve attempted"))
+        with pytest.raises(InvalidParams):
+            foliate(flat, ORIGIN, r_range, n_steps, grid=grid, band_limit=band_limit)
+
+    def test_invalid_params_is_not_a_failed_solve(self, flat, grid):
+        # with a leaf solved, a failed solve would be retried at halved steps
+        # and end in ContinuationBroken; a bad tol is reported as it is
+        with pytest.raises(InvalidParams, match="tol"):
+            foliate(flat, ORIGIN, (0.02, 0.1), 5, grid=grid, tol=-1.0,
+                    warm_start=[_leaf(self.RADII[0])])
 
     @pytest.mark.parametrize("shift", [0.0, 1e-13, -1e-13])
     def test_resume_is_keyed_by_radius(self, flat, grid, monkeypatch, shift):

@@ -1,10 +1,12 @@
-"""Exception and warning types shared across the package.
+"""Exception and warning types shared across the package, and its count check.
 
 InvalidParams is the one input-error type: every argument that is out of
 range or malformed raises it (or its subclass UnknownPreset), and the CLI
 maps it to exit code 2.  Every other HawkfolError reports a numerical
 failure, exit code 3.
 """
+
+import operator
 
 
 class HawkfolError(Exception):
@@ -21,6 +23,13 @@ class DegenerateMetric(HawkfolError):
 
 class InvalidParams(HawkfolError, ValueError):
     """An argument is out of range or malformed."""
+
+
+def as_count(value, name: str, minimum: int = 1) -> int:
+    """The one check of a count: `value` as an int if it is an integer >= minimum."""
+    if not hasattr(type(value), "__index__") or operator.index(value) < minimum:
+        raise InvalidParams(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return operator.index(value)
 
 
 class UnknownPreset(InvalidParams):

@@ -19,9 +19,9 @@ transport and VariationBundle take Gamma and d Gamma from `christoffel_from`
 and `dchristoffel_from`; the bundle builds d^2 Gamma(v, v) by the same rule
 (differentiate g Gamma = S / 2), so no derivative of g^-1 is formed.  Every
 integration here (exp_map, the center-frame transport, RayFan,
-VariationBundle) runs on one classical RK4 stepper, `_rk4`, over tuples of
-arrays with a scalar or per-node step; each caller checks the chart after
-every step.
+VariationBundle) runs in one loop, `_rk4`, which alone checks the step count,
+forms the step size and checks the chart after every step; exp_map is the
+center-frame transport with no vectors to carry.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 
 from .background import (_SYM6, InitialDataSet, _inverse_metric, christoffel_from,
                          dchristoffel_from)
-from .errors import ChartExceeded, InvalidParams, StepSizeUnderflow
+from .errors import ChartExceeded, InvalidParams, StepSizeUnderflow, as_count
 
 _CENTER_FRAME_STEPS = 64
 
@@ -47,24 +47,33 @@ def geodesic_acceleration(ds: InitialDataSet, pts: np.ndarray, vel: np.ndarray) 
     return -0.5 * np.einsum("...il,...l->...i", g_inv, lowered)
 
 
-def _rk4(rhs, state, h, n_steps):
-    """Classical RK4 on a tuple of arrays; yields (t, state) after every step.
+def _rk4(ds: InitialDataSet, rhs, state, span, n_steps, position=lambda t, state: state[0]):
+    """Iterator over (t, state) after each of `n_steps` classical RK4 steps on [0, span].
 
-    `rhs(t, *state)` returns the tuple of derivatives.  `h` is a scalar or an
-    array holding one step per entry of the leading axis of every array.
+    `rhs(t, *state)` returns the tuple of derivatives of the tuple of arrays
+    `state`; `span` is a scalar or one span per entry of their leading axis.
+    InvalidParams unless `n_steps` is an integer >= 1, raised on the call.
+    After every step `position(t, state)` is checked against the chart.
     """
+    n_steps = as_count(n_steps, "n_steps")
+    h = span / n_steps
     hs = [h if np.ndim(h) == 0 else np.reshape(h, np.shape(h) + (1,) * (a.ndim - 1))
           for a in state]
-    t = 0.0
-    for j in range(n_steps):
-        k1 = rhs(t, *state)
-        k2 = rhs(t + 0.5 * h, *(a + 0.5 * hj * k for a, hj, k in zip(state, hs, k1)))
-        k3 = rhs(t + 0.5 * h, *(a + 0.5 * hj * k for a, hj, k in zip(state, hs, k2)))
-        k4 = rhs(t + h, *(a + hj * k for a, hj, k in zip(state, hs, k3)))
-        state = tuple(a + (hj / 6.0) * (p + 2 * q + 2 * r + w)
-                      for a, hj, p, q, r, w in zip(state, hs, k1, k2, k3, k4))
-        t = (j + 1) * h
-        yield t, state
+
+    def steps(state):
+        t = 0.0
+        for j in range(n_steps):
+            k1 = rhs(t, *state)
+            k2 = rhs(t + 0.5 * h, *(a + 0.5 * hj * k for a, hj, k in zip(state, hs, k1)))
+            k3 = rhs(t + 0.5 * h, *(a + 0.5 * hj * k for a, hj, k in zip(state, hs, k2)))
+            k4 = rhs(t + h, *(a + hj * k for a, hj, k in zip(state, hs, k3)))
+            state = tuple(a + (hj / 6.0) * (p + 2 * q + 2 * r + w)
+                          for a, hj, p, q, r, w in zip(state, hs, k1, k2, k3, k4))
+            t = (j + 1) * h
+            ds.check_chart(position(t, state))
+            yield t, state
+
+    return steps(state)
 
 
 def orthonormal_frame(ds: InitialDataSet, point) -> np.ndarray:
@@ -82,35 +91,24 @@ def exp_map(ds: InitialDataSet, base, v, n_steps: int = 64) -> np.ndarray:
     `v` may carry leading batch axes.  Fixed-step RK4 on the first-order
     system; the trajectory is chart-checked at every step.
     """
+    return _transport(ds, base, v, n_steps)[0]
+
+
+def _transport(ds: InitialDataSet, base, v, n_steps: int, *vectors):
+    """Final state (x, u, *vectors) of t -> exp_base(t v) on [0, 1]: `v` is (..., 3),
+    and the columns of each of `vectors` (..., 3, m) are parallel transported."""
     base = np.asarray(base, dtype=float).reshape(3)
     v = np.asarray(v, dtype=float)
-    if n_steps < 1:
-        raise StepSizeUnderflow("n_steps must be positive")
-    v2 = np.atleast_2d(v)
 
-    def rhs(t, x, u):
-        return u, geodesic_acceleration(ds, x, u)
+    def rhs(t, x, u, *w):
+        gam = christoffel_from(_inverse_metric(ds.metric_jet(x, 0)), ds.metric_jet(x, 1))
+        gam_u = np.einsum("...ijk,...j->...ik", gam, u)      # Gamma(u, .)
+        return (u, -(gam_u @ u[..., None])[..., 0], *(-gam_u @ a for a in w))
 
-    state = (np.broadcast_to(base, v2.shape), v2)
-    for _, (x, _) in _rk4(rhs, state, 1.0 / n_steps, n_steps):
-        ds.check_chart(x)
-    return x[0] if v.ndim == 1 else x
-
-
-def _transport(ds: InitialDataSet, base, v, vectors, n_steps: int):
-    """Endpoint of t -> exp_base(t v) and `vectors` (columns) transported there."""
-    base = np.asarray(base, dtype=float).reshape(3)
-    v = np.asarray(v, dtype=float).reshape(3)
-
-    def rhs(t, x, u, w):
-        gam = christoffel_from(_inverse_metric(ds.metric_jet(x, 0)), ds.metric_jet(x, 1))[0]
-        gam_u = np.einsum("ijk,j->ik", gam, u[0])      # Gamma(u, .)
-        return u, -(gam_u @ u[0])[None], -gam_u @ w
-
-    state = (base[None, :], v[None, :], np.asarray(vectors, dtype=float))
-    for _, (x, _, w) in _rk4(rhs, state, 1.0 / n_steps, n_steps):
-        ds.check_chart(x)
-    return x[0], w
+    state = (np.broadcast_to(base, v.shape), v, *(np.asarray(a, dtype=float) for a in vectors))
+    for _, state in _rk4(ds, rhs, state, 1.0, n_steps):
+        pass
+    return state
 
 
 def transported_center_frame(ds: InitialDataSet, p, tau):
@@ -124,7 +122,8 @@ def transported_center_frame(ds: InitialDataSet, p, tau):
     frame_p = orthonormal_frame(ds, p)
     if np.allclose(tau, 0.0):
         return p.copy(), frame_p
-    return _transport(ds, p, frame_p @ tau, frame_p, _CENTER_FRAME_STEPS)
+    center, _, frame = _transport(ds, p, frame_p @ tau, _CENTER_FRAME_STEPS, frame_p)
+    return center, frame
 
 
 class RayFan:
@@ -145,31 +144,27 @@ class RayFan:
         directions = np.asarray(directions, dtype=float)
         if s_max <= 0:
             raise InvalidParams("s_max must be positive")
-        if s_max / n_steps < 1e-14:
-            raise StepSizeUnderflow("ray step underflows double precision")
         self.ds = ds
         self.center = center
         self.frame = np.asarray(frame, dtype=float)
         self.s_max = float(s_max)
-        self.n_steps = int(n_steps)
-
-        n = directions.shape[0]
-        h = self.s_max / n_steps
         u = directions @ self.frame.T  # chart components of unit initial velocities
         self._u = u
-        xis = np.zeros((n, n_steps + 1, 3))
-        dxis = np.zeros((n, n_steps + 1, 3))
 
         def rhs(s, xi, dxi):
             return dxi, geodesic_acceleration(ds, center + s * u + xi, u + dxi)
 
-        for j, (s, (xi, dxi)) in enumerate(_rk4(rhs, (xis[:, 0], dxis[:, 0]), h, n_steps)):
-            xis[:, j + 1] = xi
-            dxis[:, j + 1] = dxi
-            ds.check_chart(center + s * u + xi)
-        self._xis = xis
-        self._dxis = dxis
-        self._h = h
+        start = np.zeros((directions.shape[0], 3))
+        steps = _rk4(ds, rhs, (start, start), self.s_max, n_steps,
+                     position=lambda s, state: center + s * u + state[0])
+        self.n_steps = int(n_steps)   # an integer >= 1: _rk4 checked it
+        self._h = self.s_max / self.n_steps
+        if self._h < 1e-14:
+            raise StepSizeUnderflow("ray step underflows double precision")
+        self._xis = np.zeros((directions.shape[0], self.n_steps + 1, 3))
+        self._dxis = np.zeros_like(self._xis)
+        for j, (_, (xi, dxi)) in enumerate(steps):
+            self._xis[:, j + 1], self._dxis[:, j + 1] = xi, dxi
 
     def offsets_at(self, s: np.ndarray) -> np.ndarray:
         """Chord-plus-deviation offsets s u + xi(s) from the center.
@@ -226,7 +221,6 @@ class VariationBundle:
             raise InvalidParams("bundle radii must be positive (use the flat shortcut at r = 0)")
         frame = np.asarray(frame, dtype=float)
 
-        h = radii / n_steps  # per-node step
         x = np.broadcast_to(center, (n, 3)).copy()
         v = directions @ frame.T
         A = np.zeros((n, 3, 3))   # A[:, i, :] = Jacobi field for chart direction e_i
@@ -271,10 +265,8 @@ class VariationBundle:
                    + 2.0 * (pairs(B1, B2) @ gam.transpose(0, 2, 3, 1).reshape(n, 9, 3)))
             return v, dv, B, dB, D, dD
 
-        state = (x, v, A, B, C, D)
-        for _, state in _rk4(rhs, state, h, n_steps):
-            ds.check_chart(state[0])
-        x, _, A, _, C, _ = state
+        for _, (x, _, A, _, C, _) in _rk4(ds, rhs, (x, v, A, B, C, D), radii, n_steps):
+            pass
 
         self.points = x
         # DF[:, a, i] = (A_i(s))^a / s ; D2F[:, a, i, j] = (C_ij(s))^a / s^2

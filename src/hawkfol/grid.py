@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidParams
+from .errors import as_count
 
 
 def coeff_index(l: int, m: int) -> int:
@@ -99,15 +99,11 @@ class SphereGrid:
     """
 
     def __init__(self, n_theta: int = 32, n_phi: int = 64, band_limit: int | None = None):
-        if n_theta < 2 or n_phi < 4:
-            raise InvalidParams("grid too small: need n_theta >= 2 and n_phi >= 4")
+        self.n_theta = as_count(n_theta, "n_theta", 2)
+        self.n_phi = as_count(n_phi, "n_phi", 4)
         if band_limit is None:
-            band_limit = (2 * min(n_theta, n_phi // 2) - 2) // 3
-        if band_limit < 0:
-            raise InvalidParams(f"grid band_limit must be nonnegative, got {band_limit}")
-        self.n_theta = int(n_theta)
-        self.n_phi = int(n_phi)
-        self.band_limit = int(band_limit)
+            band_limit = (2 * min(self.n_theta, self.n_phi // 2) - 2) // 3
+        self.band_limit = as_count(band_limit, "grid band_limit", 0)
 
         z, wz = np.polynomial.legendre.leggauss(self.n_theta)
         phi = 2.0 * np.pi * np.arange(self.n_phi) / self.n_phi

@@ -35,7 +35,7 @@ import numpy as np
 from .background import InitialDataSet, ambient_fields, concentration_scalar
 from .el_operator import ResidualField, el_residual
 from .errors import (ContinuationBroken, DegenerateHessian, HawkfolError, InvalidParams,
-                     NonConvergence)
+                     NonConvergence, as_count)
 from .functionals import EnergyReport, hawking_energy
 from .geodesic import RayFan, orthonormal_frame, transported_center_frame
 from .grid import SphereGrid, default_grid
@@ -144,6 +144,7 @@ def initial_guess(ds: InitialDataSet, p, band_limit: int = 8,
     kernel-projection constants 8 pi (lambda + Sc/3 + ...)).
     """
     grid = grid or default_grid()
+    band_limit = as_count(band_limit, "band_limit", 0)
     amb = ambient_fields(ds, np.asarray(p, dtype=float).reshape(3))
     lam0 = float(-amb.scalar / 3.0 - amb.k_norm_sq / 15.0 - amb.k_trace ** 2 / 5.0)
 
@@ -174,18 +175,20 @@ def _hessian_spectrum(hess):
 _FAN_STEPS = 64
 
 
-def _check_band_limit(band_limit: int, grid: SphereGrid) -> None:
-    """The surfaces r x (1 + r^2 phi) have degree band_limit + 1; the grid must resolve it."""
-    if not 0 <= band_limit < grid.band_limit:
+def _check_solve(r: float, tol: float, band_limit: int, grid: SphereGrid) -> None:
+    """r > 0, tol > 0 and a band limit the grid resolves: the surfaces
+    r x (1 + r^2 phi) have degree band_limit + 1."""
+    if not (r > 0 and tol > 0):
+        raise InvalidParams(f"need r > 0 and tol > 0, got r = {r}, tol = {tol}")
+    if as_count(band_limit, "solver band limit", 0) >= grid.band_limit:
         raise InvalidParams(f"solver band limit {band_limit} must be below the grid band "
-                            f"limit {grid.band_limit} and nonnegative")
+                            f"limit {grid.band_limit}")
 
 
 class _ReducedSystem:
     """Projected residual and Jacobian of the reduced equations."""
 
     def __init__(self, ds, p, r, grid, band_limit, hess=None):
-        _check_band_limit(band_limit, grid)
         self.ds = ds
         self.p = np.asarray(p, dtype=float).reshape(3)
         self.r = float(r)
@@ -298,15 +301,14 @@ def solve_critical(ds: InitialDataSet, p, r: float, guess=None,
         Convergence threshold on the projected L2 norm of Phi~ (the rescaled
         residual Phi then satisfies |Phi| < tol * r^3).
 
-    Raises InvalidParams when r or tol is not positive or `band_limit` is not
-    in [0, grid.band_limit), DegenerateHessian when the concentration-scalar
-    Hessian at p is singular or ill-conditioned, and NonConvergence when
-    Newton fails.
+    Raises InvalidParams when r or tol is not positive, `band_limit` is not an
+    integer in [0, grid.band_limit) or `max_iter` not an integer >= 0,
+    DegenerateHessian when the concentration-scalar Hessian at p is singular
+    or ill-conditioned, and NonConvergence when Newton fails.
     """
     grid = grid or default_grid()
-    if not (r > 0 and tol > 0):
-        raise InvalidParams(f"need r > 0 and tol > 0, got r = {r}, tol = {tol}")
-    _check_band_limit(band_limit, grid)
+    _check_solve(r, tol, band_limit, grid)
+    max_iter = as_count(max_iter, "max_iter", 0)
     _, _, hess = concentration_scalar(ds, p)
     _, cond, degenerate = _hessian_spectrum(hess)
     if degenerate:
@@ -342,6 +344,7 @@ def kernel_obstruction(ds: InitialDataSet, p, r: float, grid=None,
     quantitative obstruction to concentrations of critical spheres.
     """
     grid = grid or default_grid()
+    _check_solve(r, tol, band_limit, grid)
     system = _ReducedSystem(ds, p, r, grid, band_limit)
     lam0, phi0 = initial_guess(ds, p, band_limit=band_limit, grid=grid)
     u = system.pack(np.zeros(3), lam0, phi0)
@@ -385,16 +388,15 @@ def foliate(ds: InitialDataSet, p, r_range, n_steps: int,
     trace, and every requested radius below, or within 1e-12 relative of,
     its last leaf counts as solved.  A requested radius whose sphere reaches
     the chart (|p| + r >= chart radius) is never solved: it raises
-    ContinuationBroken with the leaves solved below it.  An r_range, n_steps
-    or band_limit out of range raises InvalidParams before the first solve.
+    ContinuationBroken with the leaves solved below it.  An r_range, n_steps,
+    band_limit or tol out of range raises InvalidParams before the first solve.
     """
     grid = grid or default_grid()
     r_min, r_max = float(r_range[0]), float(r_range[1])
-    if not (0 < r_min < r_max and n_steps >= 1):
-        raise InvalidParams(f"need 0 < r_min < r_max and n_steps >= 1, got r_range = "
-                            f"({r_min}, {r_max}), n_steps = {n_steps}")
-    _check_band_limit(band_limit, grid)
-    radii = list(np.geomspace(r_min, r_max, int(n_steps)))
+    if not 0 < r_min < r_max:
+        raise InvalidParams(f"need 0 < r_min < r_max, got r_range = ({r_min}, {r_max})")
+    _check_solve(r_min, tol, band_limit, grid)
+    radii = list(np.geomspace(r_min, r_max, as_count(n_steps, "n_steps")))
     reach = float(np.linalg.norm(p))
 
     solutions = []

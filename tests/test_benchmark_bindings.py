@@ -2,6 +2,7 @@
 
 import ast
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
@@ -33,3 +34,11 @@ def test_setup_grid_tables_exist():
              if isinstance(node, ast.Constant) and isinstance(node.value, str)]
     assert names
     assert [name for name in names if not hasattr(SphereGrid, name)] == []
+
+
+def test_step_count_call_contract():
+    # spans._call_facts calls int() on RayFan's bound n_steps, its default
+    # included, and the workloads pass n_steps to graph_surface and rescaled_phi
+    assert type(inspect.signature(hawkfol.RayFan).parameters["n_steps"].default) is int
+    for fn in (hawkfol.graph_surface, hawkfol.rescaled_phi):
+        assert "n_steps" in inspect.signature(fn).parameters

@@ -297,8 +297,9 @@ def test_small_grid_band_limit_rule():
     assert SphereGrid(16, 32).band_limit == 10
 
 
-@pytest.mark.parametrize("sizes", [(1, 32), (16, 2), (16, 32, -1)],
-                         ids=["n_theta-1", "n_phi-2", "band_limit-negative"])
+@pytest.mark.parametrize("sizes", [(1, 32), (16, 2), (16, 32, -1), (16.7, 32), (16, 32, 4.5)],
+                         ids=["n_theta-1", "n_phi-2", "band_limit-negative", "n_theta-float",
+                              "band_limit-float"])
 def test_grid_rejects_bad_sizes(sizes):
     with pytest.raises(InvalidParams):
         SphereGrid(*sizes)

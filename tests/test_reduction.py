@@ -37,6 +37,10 @@ class TestInitialGuess:
         assert np.abs(phi0.coeffs[degrees > 4]).max() < 1e-13
         assert phi0.l2_norm() > 1e-3
 
+    def test_band_limit_must_be_an_integer(self, conformal_k, grid):
+        with pytest.raises(InvalidParams):
+            initial_guess(conformal_k, ORIGIN, band_limit=2.5, grid=grid)
+
 
 class TestSolveCritical:
     def test_conformal_converges(self, conformal, grid):
@@ -82,8 +86,9 @@ class TestSolveCritical:
     @pytest.mark.parametrize("r, kwargs", [
         (0.0, {}), (-0.05, {}), (0.05, {"tol": 0.0}), (0.05, {"tol": np.nan}),
         (0.05, {"band_limit": -1}), (0.05, {"band_limit": 20}),
+        (0.05, {"band_limit": 2.5}), (0.05, {"max_iter": 2.5}),
     ], ids=["r-zero", "r-negative", "tol-zero", "tol-nan", "band_limit-negative",
-            "band_limit-grid"])
+            "band_limit-grid", "band_limit-float", "max_iter-float"])
     def test_rejects_bad_arguments_before_the_hessian(self, flat, grid, r, kwargs):
         # the flat Hessian is degenerate: the argument checks come first
         with pytest.raises(InvalidParams):
@@ -152,6 +157,15 @@ class TestNewton:
         kernel_obstruction(preset("conformal_quadratic", eps=0.05), [0.15, 0.0, 0.0],
                            0.03, grid=small_grid)
         assert len(fans) == 1
+
+    @pytest.mark.parametrize("r, tol", [(0.05, -1.0), (0.0, 1e-7)],
+                             ids=["tol-negative", "r-zero"])
+    def test_kernel_obstruction_checks_arguments_before_any_fan(self, conformal, small_grid,
+                                                                monkeypatch, r, tol):
+        monkeypatch.setattr(reduction, "RayFan",
+                            lambda *args, **kwargs: pytest.fail("fan built"))
+        with pytest.raises(InvalidParams):
+            kernel_obstruction(conformal, ORIGIN, r, grid=small_grid, tol=tol)
 
 
 def _differenced_jacobian(system, u, columns, step_tau):
@@ -321,7 +335,9 @@ class TestFoliateRadii:
 
     @pytest.mark.parametrize("r_range, n_steps, band_limit", [
         ((0.1, 0.02), 5, 8), ((0.0, 0.1), 5, 8), ((0.02, 0.1), 0, 8), ((0.02, 0.1), 5, 20),
-    ], ids=["r_min-above-r_max", "r_min-zero", "n_steps-zero", "band_limit-grid"])
+        ((0.02, 0.1), 2.5, 8),
+    ], ids=["r_min-above-r_max", "r_min-zero", "n_steps-zero", "band_limit-grid",
+            "n_steps-float"])
     def test_bad_arguments_raise_before_any_solve(self, flat, grid, monkeypatch, r_range,
                                                   n_steps, band_limit):
         monkeypatch.setattr(reduction, "solve_critical",
@@ -334,6 +350,12 @@ class TestFoliateRadii:
         # and end in ContinuationBroken; a bad tol is reported as it is
         with pytest.raises(InvalidParams, match="tol"):
             foliate(flat, ORIGIN, (0.02, 0.1), 5, grid=grid, tol=-1.0,
+                    warm_start=[_leaf(self.RADII[0])])
+
+    def test_solver_count_error_is_not_a_failed_solve(self, flat, grid):
+        # max_iter is checked by each solve, not up front: the retry loop re-raises
+        with pytest.raises(InvalidParams, match="max_iter"):
+            foliate(flat, ORIGIN, (0.02, 0.1), 5, grid=grid, max_iter=2.5,
                     warm_start=[_leaf(self.RADII[0])])
 
     @pytest.mark.parametrize("shift", [0.0, 1e-13, -1e-13])

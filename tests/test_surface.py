@@ -7,11 +7,12 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import solve_ivp
 
-from hawkfol import (HarmonicField, RayFan, VariationBundle,
+from hawkfol import (HarmonicField, RayFan, VariationBundle, geodesic,
                      coordinate_sphere, exp_map, geodesic_sphere, graph_surface,
-                     moment_value, preset, surface_from_positions, surface_to_csv,
-                     synthesize, transported_center_frame)
-from hawkfol.errors import BandLimitExceeded, DegenerateInducedMetric, NonEmbedded
+                     moment_value, preset, rescaled_phi, surface_from_positions,
+                     surface_to_csv, synthesize, transported_center_frame, w_split)
+from hawkfol.errors import (BandLimitExceeded, DegenerateInducedMetric, InvalidParams,
+                            NonEmbedded)
 from hawkfol.background import christoffel_from
 
 ORIGIN = np.zeros(3)
@@ -52,6 +53,43 @@ class TestExpMap:
         arclength = np.trapezoid(speeds, ts)
         g0 = conformal.metric_jet(ORIGIN[None], 0)[0]
         assert abs(arclength - np.sqrt(v @ g0 @ v)) < 1e-8
+
+
+_STEP_COUNT_CALLS = {
+    "exp_map": lambda ds, grid, n: exp_map(ds, ORIGIN, 0.05 * grid.nodes, n_steps=n),
+    "RayFan": lambda ds, grid, n: RayFan(ds, ORIGIN, np.eye(3), grid.nodes, 0.05, n_steps=n),
+    "VariationBundle": lambda ds, grid, n: VariationBundle(
+        ds, ORIGIN, np.eye(3), grid.nodes, np.full(grid.n_nodes, 0.05), n_steps=n),
+    "graph_surface": lambda ds, grid, n: graph_surface(ds, ORIGIN, ORIGIN, 0.05, None, grid,
+                                                       n_steps=n),
+    "geodesic_sphere": lambda ds, grid, n: geodesic_sphere(ds, ORIGIN, ORIGIN, 0.05, grid,
+                                                           n_steps=n),
+    "rescaled_phi": lambda ds, grid, n: rescaled_phi(ds, ORIGIN, ORIGIN, 0.05, None, 0.0,
+                                                     grid, n_steps=n),
+    "w_split": lambda ds, grid, n: w_split(ds, ORIGIN, ORIGIN, 0.05, None, 0.0, grid,
+                                           n_steps=n),
+}
+
+
+@pytest.mark.parametrize("n_steps", [0, -3, 2.5])
+@pytest.mark.parametrize("call", sorted(_STEP_COUNT_CALLS))
+def test_step_count_must_be_a_positive_integer(conformal, small_grid, monkeypatch, call,
+                                               n_steps):
+    # every integration's right-hand side fails: the count is checked before a step
+    for name in ("geodesic_acceleration", "christoffel_from"):
+        monkeypatch.setattr(geodesic, name, lambda *args: pytest.fail("integration step"))
+    with pytest.raises(InvalidParams, match="n_steps"):
+        _STEP_COUNT_CALLS[call](conformal, small_grid, n_steps)
+
+
+def test_transport_carries_leading_batch_axes(conformal):
+    frame = transported_center_frame(conformal, ORIGIN, ORIGIN)[1]
+    v = np.array([[0.03, -0.01, 0.02], [-0.02, 0.04, 0.01]])
+    batched = geodesic._transport(conformal, ORIGIN, v, 16, np.stack([frame, 2 * frame]))
+    for b, scale in enumerate((1, 2)):
+        single = geodesic._transport(conformal, ORIGIN, v[b], 16, scale * frame)
+        for got, want in zip(batched, single):
+            assert_allclose(got[b], want, rtol=0, atol=1e-15)
 
 
 def test_parallel_transport_preserves_frame(conformal):

@@ -1,10 +1,19 @@
 """Geodesic shooting and radial ray bundles.
 
 Surfaces are built from radial geodesics ("rays") leaving a common center.
-A RayFan integrates one geodesic per grid direction once (as its deviation
-from the straight chord, for conditioning) and answers position queries at
-arbitrary radii through cubic Hermite interpolation, so changing the radial
-graph function never forces a re-integration.  A VariationBundle additionally
+A RayFan integrates its rays once, as their deviation from the straight chord
+(for conditioning), and answers position queries at arbitrary radii through
+cubic Hermite interpolation, so changing the radial graph function never
+forces a re-integration.  The deviation is smooth in the direction, so the
+fan integrates rays only on a coarse Gauss grid, (L + 2) x (2L + 4) nodes at
+band limit L, keeps their harmonic coefficients at every step and
+synthesises the requested directions from them.  L starts at 8 (200 rays,
+whatever the surface grid) and grows by 4 while the top two degrees of the
+deviation at the end of the rays carry more than rounding, as long as the
+coarse grid holds no more rays than there are requested directions; a tail
+still above rounding there emits BandLimitExceeded.  The coarse rays
+are chart-checked at every step, and the returned positions when they are
+queried.  A VariationBundle additionally
 carries the Jacobi fields and second variations of the exponential map, which
 give the exact differential and Hessian of the normal-coordinate chart needed
 by the rescaled operator.
@@ -26,13 +35,27 @@ center-frame transport with no vectors to carry.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 
 from .background import (_SYM6, InitialDataSet, _inverse_metric, christoffel_from,
                          dchristoffel_from)
-from .errors import ChartExceeded, InvalidParams, StepSizeUnderflow, as_count
+from .errors import (BandLimitExceeded, ChartExceeded, InvalidParams, StepSizeUnderflow,
+                     as_count)
+from .grid import default_grid
+from .harmonics import analyze, point_basis
 
 _CENTER_FRAME_STEPS = 64
+# The fan's coarse ray grid: its starting band limit and increment.  The top
+# two degrees of xi(s_max) are at rounding when their coefficients are below
+# _FAN_TAIL s_max plus the analysis rounding, _FAN_ROUNDING times the largest
+# coefficient of xi(s_max): on data whose xi is exactly degree 1, the other
+# degrees read 5e-16 of it at band limit 8 and up to 2e-14 at band limit 28.
+_FAN_START_BAND = 8
+_FAN_BAND_STEP = 4
+_FAN_TAIL = 1e-16
+_FAN_ROUNDING = 1e-14
 
 
 def geodesic_acceleration(ds: InitialDataSet, pts: np.ndarray, vel: np.ndarray) -> np.ndarray:
@@ -129,67 +152,110 @@ def transported_center_frame(ds: InitialDataSet, p, tau):
 class RayFan:
     """Radial geodesics from a common center, stored for Hermite queries.
 
-    Rays are parameterized by arclength (unit g-speed), one per grid node
-    direction.  Only the deviation xi(s) = gamma(s) - (center + s u) from the
-    straight chord is integrated and stored: xi vanishes identically in flat
-    space and is O(s^3 Gamma) in general, so integration roundoff never
+    Rays are parameterized by arclength (unit g-speed); `directions` are unit
+    vectors x on the parameter sphere and the ray along x leaves the center
+    with velocity frame @ x.  Only the deviation xi(s, x) = gamma(s) - (center
+    + s u) from the straight chord is integrated: xi vanishes identically in
+    flat space and is O(s^3 Gamma) in general, so integration roundoff never
     pollutes the leading part of the positions (which downstream spectral
-    differentiation would amplify).  `positions_at(s)` reconstructs
-    center + s u + xi(s) with cubic Hermite interpolation of xi.
+    differentiation would amplify).
+
+    xi is smooth in x, so the rays are integrated only on a coarse Gauss grid
+    of band limit L, (L + 2) x (2L + 4) nodes, and xi and its s-derivative
+    are stored as harmonic coefficients at every step.  L starts at 8 and
+    grows by 4 while a coefficient of the top two degrees of xi(s_max)
+    exceeds 1e-16 s_max plus 1e-14 times its largest coefficient (the
+    rounding of the analysis), as long as the coarse grid holds no more rays
+    than the directions requested; a tail still above that bound at the cap
+    emits BandLimitExceeded and keeps the band limit of the cap.  The band
+    limit chosen is `band_limit`.  `offsets_at(s)` synthesises xi and its
+    derivative at the requested directions for the steps that bracket s and
+    returns s u + xi(s) by cubic Hermite interpolation in s.
     """
 
     def __init__(self, ds: InitialDataSet, center, frame, directions, s_max: float,
                  n_steps: int = 128):
         center = np.asarray(center, dtype=float).reshape(3)
         directions = np.asarray(directions, dtype=float)
-        if s_max <= 0:
-            raise InvalidParams("s_max must be positive")
+        if (directions.ndim != 2 or directions.shape[1] != 3 or directions.size == 0
+                or not np.all(np.abs(np.linalg.norm(directions, axis=1) - 1.0) <= 1e-12)):
+            raise InvalidParams("directions must be unit vectors of shape (n, 3), n >= 1")
+        if not (np.isfinite(s_max) and s_max > 0):
+            raise InvalidParams(f"s_max must be finite and positive, got {s_max}")
         self.ds = ds
         self.center = center
         self.frame = np.asarray(frame, dtype=float)
         self.s_max = float(s_max)
-        u = directions @ self.frame.T  # chart components of unit initial velocities
-        self._u = u
-
-        def rhs(s, xi, dxi):
-            return dxi, geodesic_acceleration(ds, center + s * u + xi, u + dxi)
-
-        start = np.zeros((directions.shape[0], 3))
-        steps = _rk4(ds, rhs, (start, start), self.s_max, n_steps,
-                     position=lambda s, state: center + s * u + state[0])
-        self.n_steps = int(n_steps)   # an integer >= 1: _rk4 checked it
+        self.n_steps = as_count(n_steps, "n_steps")
         self._h = self.s_max / self.n_steps
         if self._h < 1e-14:
             raise StepSizeUnderflow("ray step underflows double precision")
-        self._xis = np.zeros((directions.shape[0], self.n_steps + 1, 3))
-        self._dxis = np.zeros_like(self._xis)
-        for j, (_, (xi, dxi)) in enumerate(steps):
-            self._xis[:, j + 1], self._dxis[:, j + 1] = xi, dxi
+        self._u = directions @ self.frame.T  # chart components of unit initial velocities
+
+        band = _FAN_START_BAND
+        while True:
+            self._coeffs = self._analysed_rays(band)
+            xi_end = np.abs(self._coeffs[:, -1, :3])
+            tail = xi_end[(band - 1) ** 2:].max()
+            if tail <= _FAN_TAIL * self.s_max + _FAN_ROUNDING * xi_end.max():
+                break
+            wider = band + _FAN_BAND_STEP
+            if (wider + 2) * (2 * wider + 4) > len(directions):
+                warnings.warn(f"ray deviation tail {tail / self.s_max:.3e} of s_max above "
+                              f"the fan band limit {band}", BandLimitExceeded, stacklevel=2)
+                break
+            band = wider
+        self.band_limit = band
+        self._basis = point_basis(band, directions)
+
+    def _analysed_rays(self, band: int) -> np.ndarray:
+        """Harmonic coefficients (n_coeffs, n_steps + 1, 6) of (xi, dxi/ds) at
+        every step, from rays on the Gauss grid of band limit `band`."""
+        grid = default_grid(band + 2, 2 * band + 4, band_limit=band)
+        center, u = self.center, grid.nodes @ self.frame.T
+
+        def rhs(s, xi, dxi):
+            return dxi, geodesic_acceleration(self.ds, center + s * u + xi, u + dxi)
+
+        start = np.zeros((grid.n_nodes, 3))
+        steps = _rk4(self.ds, rhs, (start, start), self.s_max, self.n_steps,
+                     position=lambda s, state: center + s * u + state[0])
+        history = np.zeros((grid.n_nodes, self.n_steps + 1, 6))
+        for j, (_, state) in enumerate(steps):
+            history[:, j + 1] = np.concatenate(state, axis=1)
+        return analyze(grid, history, check=False).coeffs
 
     def offsets_at(self, s: np.ndarray) -> np.ndarray:
-        """Chord-plus-deviation offsets s u + xi(s) from the center.
+        """Chord-plus-deviation offsets s u + xi(s) from the center, one finite
+        radius s per direction; the positions are chart-checked.
 
         Keeping the center out preserves full relative accuracy of the
         offsets even when the center coordinates are much larger than s.
         """
         s = np.asarray(s, dtype=float)
+        n = len(self._u)
+        if s.shape != (n,) or not np.all(np.isfinite(s)):
+            raise InvalidParams(f"need one finite radius per direction, shape ({n},)")
         if np.any(s < 0) or np.any(s > self.s_max * (1 + 1e-12)):
             raise ChartExceeded(
                 f"requested radius outside the integrated ray range [0, {self.s_max:.4g}]")
         h = self._h
         j = np.clip((s / h).astype(int), 0, self.n_steps - 1)
+        # synthesise only the steps from the lowest to the highest bracket, in one product
+        lo, hi = j.min(), j.max() + 2
+        values = (self._basis @ self._coeffs[:, lo:hi].reshape(len(self._coeffs), -1))
+        values = values.reshape(n, hi - lo, 6)
+        idx = np.arange(n)
+        x0, v0 = np.split(values[idx, j - lo], 2, axis=1)
+        x1, v1 = np.split(values[idx, j - lo + 1], 2, axis=1)
         t = ((s - j * h) / h)[:, None]
-        idx = np.arange(s.size)
-        x0 = self._xis[idx, j]
-        x1 = self._xis[idx, j + 1]
-        v0 = self._dxis[idx, j]
-        v1 = self._dxis[idx, j + 1]
         h00 = (1 + 2 * t) * (1 - t) ** 2
         h10 = t * (1 - t) ** 2
         h01 = t * t * (3 - 2 * t)
         h11 = t * t * (t - 1)
-        xi = h00 * x0 + h * h10 * v0 + h01 * x1 + h * h11 * v1
-        return s[:, None] * self._u + xi
+        offsets = s[:, None] * self._u + (h00 * x0 + h * h10 * v0 + h01 * x1 + h * h11 * v1)
+        self.ds.check_chart(self.center + offsets)
+        return offsets
 
     def positions_at(self, s: np.ndarray) -> np.ndarray:
         """Points at arclength s (one value per ray)."""
@@ -217,8 +283,9 @@ class VariationBundle:
         directions = np.asarray(directions, dtype=float)
         radii = np.asarray(radii, dtype=float)
         n = directions.shape[0]
-        if np.any(radii <= 0):
-            raise InvalidParams("bundle radii must be positive (use the flat shortcut at r = 0)")
+        if not np.all(np.isfinite(radii) & (radii > 0)):
+            raise InvalidParams("bundle radii must be finite and positive "
+                                "(use the flat shortcut at r = 0)")
         frame = np.asarray(frame, dtype=float)
 
         x = np.broadcast_to(center, (n, 3)).copy()

@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BandLimitExceeded, InvalidParams, NotOrthogonal, UnsupportedDegree
-from .grid import SphereGrid, coeff_degrees, coeff_index, per_order_index
+from .grid import SphereGrid, _normalized_legendre, coeff_degrees, coeff_index, per_order_index
 
 
 @dataclass(frozen=True)
@@ -160,6 +160,22 @@ def synthesize(field: HarmonicField, grid: SphereGrid) -> np.ndarray:
     """Evaluate a harmonic field at the grid nodes, shape (n_nodes, ...)."""
     values = np.ascontiguousarray(_synthesis(field, grid, 0)[0, 0])
     return values.reshape(grid.n_nodes, *field.coeffs.shape[1:])
+
+
+def point_basis(band_limit: int, points: np.ndarray) -> np.ndarray:
+    """Y_lm at unit vectors `points` (n, 3), shape (n, n_coeffs) in basis order,
+    so `point_basis(b, points) @ coeffs` synthesises a band-limit-b field there.
+
+    Each column is the colatitude factor of its order (with the sqrt(2) of the
+    real basis on m != 0) times its azimuth factor, as in the grid tables.
+    """
+    points = np.asarray(points, dtype=float)
+    order, l = per_order_index(band_limit)
+    m = np.abs(order - band_limit)
+    colat = (_normalized_legendre(band_limit, np.clip(points[:, 2], -1.0, 1.0))[:, m, l]
+             * np.where(m == 0, 1.0, np.sqrt(2.0)))
+    ang = np.arctan2(points[:, 1], points[:, 0])[:, None] * m
+    return colat * np.where(order >= band_limit, np.cos(ang), np.sin(ang))
 
 
 def analyze_compensated(grid: SphereGrid, values: np.ndarray) -> HarmonicField:

@@ -176,10 +176,10 @@ _FAN_STEPS = 64
 
 
 def _check_solve(r: float, tol: float, band_limit: int, grid: SphereGrid) -> None:
-    """r > 0, tol > 0 and a band limit the grid resolves: the surfaces
+    """A finite r > 0, tol > 0 and a band limit the grid resolves: the surfaces
     r x (1 + r^2 phi) have degree band_limit + 1."""
-    if not (r > 0 and tol > 0):
-        raise InvalidParams(f"need r > 0 and tol > 0, got r = {r}, tol = {tol}")
+    if not (np.isfinite(r) and r > 0 and tol > 0):
+        raise InvalidParams(f"need a finite r > 0 and tol > 0, got r = {r}, tol = {tol}")
     if as_count(band_limit, "solver band limit", 0) >= grid.band_limit:
         raise InvalidParams(f"solver band limit {band_limit} must be below the grid band "
                             f"limit {grid.band_limit}")

@@ -154,8 +154,8 @@ def graph_surface(ds: InitialDataSet, center, tau, radius: float,
     `phi` is the full radial factor (any r^2 normalization is the caller's).
     Passing a prebuilt RayFan for the same center/grid skips re-integration.
     """
-    if radius <= 0:
-        raise InvalidParams("radius must be positive")
+    if not (np.isfinite(radius) and radius > 0):
+        raise InvalidParams(f"radius must be finite and positive, got {radius}")
     if phi is None:
         phi_vals = np.zeros(grid.n_nodes)
     else:

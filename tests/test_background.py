@@ -441,12 +441,11 @@ _BAD_NODE = {
 }
 
 
-def _one_bad_node(kind, node=1234, n=2048):
-    """Flat data whose metric fails at one entry of every n-point batch."""
+def _bad_metric_data(kind, is_bad):
+    """Flat data whose metric is _BAD_NODE[kind] wherever `is_bad(pts)` holds."""
     def metric(pts):
         g = np.broadcast_to(np.eye(3), pts.shape[:-1] + (3, 3)).copy()
-        if pts.shape[:-1] == (n,):
-            g[node] = _BAD_NODE[kind]
+        g[is_bad(pts)] = _BAD_NODE[kind]
         return g
 
     def metric_jet(pts, n):
@@ -458,14 +457,29 @@ def _one_bad_node(kind, node=1234, n=2048):
     return InitialDataSet(metric_jet, k_jet)
 
 
+def _one_bad_node(kind, node=1234, n=2048):
+    """Flat data whose metric fails at one entry of every n-point batch."""
+    def is_bad(pts):
+        bad = np.zeros(pts.shape[:-1], dtype=bool)
+        if pts.shape[:-1] == (n,):
+            bad[node] = True
+        return bad
+
+    return _bad_metric_data(kind, is_bad)
+
+
 @pytest.mark.parametrize("kind", sorted(_BAD_NODE))
 def test_single_bad_node_raises_degenerate_metric(kind):
-    ds = _one_bad_node(kind)
+    # a fan integrates its rays on a grid of its own, not one ray per direction,
+    # so its bad metric sits on a thin shell at radius 0.05, where every ray of
+    # length 0.1 has an RK4 stage
+    shell = _bad_metric_data(kind, lambda pts: np.abs(np.linalg.norm(pts, axis=-1) - 0.05) < 1e-3)
     rng = np.random.default_rng(5)
     directions = rng.normal(size=(2048, 3))
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)
     with pytest.raises(DegenerateMetric):
-        RayFan(ds, ORIGIN, np.eye(3), directions, 0.1, n_steps=4)
+        RayFan(shell, ORIGIN, np.eye(3), directions, 0.1, n_steps=4)
+    ds = _one_bad_node(kind)
     with pytest.raises(DegenerateMetric):
         ambient_fields(ds, 0.1 * directions)
     # a batch of another size never sees the bad node and passes

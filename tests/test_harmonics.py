@@ -13,6 +13,7 @@ from hawkfol import (HarmonicField, analyze, analyze_compensated, biharmonic_app
                      project_Kperp, synthesize, synthesize_derivatives)
 from hawkfol.errors import BandLimitExceeded, InvalidParams, NotOrthogonal, UnsupportedDegree
 from hawkfol.grid import SphereGrid, _normalized_legendre, _theta_derivative, coeff_index
+from hawkfol.harmonics import point_basis
 
 
 def test_weights_sum_to_sphere_area(grid):
@@ -184,6 +185,21 @@ def test_grid_caches_no_dense_table():
     assert cached
     assert all(v.size != g.n_nodes * g.n_coeffs for v in cached)
     assert sum(v.nbytes for v in cached) < 10e6
+
+
+def test_point_basis_matches_grid_basis_and_addition_theorem(small_grid):
+    b = small_grid.band_limit
+    assert_allclose(point_basis(b, small_grid.nodes), small_grid.basis, rtol=0, atol=1e-14)
+    rng = np.random.default_rng(8)
+    points = rng.normal(size=(256, 3))
+    points /= np.linalg.norm(points, axis=1, keepdims=True)
+    basis = point_basis(b, points)
+    # degree 1 is sqrt(3 / 4 pi) (y, z, x); every degree sums to (2l + 1) / 4 pi
+    assert_allclose(basis[:, 1:4], np.sqrt(3 / (4 * np.pi)) * points[:, [1, 2, 0]],
+                    rtol=0, atol=1e-15)
+    for l in range(b + 1):
+        assert_allclose(np.sum(basis[:, l * l:(l + 1) ** 2] ** 2, axis=1),
+                        (2 * l + 1) / (4 * np.pi), rtol=1e-13)
 
 
 def test_projections_of_constant(grid):

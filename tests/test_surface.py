@@ -8,9 +8,10 @@ from numpy.testing import assert_allclose
 from scipy.integrate import solve_ivp
 
 from hawkfol import (HarmonicField, RayFan, VariationBundle, geodesic,
-                     coordinate_sphere, exp_map, geodesic_sphere, graph_surface,
-                     moment_value, preset, rescaled_phi, surface_from_positions,
-                     surface_to_csv, synthesize, transported_center_frame, w_split)
+                     coordinate_sphere, default_grid, exp_map, geodesic_sphere, graph_surface,
+                     moment_value, preset, rescaled_phi, solve_critical,
+                     surface_from_positions, surface_to_csv, synthesize,
+                     transported_center_frame, w_split)
 from hawkfol.errors import (BandLimitExceeded, DegenerateInducedMetric, InvalidParams,
                             NonEmbedded)
 from hawkfol.background import christoffel_from
@@ -82,6 +83,25 @@ def test_step_count_must_be_a_positive_integer(conformal, small_grid, monkeypatc
         _STEP_COUNT_CALLS[call](conformal, small_grid, n_steps)
 
 
+_SIZE_CALLS = {
+    "RayFan-nan": lambda ds, grid: RayFan(ds, ORIGIN, np.eye(3), grid.nodes, np.nan),
+    "RayFan-inf": lambda ds, grid: RayFan(ds, ORIGIN, np.eye(3), grid.nodes, np.inf),
+    "graph_surface-nan": lambda ds, grid: graph_surface(ds, ORIGIN, ORIGIN, np.nan, None, grid),
+    "geodesic_sphere-inf": lambda ds, grid: geodesic_sphere(ds, ORIGIN, ORIGIN, np.inf, grid),
+    "solve_critical-inf": lambda ds, grid: solve_critical(ds, ORIGIN, np.inf, grid=grid),
+    "VariationBundle-nan": lambda ds, grid: VariationBundle(
+        ds, ORIGIN, np.eye(3), grid.nodes, np.full(grid.n_nodes, np.nan)),
+}
+
+
+@pytest.mark.parametrize("call", sorted(_SIZE_CALLS))
+def test_sizes_must_be_finite_and_positive(conformal, small_grid, monkeypatch, call):
+    for name in ("geodesic_acceleration", "christoffel_from"):
+        monkeypatch.setattr(geodesic, name, lambda *args: pytest.fail("integration step"))
+    with pytest.raises(InvalidParams, match="finite"):
+        _SIZE_CALLS[call](conformal, small_grid)
+
+
 def test_transport_carries_leading_batch_axes(conformal):
     frame = transported_center_frame(conformal, ORIGIN, ORIGIN)[1]
     v = np.array([[0.03, -0.01, 0.02], [-0.02, 0.04, 0.01]])
@@ -108,8 +128,76 @@ def test_ray_fan_matches_exp_map(conformal, small_grid):
     assert np.abs(fan.positions_at(s) - direct).max() < 1e-12
 
 
-def _non_conformal_polynomial():
-    rng = np.random.default_rng(4)
+def _unit_directions(n, seed):
+    rng = np.random.default_rng(seed)
+    d = rng.normal(size=(n, 3))
+    return d / np.linalg.norm(d, axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("which, center, r, band", [
+    ("conformal_k", (0.05, -0.02, 0.03), 0.05, 8),
+    ("conformal_k", (0.05, -0.02, 0.03), 0.5, 8),
+    ("polynomial", (0.05, -0.02, 0.03), 0.2, 20),    # the tail at band limit 8 is 2e-7
+    ("schwarzschild", (2.0, 0.0, 0.0), 0.5, 16),     # off the puncture
+], ids=["conformal_k-0.05", "conformal_k-0.5", "polynomial-0.2", "schwarzschild-0.5"])
+def test_band_limited_fan_matches_exp_map(conformal_k, grid, which, center, r, band):
+    # the fan's rays run on its coarse grid; its offsets at the 32 x 64 nodes
+    # and at 256 random directions against one exp_map ray per direction, at
+    # s = s_max, where the Hermite interpolation in s is exact
+    ds = {"conformal_k": conformal_k, "polynomial": _non_conformal_polynomial(seed=5),
+          "schwarzschild": preset("schwarzschild_slice", mass=1.0)}[which]
+    c, frame = transported_center_frame(ds, center, ORIGIN)
+    directions = np.concatenate([grid.nodes, _unit_directions(256, 6)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", BandLimitExceeded)
+        fan = RayFan(ds, c, frame, directions, s_max=r, n_steps=64)
+    assert fan.band_limit == band
+    direct = exp_map(ds, c, r * (directions @ frame.T), n_steps=64) - c
+    assert np.abs(fan.offsets_at(np.full(len(directions), r)) - direct).max() < 1e-13 * r
+
+
+def test_fan_tail_above_rounding_at_the_cap_warns(small_grid):
+    # 512 directions cap the coarse grid at band limit 12 (392 rays); the
+    # polynomial data need 20 at r = 0.2
+    ds = _non_conformal_polynomial(seed=5)
+    with pytest.warns(BandLimitExceeded, match="band limit 12"):
+        fan = RayFan(ds, ORIGIN, np.eye(3), small_grid.nodes, s_max=0.2, n_steps=16)
+    assert fan.band_limit == 12
+
+
+def test_fan_integrates_a_coarse_grid_not_one_ray_per_direction(conformal_k, monkeypatch):
+    batches = []
+    acceleration = geodesic.geodesic_acceleration
+
+    def recording(ds, pts, vel):
+        batches.append(len(pts))
+        return acceleration(ds, pts, vel)
+
+    monkeypatch.setattr(geodesic, "geodesic_acceleration", recording)
+    nodes = default_grid(64, 128).nodes
+    RayFan(conformal_k, ORIGIN, np.eye(3), nodes, s_max=0.065, n_steps=8)
+    assert batches and max(batches) <= 300
+
+
+@pytest.mark.parametrize("bad", ["one-direction", "non-unit", "none"])
+def test_fan_rejects_malformed_directions(conformal, small_grid, bad):
+    directions = {"one-direction": np.array([0.0, 0.0, 1.0]),
+                  "non-unit": 1.01 * small_grid.nodes, "none": np.zeros((0, 3))}[bad]
+    with pytest.raises(InvalidParams, match="unit vectors"):
+        RayFan(conformal, ORIGIN, np.eye(3), directions, 0.05, n_steps=8)
+
+
+@pytest.mark.parametrize("bad", ["nan", "short"])
+def test_fan_query_needs_one_finite_radius_per_direction(conformal, small_grid, bad):
+    fan = RayFan(conformal, ORIGIN, np.eye(3), small_grid.nodes, 0.05, n_steps=8)
+    s = {"nan": np.full(small_grid.n_nodes, np.nan),
+         "short": np.full(small_grid.n_nodes - 1, 0.04)}[bad]
+    with pytest.raises(InvalidParams, match="one finite radius per direction"):
+        fan.offsets_at(s)
+
+
+def _non_conformal_polynomial(seed=4):
+    rng = np.random.default_rng(seed)
     c4 = rng.normal(size=(3, 3, 3, 3))
     c4 = c4 + c4.transpose(1, 0, 2, 3)
     return preset("polynomial", g_quadratic=0.05 * (c4 + c4.transpose(0, 1, 3, 2)))

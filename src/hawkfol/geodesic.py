@@ -4,19 +4,25 @@ Surfaces are built from radial geodesics ("rays") leaving a common center.
 A RayFan integrates its rays once, as their deviation from the straight chord
 (for conditioning), and answers position queries at arbitrary radii through
 cubic Hermite interpolation, so changing the radial graph function never
-forces a re-integration.  The deviation is smooth in the direction, so the
-fan integrates rays only on a coarse Gauss grid, (L + 2) x (2L + 4) nodes at
-band limit L, keeps their harmonic coefficients at every step and
-synthesises the requested directions from them.  L starts at 8 (200 rays,
-whatever the surface grid) and grows by 4 while the top two degrees of the
-deviation at the end of the rays carry more than rounding, as long as the
-coarse grid holds no more rays than there are requested directions; a tail
-still above rounding there emits BandLimitExceeded.  The coarse rays
-are chart-checked at every step, and the returned positions when they are
-queried.  A VariationBundle additionally
-carries the Jacobi fields and second variations of the exponential map, which
-give the exact differential and Hessian of the normal-coordinate chart needed
-by the rescaled operator.
+forces a re-integration.  A VariationBundle additionally carries the Jacobi
+fields and second variations of the exponential map, which give the exact
+differential and Hessian of the normal-coordinate chart needed by the
+rescaled operator; it integrates them as deviations from their flat-space
+values too, over [0, max radius], and interpolates each direction at its
+own radius.
+
+Both run their rays through one helper, `_CoarseRays`.  The deviations are
+smooth in the direction, so the rays run only on a coarse Gauss grid,
+(L + 2) x (2L + 4) nodes at band limit L, whose harmonic coefficients are
+kept at every step and synthesised at the requested directions.  L starts
+at 8 (200 rays, whatever the surface grid) and grows while the top two
+degrees of a stored quantity at the end of the rays carry more than its
+rounding: first to the band limit that the decay of the first grid's degree
+norms predicts, then by 4, as long as the coarse grid holds no more rays
+than there are requested directions; a tail still above rounding there
+emits BandLimitExceeded.  Fewer directions than 200 are integrated
+themselves.  The rays are chart-checked at every step, and the returned
+positions when they are queried.
 
 Kernel
 ------
@@ -47,15 +53,15 @@ from .grid import default_grid
 from .harmonics import analyze, point_basis
 
 _CENTER_FRAME_STEPS = 64
-# The fan's coarse ray grid: its starting band limit and increment.  The top
-# two degrees of xi(s_max) are at rounding when their coefficients are below
-# _FAN_TAIL s_max plus the analysis rounding, _FAN_ROUNDING times the largest
-# coefficient of xi(s_max): on data whose xi is exactly degree 1, the other
+# The coarse ray grid: its starting band limit and increment.  The top two
+# degrees of a value group at s_max are at rounding when their coefficients
+# are below _TAIL s_max plus the analysis rounding, _ROUNDING times the
+# group's largest coefficient: on data whose xi is exactly degree 1, the other
 # degrees read 5e-16 of it at band limit 8 and up to 2e-14 at band limit 28.
-_FAN_START_BAND = 8
-_FAN_BAND_STEP = 4
-_FAN_TAIL = 1e-16
-_FAN_ROUNDING = 1e-14
+_START_BAND = 8
+_BAND_STEP = 4
+_TAIL = 1e-16
+_ROUNDING = 1e-14
 
 
 def geodesic_acceleration(ds: InitialDataSet, pts: np.ndarray, vel: np.ndarray) -> np.ndarray:
@@ -70,28 +76,27 @@ def geodesic_acceleration(ds: InitialDataSet, pts: np.ndarray, vel: np.ndarray) 
     return -0.5 * np.einsum("...il,...l->...i", g_inv, lowered)
 
 
-def _rk4(ds: InitialDataSet, rhs, state, span, n_steps, position=lambda t, state: state[0]):
+def _rk4(ds: InitialDataSet, rhs, state, span: float, n_steps,
+         position=lambda t, state: state[0]):
     """Iterator over (t, state) after each of `n_steps` classical RK4 steps on [0, span].
 
     `rhs(t, *state)` returns the tuple of derivatives of the tuple of arrays
-    `state`; `span` is a scalar or one span per entry of their leading axis.
-    InvalidParams unless `n_steps` is an integer >= 1, raised on the call.
-    After every step `position(t, state)` is checked against the chart.
+    `state`.  InvalidParams unless `n_steps` is an integer >= 1, raised on
+    the call.  After every step `position(t, state)` is checked against the
+    chart.
     """
     n_steps = as_count(n_steps, "n_steps")
     h = span / n_steps
-    hs = [h if np.ndim(h) == 0 else np.reshape(h, np.shape(h) + (1,) * (a.ndim - 1))
-          for a in state]
 
     def steps(state):
         t = 0.0
         for j in range(n_steps):
             k1 = rhs(t, *state)
-            k2 = rhs(t + 0.5 * h, *(a + 0.5 * hj * k for a, hj, k in zip(state, hs, k1)))
-            k3 = rhs(t + 0.5 * h, *(a + 0.5 * hj * k for a, hj, k in zip(state, hs, k2)))
-            k4 = rhs(t + h, *(a + hj * k for a, hj, k in zip(state, hs, k3)))
-            state = tuple(a + (hj / 6.0) * (p + 2 * q + 2 * r + w)
-                          for a, hj, p, q, r, w in zip(state, hs, k1, k2, k3, k4))
+            k2 = rhs(t + 0.5 * h, *(a + 0.5 * h * k for a, k in zip(state, k1)))
+            k3 = rhs(t + 0.5 * h, *(a + 0.5 * h * k for a, k in zip(state, k2)))
+            k4 = rhs(t + h, *(a + h * k for a, k in zip(state, k3)))
+            state = tuple(a + (h / 6.0) * (p + 2 * q + 2 * r + w)
+                          for a, p, q, r, w in zip(state, k1, k2, k3, k4))
             t = (j + 1) * h
             ds.check_chart(position(t, state))
             yield t, state
@@ -149,89 +154,130 @@ def transported_center_frame(ds: InitialDataSet, p, tau):
     return center, frame
 
 
-class RayFan:
-    """Radial geodesics from a common center, stored for Hermite queries.
+def _unit_directions(directions) -> np.ndarray:
+    """`directions` as a float array of unit vectors (n, 3); InvalidParams otherwise."""
+    directions = np.asarray(directions, dtype=float)
+    if (directions.ndim != 2 or directions.shape[1] != 3
+            or not np.all(np.abs(np.linalg.norm(directions, axis=1) - 1.0) <= 1e-12)):
+        raise InvalidParams("directions must be unit vectors of shape (n, 3)")
+    return directions
 
-    Rays are parameterized by arclength (unit g-speed); `directions` are unit
-    vectors x on the parameter sphere and the ray along x leaves the center
-    with velocity frame @ x.  Only the deviation xi(s, x) = gamma(s) - (center
-    + s u) from the straight chord is integrated: xi vanishes identically in
-    flat space and is O(s^3 Gamma) in general, so integration roundoff never
-    pollutes the leading part of the positions (which downstream spectral
-    differentiation would amplify).
 
-    xi is smooth in x, so the rays are integrated only on a coarse Gauss grid
-    of band limit L, (L + 2) x (2L + 4) nodes, and xi and its s-derivative
-    are stored as harmonic coefficients at every step.  L starts at 8 and
-    grows by 4 while a coefficient of the top two degrees of xi(s_max)
-    exceeds 1e-16 s_max plus 1e-14 times its largest coefficient (the
-    rounding of the analysis), as long as the coarse grid holds no more rays
-    than the directions requested; a tail still above that bound at the cap
-    emits BandLimitExceeded and keeps the band limit of the cap.  The band
-    limit chosen is `band_limit`.  `offsets_at(s)` synthesises xi and its
-    derivative at the requested directions for the steps that bracket s and
-    returns s u + xi(s) by cubic Hermite interpolation in s.
+def _n_rays(band: int) -> int:
+    """Rays of the coarse Gauss grid of band limit `band`, (band + 2) x (2 band + 4)."""
+    return (band + 2) * (2 * band + 4)
+
+
+def _predicted_band(norms: np.ndarray, bounds: np.ndarray) -> int:
+    """The band limit, in steps of _BAND_STEP above the band limit L of the
+    degree norms `norms` (n_groups, L + 1), at which every group's tail
+    reaches its bound.
+
+    The tail at band limit l, the larger norm of degrees l - 1 and l, decays
+    about geometrically: a line fitted to its log over l = L/2 + 1 .. L is
+    extended until it meets the bound.  A group without decay asks for one
+    step.
+    """
+    band = norms.shape[1] - 1
+    tails = np.log(np.maximum(np.maximum(norms[:, :-1], norms[:, 1:]), np.finfo(float).tiny))
+    degrees = np.arange(band // 2 + 1, band + 1)
+    slope = np.polyfit(degrees, tails[:, degrees - 1].T, 1)[0]
+    over, rate = tails[:, -1] - np.log(bounds), -slope * _BAND_STEP
+    return band + _BAND_STEP * int(max(np.ceil(o / r) if r > 0 else 1
+                                       for o, r in zip(over, rate) if o > 0))
+
+
+class _CoarseRays:
+    """Rays from a common center, integrated on a coarse Gauss grid and
+    synthesised at the requested directions.
+
+    The ray along the unit direction d leaves `center` with chart velocity
+    u = frame @ d.  Its state is (value, d value / ds): value groups of the
+    trailing shapes `shapes`, the first of them the deviation xi of the ray
+    from its chord (the ray is at center + s u + xi), then their
+    s-derivatives in the same order.  The state starts at zero and
+    `rhs(s, u, *state)` returns its s-derivative; every group should vanish
+    in flat space, so that its rounding is relative to itself and not to a
+    chord part.  `n_steps` RK4 steps cover [0, s_max], and the rays are
+    chart-checked at every step.
+
+    The rays run on the Gauss grid of band limit L, (L + 2) x (2L + 4)
+    nodes, and the state is stored as harmonic coefficients at every step.
+    L starts at 8.  It grows while the top two degrees of a value group at
+    s_max carry more than 1e-16 s_max plus 1e-14 times the group's largest
+    coefficient (its rounding), as long as the grid holds no more rays than
+    there are directions: after the first grid to the band limit that the
+    decay of its degree norms predicts, then by 4.  A tail still above
+    rounding at that cap emits BandLimitExceeded.  With fewer directions
+    than the first grid has rays, the rays are the directions themselves,
+    synthesised by the identity, and `band_limit` is None.
     """
 
     def __init__(self, ds: InitialDataSet, center, frame, directions, s_max: float,
-                 n_steps: int = 128):
-        center = np.asarray(center, dtype=float).reshape(3)
-        directions = np.asarray(directions, dtype=float)
-        if (directions.ndim != 2 or directions.shape[1] != 3 or directions.size == 0
-                or not np.all(np.abs(np.linalg.norm(directions, axis=1) - 1.0) <= 1e-12)):
-            raise InvalidParams("directions must be unit vectors of shape (n, 3), n >= 1")
-        if not (np.isfinite(s_max) and s_max > 0):
-            raise InvalidParams(f"s_max must be finite and positive, got {s_max}")
+                 n_steps: int, shapes, rhs):
         self.ds = ds
         self.center = center
-        self.frame = np.asarray(frame, dtype=float)
-        self.s_max = float(s_max)
+        self.s_max = s_max
         self.n_steps = as_count(n_steps, "n_steps")
-        self._h = self.s_max / self.n_steps
+        self._h = s_max / self.n_steps
         if self._h < 1e-14:
             raise StepSizeUnderflow("ray step underflows double precision")
-        self._u = directions @ self.frame.T  # chart components of unit initial velocities
+        self._u = directions @ frame.T  # chart components of unit initial velocities
+        self._shapes = shapes
+        self._widths = [int(np.prod(shape)) for shape in shapes]
+        self._rhs = rhs
 
-        band = _FAN_START_BAND
+        band = _START_BAND
+        if _n_rays(band) > len(directions):
+            self.band_limit = None
+            self._coeffs = self._history(self._u)
+            self._basis = np.eye(len(directions))
+            return
+        cap = band
+        while _n_rays(cap + _BAND_STEP) <= len(directions):
+            cap += _BAND_STEP
         while True:
-            self._coeffs = self._analysed_rays(band)
-            xi_end = np.abs(self._coeffs[:, -1, :3])
-            tail = xi_end[(band - 1) ** 2:].max()
-            if tail <= _FAN_TAIL * self.s_max + _FAN_ROUNDING * xi_end.max():
+            grid = default_grid(band + 2, 2 * band + 4, band_limit=band)
+            self._coeffs = analyze(grid, self._history(grid.nodes @ frame.T), check=False).coeffs
+            norms, bounds = self._degree_norms(band)
+            tails = np.maximum(norms[:, -2], norms[:, -1])
+            if np.all(tails <= bounds):
                 break
-            wider = band + _FAN_BAND_STEP
-            if (wider + 2) * (2 * wider + 4) > len(directions):
-                warnings.warn(f"ray deviation tail {tail / self.s_max:.3e} of s_max above "
-                              f"the fan band limit {band}", BandLimitExceeded, stacklevel=2)
+            if band == cap:
+                warnings.warn(f"ray tail {np.max(tails / bounds):.3g} times its rounding bound "
+                              f"at the band limit {band}", BandLimitExceeded, stacklevel=3)
                 break
-            band = wider
+            band = min(cap, _predicted_band(norms, bounds) if band == _START_BAND
+                       else band + _BAND_STEP)
         self.band_limit = band
         self._basis = point_basis(band, directions)
 
-    def _analysed_rays(self, band: int) -> np.ndarray:
-        """Harmonic coefficients (n_coeffs, n_steps + 1, 6) of (xi, dxi/ds) at
-        every step, from rays on the Gauss grid of band limit `band`."""
-        grid = default_grid(band + 2, 2 * band + 4, band_limit=band)
-        center, u = self.center, grid.nodes @ self.frame.T
-
-        def rhs(s, xi, dxi):
-            return dxi, geodesic_acceleration(self.ds, center + s * u + xi, u + dxi)
-
-        start = np.zeros((grid.n_nodes, 3))
-        steps = _rk4(self.ds, rhs, (start, start), self.s_max, self.n_steps,
-                     position=lambda s, state: center + s * u + state[0])
-        history = np.zeros((grid.n_nodes, self.n_steps + 1, 6))
+    def _history(self, u: np.ndarray) -> np.ndarray:
+        """States (n_rays, n_steps + 1, 2 k) of the rays with chart velocities u,
+        each flattened to its k value components, then their derivatives."""
+        center, n = self.center, len(u)
+        zeros = tuple(np.zeros((n,) + shape) for shape in 2 * self._shapes)
+        steps = _rk4(self.ds, lambda s, *state: self._rhs(s, u, *state), zeros, self.s_max,
+                     self.n_steps, position=lambda s, state: center + s * u + state[0])
+        history = np.zeros((n, self.n_steps + 1, 2 * sum(self._widths)))
         for j, (_, state) in enumerate(steps):
-            history[:, j + 1] = np.concatenate(state, axis=1)
-        return analyze(grid, history, check=False).coeffs
+            history[:, j + 1] = np.concatenate([a.reshape(n, -1) for a in state], axis=1)
+        return history
 
-    def offsets_at(self, s: np.ndarray) -> np.ndarray:
-        """Chord-plus-deviation offsets s u + xi(s) from the center, one finite
-        radius s per direction; the positions are chart-checked.
+    def _degree_norms(self, band: int):
+        """Per value group, its largest coefficient of each degree at s_max,
+        (n_groups, band + 1), and its rounding bound (n_groups,)."""
+        k = sum(self._widths)
+        ends = np.split(np.abs(self._coeffs[:, -1, :k]), np.cumsum(self._widths)[:-1], axis=1)
+        norms = np.array([[end[l * l:(l + 1) ** 2].max() for l in range(band + 1)]
+                          for end in ends])
+        return norms, np.array([_TAIL * self.s_max + _ROUNDING * end.max() for end in ends])
 
-        Keeping the center out preserves full relative accuracy of the
-        offsets even when the center coordinates are much larger than s.
-        """
+    def at(self, s: np.ndarray) -> list:
+        """The value groups at one finite radius s per direction, (n, *shape)
+        each, by cubic Hermite interpolation between the bracketing steps; the
+        first is the offset s u + xi from the center, and the positions
+        center + s u + xi are chart-checked."""
         s = np.asarray(s, dtype=float)
         n = len(self._u)
         if s.shape != (n,) or not np.all(np.isfinite(s)):
@@ -244,7 +290,7 @@ class RayFan:
         # synthesise only the steps from the lowest to the highest bracket, in one product
         lo, hi = j.min(), j.max() + 2
         values = (self._basis @ self._coeffs[:, lo:hi].reshape(len(self._coeffs), -1))
-        values = values.reshape(n, hi - lo, 6)
+        values = values.reshape(n, hi - lo, -1)
         idx = np.arange(n)
         x0, v0 = np.split(values[idx, j - lo], 2, axis=1)
         x1, v1 = np.split(values[idx, j - lo + 1], 2, axis=1)
@@ -253,9 +299,62 @@ class RayFan:
         h10 = t * (1 - t) ** 2
         h01 = t * t * (3 - 2 * t)
         h11 = t * t * (t - 1)
-        offsets = s[:, None] * self._u + (h00 * x0 + h * h10 * v0 + h01 * x1 + h * h11 * v1)
-        self.ds.check_chart(self.center + offsets)
-        return offsets
+        value = h00 * x0 + h * h10 * v0 + h01 * x1 + h * h11 * v1
+        groups = np.split(value, np.cumsum(self._widths)[:-1], axis=1)
+        groups[0] = s[:, None] * self._u + groups[0]
+        self.ds.check_chart(self.center + groups[0])
+        return [g.reshape((n,) + shape) for g, shape in zip(groups, self._shapes)]
+
+
+class RayFan:
+    """Radial geodesics from a common center, stored for Hermite queries.
+
+    Rays are parameterized by arclength (unit g-speed); `directions` are unit
+    vectors x on the parameter sphere and the ray along x leaves the center
+    with velocity frame @ x.  Only the deviation xi(s, x) = gamma(s) - (center
+    + s u) from the straight chord is integrated: xi vanishes identically in
+    flat space and is O(s^3 Gamma) in general, so integration roundoff never
+    pollutes the leading part of the positions (which downstream spectral
+    differentiation would amplify).
+
+    xi is smooth in x, so the rays run on a coarse Gauss grid of band limit
+    L, (L + 2) x (2L + 4) nodes, and xi and its s-derivative are stored as
+    harmonic coefficients at every step; the module docstring gives the rule
+    for L, and `band_limit` is the L chosen (None when fewer than 200
+    directions are integrated themselves).  `offsets_at(s)` synthesises xi
+    and its derivative at the requested directions for the steps that
+    bracket s and returns s u + xi(s) by cubic Hermite interpolation in s.
+    """
+
+    def __init__(self, ds: InitialDataSet, center, frame, directions, s_max: float,
+                 n_steps: int = 128):
+        center = np.asarray(center, dtype=float).reshape(3)
+        directions = _unit_directions(directions)
+        if len(directions) == 0:
+            raise InvalidParams("a fan needs unit vectors of shape (n, 3) with n >= 1")
+        if not (np.isfinite(s_max) and s_max > 0):
+            raise InvalidParams(f"s_max must be finite and positive, got {s_max}")
+        self.ds = ds
+        self.center = center
+        self.frame = np.asarray(frame, dtype=float)
+        self.s_max = float(s_max)
+
+        def rhs(s, u, xi, dxi):
+            return dxi, geodesic_acceleration(ds, center + s * u + xi, u + dxi)
+
+        self._rays = _CoarseRays(ds, center, self.frame, directions, self.s_max, n_steps,
+                                 [(3,)], rhs)
+        self.n_steps = self._rays.n_steps
+        self.band_limit = self._rays.band_limit
+
+    def offsets_at(self, s: np.ndarray) -> np.ndarray:
+        """Chord-plus-deviation offsets s u + xi(s) from the center, one finite
+        radius s per direction; the positions are chart-checked.
+
+        Keeping the center out preserves full relative accuracy of the
+        offsets even when the center coordinates are much larger than s.
+        """
+        return self._rays.at(s)[0]
 
     def positions_at(self, s: np.ndarray) -> np.ndarray:
         """Points at arclength s (one value per ray)."""
@@ -272,34 +371,39 @@ class VariationBundle:
     """Exponential-map differentials along the rays of a graph sphere.
 
     For each node direction d and target radius s the bundle integrates the
-    geodesic together with three Jacobi fields and their six second
-    variations, yielding the pullback data of the normal-coordinate chart:
-    point F(s d), differential DF (manifold x chart), and Hessian D2F.
+    geodesic together with three Jacobi fields A_i and their six second
+    variations C_ij, yielding the pullback data of the normal-coordinate
+    chart: point F(s d), differential DF (manifold x chart), and Hessian D2F.
+
+    The rays run as in RayFan (`_CoarseRays`): on a coarse Gauss grid when
+    there are at least 200 directions, with the state held as deviations
+    that vanish in flat space, (xi, A - s B0, C | dxi/ds, B - B0, D) with
+    B = dA/ds, D = dC/ds and B0 = B(0), each value group with its own tail
+    bound.  `n_steps` RK4 steps cover [0, max(radii)], and each direction
+    is Hermite-interpolated at its own radius.  `band_limit` is the coarse
+    grid's band limit (None when the directions are integrated themselves).
     """
 
     def __init__(self, ds: InitialDataSet, center, frame, directions, radii,
                  n_steps: int = 64):
         center = np.asarray(center, dtype=float).reshape(3)
-        directions = np.asarray(directions, dtype=float)
+        directions = _unit_directions(directions)
         radii = np.asarray(radii, dtype=float)
-        n = directions.shape[0]
-        if not np.all(np.isfinite(radii) & (radii > 0)):
-            raise InvalidParams("bundle radii must be finite and positive "
-                                "(use the flat shortcut at r = 0)")
+        n_steps = as_count(n_steps, "n_steps")
+        n = len(directions)
+        if radii.shape != (n,) or not np.all(np.isfinite(radii) & (radii > 0)):
+            raise InvalidParams(f"bundle radii must be finite and positive, one per direction, "
+                                f"shape ({n},) (use the flat shortcut at r = 0)")
         frame = np.asarray(frame, dtype=float)
+        b0 = frame.T   # B0[i, :] = the initial velocity of the Jacobi field A_i
 
-        x = np.broadcast_to(center, (n, 3)).copy()
-        v = directions @ frame.T
-        A = np.zeros((n, 3, 3))   # A[:, i, :] = Jacobi field for chart direction e_i
-        B = np.broadcast_to(frame.T, (n, 3, 3)).copy()  # B[:, i, :] = dA_i/ds
-        C = np.zeros((n, 6, 3))
-        D = np.zeros((n, 6, 3))
-
-        def rhs(t, x, v, A, B, C, D):
+        def rhs(s, u, xi, a_dev, c, dxi, b_dev, d):
             # Gamma and d Gamma(v, .) from the curvature chain.  d^2 Gamma(v, v)
             # differentiates g Gamma = S / 2 twice, contracted with v first:
             # g^-1 (d_m d_q S(v, v) / 2 - d_m d_q g Gamma(v, v)
             #       - d_m g d_q Gamma(v, v) - d_q g d_m Gamma(v, v)).
+            x, v = center + s * u + xi, u + dxi
+            A, B = a_dev + s * b0, b_dev + b0
             g_inv = _inverse_metric(ds.metric_jet(x, 0))
             dg, d2g, d3g = (ds.metric_jet(x, n) for n in (1, 2, 3))
             gam = christoffel_from(g_inv, dg)
@@ -318,25 +422,32 @@ class VariationBundle:
             d2gam_vv = -(lowered @ g_inv[:, None])
 
             def pairs(X, Y):  # [n, p, (m, q)] = X[n, p, m] Y[n, p, q]
-                return (X[:, :, :, None] * Y[:, :, None, :]).reshape(n, 6, 9)
+                return (X[:, :, :, None] * Y[:, :, None, :]).reshape(len(x), 6, 9)
 
             dv = -gam_vv
             dB = -(A @ dgam_vv + 2.0 * (B @ np.swapaxes(gam_v, 1, 2)))
             A1, A2 = A[:, _PAIR_I], A[:, _PAIR_J]
             B1, B2 = B[:, _PAIR_I], B[:, _PAIR_J]
-            dD = -(pairs(A1, A2) @ d2gam_vv.reshape(n, 9, 3)
-                   + C @ dgam_vv
+            dD = -(pairs(A1, A2) @ d2gam_vv.reshape(len(x), 9, 3)
+                   + c @ dgam_vv
                    + 2.0 * ((pairs(A2, B1) + pairs(A1, B2))
-                            @ dgam_v.transpose(0, 1, 3, 2).reshape(n, 9, 3))
-                   + 2.0 * (D @ np.swapaxes(gam_v, 1, 2))
-                   + 2.0 * (pairs(B1, B2) @ gam.transpose(0, 2, 3, 1).reshape(n, 9, 3)))
-            return v, dv, B, dB, D, dD
+                            @ dgam_v.transpose(0, 1, 3, 2).reshape(len(x), 9, 3))
+                   + 2.0 * (d @ np.swapaxes(gam_v, 1, 2))
+                   + 2.0 * (pairs(B1, B2) @ gam.transpose(0, 2, 3, 1).reshape(len(x), 9, 3)))
+            return dxi, b_dev, d, dv, dB, dD
 
-        for _, (x, _, A, _, C, _) in _rk4(ds, rhs, (x, v, A, B, C, D), radii, n_steps):
-            pass
-
-        self.points = x
-        # DF[:, a, i] = (A_i(s))^a / s ; D2F[:, a, i, j] = (C_ij(s))^a / s^2
-        self.df = np.einsum("nia->nai", A) / radii[:, None, None]
-        self.d2f = (np.take(C, _SYM6, axis=1).transpose(0, 3, 1, 2)
+        if n == 0:
+            self.band_limit = None
+            self.points, self.df, self.d2f = (np.zeros((0,) + shape)
+                                              for shape in ((3,), (3, 3), (3, 3, 3)))
+            return
+        rays = _CoarseRays(ds, center, frame, directions, float(radii.max()), n_steps,
+                           [(3,), (3, 3), (6, 3)], rhs)
+        self.band_limit = rays.band_limit
+        offsets, a_dev, c = rays.at(radii)
+        self.points = center + offsets
+        # DF[:, a, i] = (A_i(s))^a / s = frame[a, i] + (A_i(s) - s B0_i)^a / s ;
+        # D2F[:, a, i, j] = (C_ij(s))^a / s^2
+        self.df = frame + np.swapaxes(a_dev, 1, 2) / radii[:, None, None]
+        self.d2f = (np.take(c, _SYM6, axis=1).transpose(0, 3, 1, 2)
                     / (radii ** 2)[:, None, None, None])

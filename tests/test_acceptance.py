@@ -97,7 +97,6 @@ def test_criterion_03_geodesic_mean_curvature_fit(conformal, grid):
            f"{time.time() - t0:.1f}s")
 
 
-@pytest.mark.slow
 def test_criterion_04_kernel_projection_closed_forms(grid):
     t0 = time.time()
     radii = np.array([0.02, 0.03, 0.045])
@@ -134,7 +133,6 @@ def test_criterion_04_kernel_projection_closed_forms(grid):
            f"pi0 worst rel {worst0:.2e}, pi1 rel {err1:.2e}, {time.time() - t0:.1f}s")
 
 
-@pytest.mark.slow
 def test_criterion_05_rescaling_identity(grid):
     t0 = time.time()
     ds = preset("conformal_quadratic", eps=0.01, k=K_GENERIC)
@@ -221,7 +219,6 @@ def test_criterion_08_nonexistence_gate(grid):
            f"fitted {fit:.6e} vs {target:.6e}, rel {rel:.2e}, {time.time() - t0:.0f}s")
 
 
-@pytest.mark.slow
 def test_criterion_09_small_sphere_energy(grid):
     t0 = time.time()
     presets = [

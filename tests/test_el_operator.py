@@ -197,7 +197,7 @@ class TestRescalingIdentity:
     # Schwarzschild has d3g != 0, so it pins the d^2 S(v, v) term of the
     # VariationBundle, which vanishes on conformal_quadratic data
     @pytest.mark.parametrize("which, center, n_surfaces",
-                             [pytest.param("conformal_k", ORIGIN, 3, marks=pytest.mark.slow),
+                             [("conformal_k", ORIGIN, 3),
                               ("schwarzschild", np.array([2.0, 0.3, -0.4]), 1)],
                              ids=["conformal_k", "schwarzschild"])
     def test_identity_on_random_surfaces(self, which, center, n_surfaces, conformal_k, grid):
@@ -330,7 +330,6 @@ class TestKernelProjections:
         assert np.linalg.norm(fit - target) < 0.02 * np.linalg.norm(target)
 
 
-@pytest.mark.slow
 def test_vanishing_first_radial_derivative(conformal_k, grid):
     # |Phi(r, tau, 0, lam) - Phi(0, tau, 0, lam)| = O(r^2): the fitted linear
     # slope at r = 0 is below 1e-3 of the quadratic coefficient

@@ -1,5 +1,6 @@
 """Geodesic shooting, embedded surfaces and their fundamental forms."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -91,6 +92,10 @@ _SIZE_CALLS = {
     "solve_critical-inf": lambda ds, grid: solve_critical(ds, ORIGIN, np.inf, grid=grid),
     "VariationBundle-nan": lambda ds, grid: VariationBundle(
         ds, ORIGIN, np.eye(3), grid.nodes, np.full(grid.n_nodes, np.nan)),
+    "VariationBundle-short": lambda ds, grid: VariationBundle(
+        ds, ORIGIN, np.eye(3), grid.nodes[:3], np.full(2, 0.05)),
+    "VariationBundle-scalar": lambda ds, grid: VariationBundle(
+        ds, ORIGIN, np.eye(3), grid.nodes, np.float64(0.05)),
 }
 
 
@@ -100,6 +105,24 @@ def test_sizes_must_be_finite_and_positive(conformal, small_grid, monkeypatch, c
         monkeypatch.setattr(geodesic, name, lambda *args: pytest.fail("integration step"))
     with pytest.raises(InvalidParams, match="finite"):
         _SIZE_CALLS[call](conformal, small_grid)
+
+
+@pytest.mark.parametrize("bad", ["one-direction", "non-unit"])
+def test_bundle_rejects_malformed_directions(conformal, monkeypatch, bad):
+    for name in ("geodesic_acceleration", "christoffel_from"):
+        monkeypatch.setattr(geodesic, name, lambda *args: pytest.fail("integration step"))
+    directions = {"one-direction": np.array([0.0, 0.0, 1.0]),
+                  "non-unit": np.array([[2.0, 0.0, 0.0]])}[bad]
+    with pytest.raises(InvalidParams, match="unit vectors"):
+        VariationBundle(conformal, ORIGIN, np.eye(3), directions, np.full(1, 0.05))
+
+
+def test_bundle_of_no_directions_is_empty(conformal, monkeypatch):
+    for name in ("geodesic_acceleration", "christoffel_from"):
+        monkeypatch.setattr(geodesic, name, lambda *args: pytest.fail("integration step"))
+    bundle = VariationBundle(conformal, ORIGIN, np.eye(3), np.zeros((0, 3)), np.zeros(0))
+    assert (bundle.points.shape, bundle.df.shape, bundle.d2f.shape) == (
+        (0, 3), (0, 3, 3), (0, 3, 3, 3))
 
 
 def test_transport_carries_leading_batch_axes(conformal):
@@ -154,6 +177,22 @@ def test_band_limited_fan_matches_exp_map(conformal_k, grid, which, center, r, b
     assert fan.band_limit == band
     direct = exp_map(ds, c, r * (directions @ frame.T), n_steps=64) - c
     assert np.abs(fan.offsets_at(np.full(len(directions), r)) - direct).max() < 1e-13 * r
+
+
+def test_fan_predicts_its_band_limit_from_the_first_tail(grid, monkeypatch):
+    # the tail at band limit 8 predicts 20, so the grids of 12 and 16 are skipped
+    grids = []
+    analyze = geodesic.analyze
+
+    def recording(coarse, values, check=True):
+        grids.append(coarse.band_limit)
+        return analyze(coarse, values, check)
+
+    monkeypatch.setattr(geodesic, "analyze", recording)
+    ds = _non_conformal_polynomial(seed=5)
+    c, frame = transported_center_frame(ds, (0.05, -0.02, 0.03), ORIGIN)
+    fan = RayFan(ds, c, frame, grid.nodes, s_max=0.2, n_steps=16)
+    assert fan.band_limit == 20 and grids == [8, 20]
 
 
 def test_fan_tail_above_rounding_at_the_cap_warns(small_grid):
@@ -240,6 +279,52 @@ def test_variation_bundle_chart_identities(conformal_k, small_grid):
     x = small_grid.nodes
     assert np.abs(np.einsum("nij,nj->ni", ghat, x) - x).max() < 1e-12
     assert np.abs(np.einsum("nkij,ni,nj->nk", gamhat, x, x)).max() < 1e-12
+
+
+@pytest.mark.parametrize("which, center, r", [
+    ("conformal_k", (0.05, -0.02, 0.03), 0.05),
+    ("polynomial", (0.05, -0.02, 0.03), 0.2),
+    ("schwarzschild", (2.0, 0.0, 0.0), 0.5),     # off the puncture
+], ids=["conformal_k", "polynomial", "schwarzschild"])
+@pytest.mark.parametrize("radii", ["equal", "varying"])
+def test_band_limited_bundle_matches_one_ray_per_direction(conformal_k, grid, which, center,
+                                                           r, radii):
+    # the bundle's rays run on its coarse grid; at the 32 x 64 nodes and 256
+    # random directions against bundles of chunks smaller than the coarse
+    # grid, which integrate every direction.  Each chunk carries the direction
+    # of the largest radius, so that its steps are those of the whole bundle.
+    ds = {"conformal_k": conformal_k, "polynomial": _non_conformal_polynomial(seed=5),
+          "schwarzschild": preset("schwarzschild_slice", mass=1.0)}[which]
+    c, frame = transported_center_frame(ds, center, [0.01, -0.004, 0.002])
+    directions = np.concatenate([grid.nodes, _unit_directions(256, 6)])
+    x = directions.T
+    s = np.full(len(directions), r) if radii == "equal" else r * (1 + 0.1 * x[0] * x[1]
+                                                                   - 0.05 * x[2])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", BandLimitExceeded)
+        bundle = VariationBundle(ds, c, frame, directions, s, n_steps=8)
+    assert bundle.band_limit is not None
+    top = np.argmax(s)
+    for chunk in np.array_split(np.arange(len(directions)), 12):
+        rays = np.append(chunk, top)
+        direct = VariationBundle(ds, c, frame, directions[rays], s[rays], n_steps=8)
+        assert direct.band_limit is None
+        assert np.abs(bundle.points[chunk] - direct.points[:-1]).max() < 1e-13 * r
+        assert np.abs(bundle.df[chunk] - direct.df[:-1]).max() < 1e-13
+        assert np.abs(bundle.d2f[chunk] - direct.d2f[:-1]).max() < 1e-13 / r
+
+
+def test_bundle_integrates_a_coarse_grid_not_one_ray_per_direction(conformal_k):
+    batches = []
+
+    def recording(pts, n):
+        batches.append(len(pts))
+        return conformal_k.metric_jet(pts, n)
+
+    ds = dataclasses.replace(conformal_k, metric_jet=recording)
+    nodes = default_grid(64, 128).nodes
+    VariationBundle(ds, ORIGIN, np.eye(3), nodes, np.full(len(nodes), 0.065), n_steps=4)
+    assert batches and max(batches) <= 300
 
 
 class TestRoundSpheres:

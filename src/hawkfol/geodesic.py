@@ -15,14 +15,13 @@ Both run their rays through one helper, `_CoarseRays`.  The deviations are
 smooth in the direction, so the rays run only on a coarse Gauss grid,
 (L + 2) x (2L + 4) nodes at band limit L, whose harmonic coefficients are
 kept at every step and synthesised at the requested directions.  L starts
-at 8 (200 rays, whatever the surface grid) and grows while the top two
-degrees of a stored quantity at the end of the rays carry more than its
-rounding: first to the band limit that the decay of the first grid's degree
-norms predicts, then by 4, as long as the coarse grid holds no more rays
-than there are requested directions; a tail still above rounding there
-emits BandLimitExceeded.  Fewer directions than 200 are integrated
-themselves.  The rays are chart-checked at every step, and the returned
-positions when they are queried.
+at 8 (200 rays, whatever the surface grid) and grows by 4 while the top
+two degrees of a stored quantity at the end of the rays carry more than its
+rounding.  Whenever the next grid would hold more rays than there are
+requested directions, the directions themselves are integrated instead
+(fewer than 200 directions are so from the start); a RayFan keeps its last
+grid there and emits BandLimitExceeded.  The rays are chart-checked at
+every step, and the returned positions when they are queried.
 
 Kernel
 ------
@@ -47,8 +46,8 @@ import numpy as np
 
 from .background import (_SYM6, InitialDataSet, _inverse_metric, christoffel_from,
                          dchristoffel_from)
-from .errors import (BandLimitExceeded, ChartExceeded, InvalidParams, StepSizeUnderflow,
-                     as_count)
+from .errors import (BandLimitExceeded, ChartExceeded, DegenerateMetric, InvalidParams,
+                     StepSizeUnderflow, as_count)
 from .grid import default_grid
 from .harmonics import analyze, point_basis
 
@@ -168,25 +167,6 @@ def _n_rays(band: int) -> int:
     return (band + 2) * (2 * band + 4)
 
 
-def _predicted_band(norms: np.ndarray, bounds: np.ndarray) -> int:
-    """The band limit, in steps of _BAND_STEP above the band limit L of the
-    degree norms `norms` (n_groups, L + 1), at which every group's tail
-    reaches its bound.
-
-    The tail at band limit l, the larger norm of degrees l - 1 and l, decays
-    about geometrically: a line fitted to its log over l = L/2 + 1 .. L is
-    extended until it meets the bound.  A group without decay asks for one
-    step.
-    """
-    band = norms.shape[1] - 1
-    tails = np.log(np.maximum(np.maximum(norms[:, :-1], norms[:, 1:]), np.finfo(float).tiny))
-    degrees = np.arange(band // 2 + 1, band + 1)
-    slope = np.polyfit(degrees, tails[:, degrees - 1].T, 1)[0]
-    over, rate = tails[:, -1] - np.log(bounds), -slope * _BAND_STEP
-    return band + _BAND_STEP * int(max(np.ceil(o / r) if r > 0 else 1
-                                       for o, r in zip(over, rate) if o > 0))
-
-
 class _CoarseRays:
     """Rays from a common center, integrated on a coarse Gauss grid and
     synthesised at the requested directions.
@@ -203,18 +183,17 @@ class _CoarseRays:
 
     The rays run on the Gauss grid of band limit L, (L + 2) x (2L + 4)
     nodes, and the state is stored as harmonic coefficients at every step.
-    L starts at 8.  It grows while the top two degrees of a value group at
-    s_max carry more than 1e-16 s_max plus 1e-14 times the group's largest
-    coefficient (its rounding), as long as the grid holds no more rays than
-    there are directions: after the first grid to the band limit that the
-    decay of its degree norms predicts, then by 4.  A tail still above
-    rounding at that cap emits BandLimitExceeded.  With fewer directions
-    than the first grid has rays, the rays are the directions themselves,
-    synthesised by the identity, and `band_limit` is None.
+    L starts at 8 and grows by 4 while the top two degrees of a value group
+    at s_max carry more than 1e-16 s_max plus 1e-14 times the group's
+    largest coefficient (its rounding).  When the next grid would hold more
+    rays than there are directions, the rays are the directions themselves,
+    synthesised by the identity, and `band_limit` is None; with
+    `warn_at_cap`, the last grid is kept instead and BandLimitExceeded
+    emitted.  A non-finite tail raises DegenerateMetric.
     """
 
     def __init__(self, ds: InitialDataSet, center, frame, directions, s_max: float,
-                 n_steps: int, shapes, rhs):
+                 n_steps: int, shapes, rhs, warn_at_cap: bool = False):
         self.ds = ds
         self.center = center
         self.s_max = s_max
@@ -228,27 +207,24 @@ class _CoarseRays:
         self._rhs = rhs
 
         band = _START_BAND
-        if _n_rays(band) > len(directions):
+        while _n_rays(band) <= len(directions):
+            grid = default_grid(band + 2, 2 * band + 4, band_limit=band)
+            self._coeffs = analyze(grid, self._history(grid.nodes @ frame.T), check=False).coeffs
+            tails, bounds = self._tails(band)
+            if not np.all(np.isfinite(tails)):
+                raise DegenerateMetric("ray state is not finite at the end of the rays")
+            if np.all(tails <= bounds):
+                break
+            if warn_at_cap and _n_rays(band + _BAND_STEP) > len(directions):
+                warnings.warn(f"ray tail {np.max(tails / bounds):.3g} times its rounding bound "
+                              f"at the band limit {band}", BandLimitExceeded, stacklevel=3)
+                break
+            band += _BAND_STEP
+        else:
             self.band_limit = None
             self._coeffs = self._history(self._u)
             self._basis = np.eye(len(directions))
             return
-        cap = band
-        while _n_rays(cap + _BAND_STEP) <= len(directions):
-            cap += _BAND_STEP
-        while True:
-            grid = default_grid(band + 2, 2 * band + 4, band_limit=band)
-            self._coeffs = analyze(grid, self._history(grid.nodes @ frame.T), check=False).coeffs
-            norms, bounds = self._degree_norms(band)
-            tails = np.maximum(norms[:, -2], norms[:, -1])
-            if np.all(tails <= bounds):
-                break
-            if band == cap:
-                warnings.warn(f"ray tail {np.max(tails / bounds):.3g} times its rounding bound "
-                              f"at the band limit {band}", BandLimitExceeded, stacklevel=3)
-                break
-            band = min(cap, _predicted_band(norms, bounds) if band == _START_BAND
-                       else band + _BAND_STEP)
         self.band_limit = band
         self._basis = point_basis(band, directions)
 
@@ -264,14 +240,13 @@ class _CoarseRays:
             history[:, j + 1] = np.concatenate([a.reshape(n, -1) for a in state], axis=1)
         return history
 
-    def _degree_norms(self, band: int):
-        """Per value group, its largest coefficient of each degree at s_max,
-        (n_groups, band + 1), and its rounding bound (n_groups,)."""
+    def _tails(self, band: int):
+        """Per value group, its largest coefficient of degrees band - 1 and
+        band at s_max, and its rounding bound, (n_groups,) each."""
         k = sum(self._widths)
         ends = np.split(np.abs(self._coeffs[:, -1, :k]), np.cumsum(self._widths)[:-1], axis=1)
-        norms = np.array([[end[l * l:(l + 1) ** 2].max() for l in range(band + 1)]
-                          for end in ends])
-        return norms, np.array([_TAIL * self.s_max + _ROUNDING * end.max() for end in ends])
+        tails = np.array([end[(band - 1) ** 2:].max() for end in ends])
+        return tails, np.array([_TAIL * self.s_max + _ROUNDING * end.max() for end in ends])
 
     def at(self, s: np.ndarray) -> list:
         """The value groups at one finite radius s per direction, (n, *shape)
@@ -321,9 +296,11 @@ class RayFan:
     L, (L + 2) x (2L + 4) nodes, and xi and its s-derivative are stored as
     harmonic coefficients at every step; the module docstring gives the rule
     for L, and `band_limit` is the L chosen (None when fewer than 200
-    directions are integrated themselves).  `offsets_at(s)` synthesises xi
-    and its derivative at the requested directions for the steps that
-    bracket s and returns s u + xi(s) by cubic Hermite interpolation in s.
+    directions are integrated themselves).  A tail still above rounding at
+    the largest grid with no more rays than directions keeps that grid and
+    emits BandLimitExceeded.  `offsets_at(s)` synthesises xi and its
+    derivative at the requested directions for the steps that bracket s and
+    returns s u + xi(s) by cubic Hermite interpolation in s.
     """
 
     def __init__(self, ds: InitialDataSet, center, frame, directions, s_max: float,
@@ -343,7 +320,7 @@ class RayFan:
             return dxi, geodesic_acceleration(ds, center + s * u + xi, u + dxi)
 
         self._rays = _CoarseRays(ds, center, self.frame, directions, self.s_max, n_steps,
-                                 [(3,)], rhs)
+                                 [(3,)], rhs, warn_at_cap=True)
         self.n_steps = self._rays.n_steps
         self.band_limit = self._rays.band_limit
 
@@ -379,9 +356,16 @@ class VariationBundle:
     there are at least 200 directions, with the state held as deviations
     that vanish in flat space, (xi, A - s B0, C | dxi/ds, B - B0, D) with
     B = dA/ds, D = dC/ds and B0 = B(0), each value group with its own tail
-    bound.  `n_steps` RK4 steps cover [0, max(radii)], and each direction
-    is Hermite-interpolated at its own radius.  `band_limit` is the coarse
-    grid's band limit (None when the directions are integrated themselves).
+    bound.  Where the largest grid with no more rays than directions still
+    leaves a tail above rounding, the directions are integrated themselves,
+    so the outputs carry no interpolation error above rounding.  `n_steps`
+    RK4 steps cover [0, max(radii)], and each direction is
+    Hermite-interpolated at its own radius.  Every ray, coarse or not, is
+    integrated and chart-checked out to max(radii), so the chart must hold
+    the rays out to the largest radius, not only each direction's own; on
+    a coarse grid that is the rays of every direction.  `band_limit`
+    is the coarse grid's band limit (None when the directions are integrated
+    themselves).
     """
 
     def __init__(self, ds: InitialDataSet, center, frame, directions, radii,

@@ -13,8 +13,8 @@ from hawkfol import (HarmonicField, RayFan, VariationBundle, geodesic,
                      moment_value, preset, rescaled_phi, solve_critical,
                      surface_from_positions, surface_to_csv, synthesize,
                      transported_center_frame, w_split)
-from hawkfol.errors import (BandLimitExceeded, DegenerateInducedMetric, InvalidParams,
-                            NonEmbedded)
+from hawkfol.errors import (BandLimitExceeded, ChartExceeded, DegenerateInducedMetric,
+                            DegenerateMetric, InvalidParams, NonEmbedded)
 from hawkfol.background import christoffel_from
 
 ORIGIN = np.zeros(3)
@@ -179,22 +179,6 @@ def test_band_limited_fan_matches_exp_map(conformal_k, grid, which, center, r, b
     assert np.abs(fan.offsets_at(np.full(len(directions), r)) - direct).max() < 1e-13 * r
 
 
-def test_fan_predicts_its_band_limit_from_the_first_tail(grid, monkeypatch):
-    # the tail at band limit 8 predicts 20, so the grids of 12 and 16 are skipped
-    grids = []
-    analyze = geodesic.analyze
-
-    def recording(coarse, values, check=True):
-        grids.append(coarse.band_limit)
-        return analyze(coarse, values, check)
-
-    monkeypatch.setattr(geodesic, "analyze", recording)
-    ds = _non_conformal_polynomial(seed=5)
-    c, frame = transported_center_frame(ds, (0.05, -0.02, 0.03), ORIGIN)
-    fan = RayFan(ds, c, frame, grid.nodes, s_max=0.2, n_steps=16)
-    assert fan.band_limit == 20 and grids == [8, 20]
-
-
 def test_fan_tail_above_rounding_at_the_cap_warns(small_grid):
     # 512 directions cap the coarse grid at band limit 12 (392 rays); the
     # polynomial data need 20 at r = 0.2
@@ -312,6 +296,55 @@ def test_band_limited_bundle_matches_one_ray_per_direction(conformal_k, grid, wh
         assert np.abs(bundle.points[chunk] - direct.points[:-1]).max() < 1e-13 * r
         assert np.abs(bundle.df[chunk] - direct.df[:-1]).max() < 1e-13
         assert np.abs(bundle.d2f[chunk] - direct.d2f[:-1]).max() < 1e-13 / r
+
+
+def test_bundle_integrates_its_directions_where_the_cap_leaves_a_tail(small_grid):
+    # 512 directions cap the coarse grid at band limit 12 (392 rays) and the
+    # polynomial data need 20 at r = 0.2, where a fan warns: the bundle
+    # integrates the directions themselves and carries no interpolation error
+    ds = _non_conformal_polynomial(seed=5)
+    c, frame = transported_center_frame(ds, (0.05, -0.02, 0.03), [0.01, -0.004, 0.002])
+    directions = small_grid.nodes
+    s = 0.2 * (1 + 0.1 * directions[:, 0] * directions[:, 1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", BandLimitExceeded)
+        bundle = VariationBundle(ds, c, frame, directions, s, n_steps=8)
+    assert bundle.band_limit is None
+    top = np.argmax(s)
+    for chunk in np.array_split(np.arange(len(directions)), 4):
+        rays = np.append(chunk, top)
+        direct = VariationBundle(ds, c, frame, directions[rays], s[rays], n_steps=8)
+        assert np.abs(bundle.points[chunk] - direct.points[:-1]).max() < 1e-13 * 0.2
+        assert np.abs(bundle.df[chunk] - direct.df[:-1]).max() < 1e-13
+        assert np.abs(bundle.d2f[chunk] - direct.d2f[:-1]).max() < 1e-13 / 0.2
+
+
+@pytest.mark.parametrize("n_directions", [512, 64], ids=["coarse", "directions"])
+def test_bundle_rays_reach_the_largest_radius(conformal_k, small_grid, n_directions):
+    # every ray runs out to the largest radius, 0.15 towards -x: the bundle's
+    # points stay within 0.26 of the origin, but the rays towards +x reach
+    # about 0.35, past a chart of radius 0.3
+    c, frame = transported_center_frame(conformal_k, (0.2, 0.0, 0.0), ORIGIN)
+    directions = small_grid.nodes[::len(small_grid.nodes) // n_directions]
+    radii = 0.1 - 0.05 * directions[:, 0]
+    wide = dataclasses.replace(conformal_k, chart_radius=0.4)
+    bundle = VariationBundle(wide, c, frame, directions, radii, n_steps=8)
+    assert (bundle.band_limit is None) == (n_directions < 200)
+    assert np.linalg.norm(bundle.points, axis=1).max() < 0.26
+    narrow = dataclasses.replace(conformal_k, chart_radius=0.3)
+    with pytest.raises(ChartExceeded):
+        VariationBundle(narrow, c, frame, directions, radii, n_steps=8)
+
+
+def test_bundle_of_non_finite_data_raises(conformal_k, small_grid):
+    def jet(pts, n):
+        value = conformal_k.metric_jet(pts, n)
+        return np.full_like(value, np.nan) if n == 3 else value
+
+    ds = dataclasses.replace(conformal_k, metric_jet=jet)
+    with pytest.raises(DegenerateMetric, match="not finite"):
+        VariationBundle(ds, ORIGIN, np.eye(3), small_grid.nodes,
+                        np.full(small_grid.n_nodes, 0.05), n_steps=4)
 
 
 def test_bundle_integrates_a_coarse_grid_not_one_ray_per_direction(conformal_k):

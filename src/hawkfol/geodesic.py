@@ -11,17 +11,19 @@ rescaled operator; it integrates them as deviations from their flat-space
 values too, over [0, max radius], and interpolates each direction at its
 own radius.
 
-Both run their rays through one helper, `_CoarseRays`.  The deviations are
-smooth in the direction, so the rays run only on a coarse Gauss grid,
-(L + 2) x (2L + 4) nodes at band limit L, whose harmonic coefficients are
-kept at every step and synthesised at the requested directions.  L starts
-at 8 (200 rays, whatever the surface grid) and grows by 4 while the top
-two degrees of a stored quantity at the end of the rays carry more than its
-rounding.  Whenever the next grid would hold more rays than there are
-requested directions, the directions themselves are integrated instead
-(fewer than 200 directions are so from the start); a RayFan keeps its last
-grid there and emits BandLimitExceeded.  The rays are chart-checked at
-every step, and the returned positions when they are queried.
+Both run their rays through one helper, `_CoarseRays`, by one rule.  The
+deviations are smooth in the direction, so the rays run only on a coarse
+Gauss grid, (L + 2) x (2L + 4) nodes at band limit L, whose harmonic
+coefficients are kept at every step and synthesised at the requested
+directions.  L starts at 8 (200 rays, whatever the surface grid) and grows by
+4 while the top two degrees of a stored quantity at the end of the rays carry
+more than its rounding, 1e-16 s_max plus 1e-14 of its largest coefficient.
+Whenever the next grid would hold more rays than there are requested
+directions, the directions themselves are integrated instead (fewer than 200
+directions are so from the start) and `band_limit` is None, so no output
+carries an interpolation error above rounding.  Every integrated state must
+be finite, or DegenerateMetric is raised.  The rays are chart-checked at every
+step, and the returned positions when they are queried.
 
 Kernel
 ------
@@ -40,14 +42,11 @@ center-frame transport with no vectors to carry.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from .background import (_SYM6, InitialDataSet, _inverse_metric, christoffel_from,
                          dchristoffel_from)
-from .errors import (BandLimitExceeded, ChartExceeded, DegenerateMetric, InvalidParams,
-                     StepSizeUnderflow, as_count)
+from .errors import ChartExceeded, DegenerateMetric, InvalidParams, StepSizeUnderflow, as_count
 from .grid import default_grid
 from .harmonics import analyze, point_basis
 
@@ -153,13 +152,18 @@ def transported_center_frame(ds: InitialDataSet, p, tau):
     return center, frame
 
 
-def _unit_directions(directions) -> np.ndarray:
-    """`directions` as a float array of unit vectors (n, 3); InvalidParams otherwise."""
-    directions = np.asarray(directions, dtype=float)
+def _ray_inputs(center, frame, directions):
+    """`center` (3,), `frame` (3, 3) and unit `directions` (n, 3) as float
+    arrays; InvalidParams unless they have those shapes and are finite."""
+    center, frame, directions = (np.asarray(a, dtype=float) for a in (center, frame, directions))
+    if center.shape != (3,) or not np.all(np.isfinite(center)):
+        raise InvalidParams("the ray center must be a finite point of shape (3,)")
+    if frame.shape != (3, 3) or not np.all(np.isfinite(frame)):
+        raise InvalidParams("the ray frame must be a finite matrix of shape (3, 3)")
     if (directions.ndim != 2 or directions.shape[1] != 3
             or not np.all(np.abs(np.linalg.norm(directions, axis=1) - 1.0) <= 1e-12)):
         raise InvalidParams("directions must be unit vectors of shape (n, 3)")
-    return directions
+    return center, frame, directions
 
 
 def _n_rays(band: int) -> int:
@@ -168,8 +172,8 @@ def _n_rays(band: int) -> int:
 
 
 class _CoarseRays:
-    """Rays from a common center, integrated on a coarse Gauss grid and
-    synthesised at the requested directions.
+    """Rays from a common center, integrated on a coarse Gauss grid or along
+    the requested directions, by the rule of the module docstring.
 
     The ray along the unit direction d leaves `center` with chart velocity
     u = frame @ d.  Its state is (value, d value / ds): value groups of the
@@ -178,22 +182,14 @@ class _CoarseRays:
     s-derivatives in the same order.  The state starts at zero and
     `rhs(s, u, *state)` returns its s-derivative; every group should vanish
     in flat space, so that its rounding is relative to itself and not to a
-    chord part.  `n_steps` RK4 steps cover [0, s_max], and the rays are
-    chart-checked at every step.
-
-    The rays run on the Gauss grid of band limit L, (L + 2) x (2L + 4)
-    nodes, and the state is stored as harmonic coefficients at every step.
-    L starts at 8 and grows by 4 while the top two degrees of a value group
-    at s_max carry more than 1e-16 s_max plus 1e-14 times the group's
-    largest coefficient (its rounding).  When the next grid would hold more
-    rays than there are directions, the rays are the directions themselves,
-    synthesised by the identity, and `band_limit` is None; with
-    `warn_at_cap`, the last grid is kept instead and BandLimitExceeded
-    emitted.  A non-finite tail raises DegenerateMetric.
+    chord part, and each group has its own tail bound.  `n_steps` RK4 steps
+    cover [0, s_max].  The states are stored at every step: as harmonic
+    coefficients on a coarse grid of band limit `band_limit`, or as they are
+    when `band_limit` is None.
     """
 
     def __init__(self, ds: InitialDataSet, center, frame, directions, s_max: float,
-                 n_steps: int, shapes, rhs, warn_at_cap: bool = False):
+                 n_steps: int, shapes, rhs):
         self.ds = ds
         self.center = center
         self.s_max = s_max
@@ -209,28 +205,18 @@ class _CoarseRays:
         band = _START_BAND
         while _n_rays(band) <= len(directions):
             grid = default_grid(band + 2, 2 * band + 4, band_limit=band)
-            self._coeffs = analyze(grid, self._history(grid.nodes @ frame.T), check=False).coeffs
-            tails, bounds = self._tails(band)
-            if not np.all(np.isfinite(tails)):
-                raise DegenerateMetric("ray state is not finite at the end of the rays")
-            if np.all(tails <= bounds):
-                break
-            if warn_at_cap and _n_rays(band + _BAND_STEP) > len(directions):
-                warnings.warn(f"ray tail {np.max(tails / bounds):.3g} times its rounding bound "
-                              f"at the band limit {band}", BandLimitExceeded, stacklevel=3)
-                break
+            self._stored = analyze(grid, self._integrate(grid.nodes @ frame.T), check=False).coeffs
+            if self._resolved(band):
+                self.band_limit, self._basis = band, point_basis(band, directions)
+                return
             band += _BAND_STEP
-        else:
-            self.band_limit = None
-            self._coeffs = self._history(self._u)
-            self._basis = np.eye(len(directions))
-            return
-        self.band_limit = band
-        self._basis = point_basis(band, directions)
+        self.band_limit = None
+        self._stored = self._integrate(self._u)
 
-    def _history(self, u: np.ndarray) -> np.ndarray:
+    def _integrate(self, u: np.ndarray) -> np.ndarray:
         """States (n_rays, n_steps + 1, 2 k) of the rays with chart velocities u,
-        each flattened to its k value components, then their derivatives."""
+        each flattened to its k value components, then their derivatives;
+        DegenerateMetric unless every state is finite."""
         center, n = self.center, len(u)
         zeros = tuple(np.zeros((n,) + shape) for shape in 2 * self._shapes)
         steps = _rk4(self.ds, lambda s, *state: self._rhs(s, u, *state), zeros, self.s_max,
@@ -238,34 +224,39 @@ class _CoarseRays:
         history = np.zeros((n, self.n_steps + 1, 2 * sum(self._widths)))
         for j, (_, state) in enumerate(steps):
             history[:, j + 1] = np.concatenate([a.reshape(n, -1) for a in state], axis=1)
+        # an RK4 step keeps a non-finite component non-finite: the last step shows all
+        if not np.all(np.isfinite(history[:, -1])):
+            raise DegenerateMetric("ray state is not finite at the end of the rays")
         return history
 
-    def _tails(self, band: int):
-        """Per value group, its largest coefficient of degrees band - 1 and
-        band at s_max, and its rounding bound, (n_groups,) each."""
-        k = sum(self._widths)
-        ends = np.split(np.abs(self._coeffs[:, -1, :k]), np.cumsum(self._widths)[:-1], axis=1)
-        tails = np.array([end[(band - 1) ** 2:].max() for end in ends])
-        return tails, np.array([_TAIL * self.s_max + _ROUNDING * end.max() for end in ends])
+    def _resolved(self, band: int) -> bool:
+        """Whether every value group's coefficients of degrees band - 1 and
+        band at s_max are within its rounding bound."""
+        ends = np.split(np.abs(self._stored[:, -1, :sum(self._widths)]),
+                        np.cumsum(self._widths)[:-1], axis=1)
+        return all(end[(band - 1) ** 2:].max() <= _TAIL * self.s_max + _ROUNDING * end.max()
+                   for end in ends)
 
     def at(self, s: np.ndarray) -> list:
-        """The value groups at one finite radius s per direction, (n, *shape)
+        """The value groups at one finite radius s >= 0 per direction, (n, *shape)
         each, by cubic Hermite interpolation between the bracketing steps; the
         first is the offset s u + xi from the center, and the positions
         center + s u + xi are chart-checked."""
         s = np.asarray(s, dtype=float)
         n = len(self._u)
-        if s.shape != (n,) or not np.all(np.isfinite(s)):
-            raise InvalidParams(f"need one finite radius per direction, shape ({n},)")
-        if np.any(s < 0) or np.any(s > self.s_max * (1 + 1e-12)):
+        if s.shape != (n,) or not np.all(np.isfinite(s) & (s >= 0)):
+            raise InvalidParams(f"need one finite radius per direction, none negative, "
+                                f"shape ({n},)")
+        if np.any(s > self.s_max * (1 + 1e-12)):
             raise ChartExceeded(
                 f"requested radius outside the integrated ray range [0, {self.s_max:.4g}]")
         h = self._h
         j = np.clip((s / h).astype(int), 0, self.n_steps - 1)
-        # synthesise only the steps from the lowest to the highest bracket, in one product
         lo, hi = j.min(), j.max() + 2
-        values = (self._basis @ self._coeffs[:, lo:hi].reshape(len(self._coeffs), -1))
-        values = values.reshape(n, hi - lo, -1)
+        values = self._stored[:, lo:hi]
+        if self.band_limit is not None:
+            # synthesise only the steps from the lowest to the highest bracket, in one product
+            values = (self._basis @ values.reshape(len(values), -1)).reshape(n, hi - lo, -1)
         idx = np.arange(n)
         x0, v0 = np.split(values[idx, j - lo], 2, axis=1)
         x1, v1 = np.split(values[idx, j - lo + 1], 2, axis=1)
@@ -292,41 +283,36 @@ class RayFan:
     pollutes the leading part of the positions (which downstream spectral
     differentiation would amplify).
 
-    xi is smooth in x, so the rays run on a coarse Gauss grid of band limit
-    L, (L + 2) x (2L + 4) nodes, and xi and its s-derivative are stored as
-    harmonic coefficients at every step; the module docstring gives the rule
-    for L, and `band_limit` is the L chosen (None when fewer than 200
-    directions are integrated themselves).  A tail still above rounding at
-    the largest grid with no more rays than directions keeps that grid and
-    emits BandLimitExceeded.  `offsets_at(s)` synthesises xi and its
-    derivative at the requested directions for the steps that bracket s and
-    returns s u + xi(s) by cubic Hermite interpolation in s.
+    xi and its s-derivative are stored at every step, on a coarse grid or
+    per direction by the module docstring's rule; `band_limit` is the coarse
+    grid's band limit, or None where the directions are integrated
+    themselves.  `offsets_at(s)` returns s u + xi(s) by cubic Hermite
+    interpolation in s between the steps that bracket s.
     """
 
     def __init__(self, ds: InitialDataSet, center, frame, directions, s_max: float,
                  n_steps: int = 128):
-        center = np.asarray(center, dtype=float).reshape(3)
-        directions = _unit_directions(directions)
+        center, frame, directions = _ray_inputs(center, frame, directions)
         if len(directions) == 0:
             raise InvalidParams("a fan needs unit vectors of shape (n, 3) with n >= 1")
         if not (np.isfinite(s_max) and s_max > 0):
             raise InvalidParams(f"s_max must be finite and positive, got {s_max}")
         self.ds = ds
         self.center = center
-        self.frame = np.asarray(frame, dtype=float)
+        self.frame = frame
         self.s_max = float(s_max)
 
         def rhs(s, u, xi, dxi):
             return dxi, geodesic_acceleration(ds, center + s * u + xi, u + dxi)
 
-        self._rays = _CoarseRays(ds, center, self.frame, directions, self.s_max, n_steps,
-                                 [(3,)], rhs, warn_at_cap=True)
+        self._rays = _CoarseRays(ds, center, frame, directions, self.s_max, n_steps,
+                                 [(3,)], rhs)
         self.n_steps = self._rays.n_steps
         self.band_limit = self._rays.band_limit
 
     def offsets_at(self, s: np.ndarray) -> np.ndarray:
         """Chord-plus-deviation offsets s u + xi(s) from the center, one finite
-        radius s per direction; the positions are chart-checked.
+        radius s >= 0 per direction; the positions are chart-checked.
 
         Keeping the center out preserves full relative accuracy of the
         offsets even when the center coordinates are much larger than s.
@@ -352,33 +338,27 @@ class VariationBundle:
     variations C_ij, yielding the pullback data of the normal-coordinate
     chart: point F(s d), differential DF (manifold x chart), and Hessian D2F.
 
-    The rays run as in RayFan (`_CoarseRays`): on a coarse Gauss grid when
-    there are at least 200 directions, with the state held as deviations
-    that vanish in flat space, (xi, A - s B0, C | dxi/ds, B - B0, D) with
-    B = dA/ds, D = dC/ds and B0 = B(0), each value group with its own tail
-    bound.  Where the largest grid with no more rays than directions still
-    leaves a tail above rounding, the directions are integrated themselves,
-    so the outputs carry no interpolation error above rounding.  `n_steps`
-    RK4 steps cover [0, max(radii)], and each direction is
-    Hermite-interpolated at its own radius.  Every ray, coarse or not, is
-    integrated and chart-checked out to max(radii), so the chart must hold
-    the rays out to the largest radius, not only each direction's own; on
-    a coarse grid that is the rays of every direction.  `band_limit`
-    is the coarse grid's band limit (None when the directions are integrated
-    themselves).
+    The rays run as in RayFan, on a coarse grid or per direction by the
+    module docstring's rule, with the state held as deviations that vanish
+    in flat space, (xi, A - s B0, C | dxi/ds, B - B0, D) with B = dA/ds,
+    D = dC/ds and B0 = B(0).  `n_steps` RK4 steps cover [0, max(radii)], and
+    each direction is Hermite-interpolated at its own radius.  Every ray,
+    coarse or not, is integrated and chart-checked out to max(radii), so the
+    chart must hold the rays out to the largest radius, not only each
+    direction's own; on a coarse grid that is the rays of every direction.
+    `band_limit` is the coarse grid's band limit, or None where the
+    directions are integrated themselves.
     """
 
     def __init__(self, ds: InitialDataSet, center, frame, directions, radii,
                  n_steps: int = 64):
-        center = np.asarray(center, dtype=float).reshape(3)
-        directions = _unit_directions(directions)
+        center, frame, directions = _ray_inputs(center, frame, directions)
         radii = np.asarray(radii, dtype=float)
         n_steps = as_count(n_steps, "n_steps")
         n = len(directions)
         if radii.shape != (n,) or not np.all(np.isfinite(radii) & (radii > 0)):
             raise InvalidParams(f"bundle radii must be finite and positive, one per direction, "
                                 f"shape ({n},) (use the flat shortcut at r = 0)")
-        frame = np.asarray(frame, dtype=float)
         b0 = frame.T   # B0[i, :] = the initial velocity of the Jacobi field A_i
 
         def rhs(s, u, xi, a_dev, c, dxi, b_dev, d):

@@ -174,9 +174,9 @@ def graph_surface(ds: InitialDataSet, center, tau, radius: float,
 
 
 def geodesic_sphere(ds: InitialDataSet, center, tau, radius: float, grid: SphereGrid,
-                    fan: Optional[RayFan] = None, n_steps: int = 128) -> EmbeddedSurface:
+                    n_steps: int = 128) -> EmbeddedSurface:
     """Geodesic sphere of radius r around exp_center(tau); graph with phi = 0."""
-    return graph_surface(ds, center, tau, radius, None, grid, fan=fan, n_steps=n_steps)
+    return graph_surface(ds, center, tau, radius, None, grid, n_steps=n_steps)
 
 
 def coordinate_sphere(ds: InitialDataSet, center, radius: float,

@@ -14,7 +14,7 @@ from hawkfol import (HarmonicField, RayFan, VariationBundle, geodesic,
                      surface_from_positions, surface_to_csv, synthesize,
                      transported_center_frame, w_split)
 from hawkfol.errors import (BandLimitExceeded, ChartExceeded, DegenerateInducedMetric,
-                            DegenerateMetric, InvalidParams, NonEmbedded)
+                            DegenerateMetric, InvalidParams, NonEmbedded, StepSizeUnderflow)
 from hawkfol.background import christoffel_from
 
 ORIGIN = np.zeros(3)
@@ -107,14 +107,24 @@ def test_sizes_must_be_finite_and_positive(conformal, small_grid, monkeypatch, c
         _SIZE_CALLS[call](conformal, small_grid)
 
 
-@pytest.mark.parametrize("bad", ["one-direction", "non-unit"])
+# a center or frame of the wrong shape or not finite, as (center, frame, message)
+_BAD_RAY_ORIGINS = {
+    "center-2": (np.zeros(2), np.eye(3), "center"),
+    "center-nan": (np.array([0.0, np.nan, 0.0]), np.eye(3), "center"),
+    "frame-2x2": (ORIGIN, np.eye(2), "frame"),
+    "frame-nan": (ORIGIN, np.where(np.eye(3) > 0, np.nan, 0.0), "frame"),
+}
+
+
+@pytest.mark.parametrize("bad", ["one-direction", "non-unit", *_BAD_RAY_ORIGINS])
 def test_bundle_rejects_malformed_directions(conformal, monkeypatch, bad):
     for name in ("geodesic_acceleration", "christoffel_from"):
         monkeypatch.setattr(geodesic, name, lambda *args: pytest.fail("integration step"))
+    center, frame, match = _BAD_RAY_ORIGINS.get(bad, (ORIGIN, np.eye(3), "unit vectors"))
     directions = {"one-direction": np.array([0.0, 0.0, 1.0]),
-                  "non-unit": np.array([[2.0, 0.0, 0.0]])}[bad]
-    with pytest.raises(InvalidParams, match="unit vectors"):
-        VariationBundle(conformal, ORIGIN, np.eye(3), directions, np.full(1, 0.05))
+                  "non-unit": np.array([[2.0, 0.0, 0.0]])}.get(bad, np.array([[0.0, 0.0, 1.0]]))
+    with pytest.raises(InvalidParams, match=match):
+        VariationBundle(conformal, center, frame, directions, np.full(1, 0.05))
 
 
 def test_bundle_of_no_directions_is_empty(conformal, monkeypatch):
@@ -162,30 +172,25 @@ def _unit_directions(n, seed):
     ("conformal_k", (0.05, -0.02, 0.03), 0.5, 8),
     ("polynomial", (0.05, -0.02, 0.03), 0.2, 20),    # the tail at band limit 8 is 2e-7
     ("schwarzschild", (2.0, 0.0, 0.0), 0.5, 16),     # off the puncture
-], ids=["conformal_k-0.05", "conformal_k-0.5", "polynomial-0.2", "schwarzschild-0.5"])
+    ("polynomial", (0.05, -0.02, 0.03), 0.2, None),  # 150 directions, fewer than 200 rays
+], ids=["conformal_k-0.05", "conformal_k-0.5", "polynomial-0.2", "schwarzschild-0.5",
+        "polynomial-0.2-per-direction"])
 def test_band_limited_fan_matches_exp_map(conformal_k, grid, which, center, r, band):
     # the fan's rays run on its coarse grid; its offsets at the 32 x 64 nodes
     # and at 256 random directions against one exp_map ray per direction, at
-    # s = s_max, where the Hermite interpolation in s is exact
+    # s = s_max, where the Hermite interpolation in s is exact.  Below the
+    # first grid's 200 rays the fan integrates its directions themselves.
     ds = {"conformal_k": conformal_k, "polynomial": _non_conformal_polynomial(seed=5),
           "schwarzschild": preset("schwarzschild_slice", mass=1.0)}[which]
     c, frame = transported_center_frame(ds, center, ORIGIN)
-    directions = np.concatenate([grid.nodes, _unit_directions(256, 6)])
+    directions = (_unit_directions(150, 6) if band is None
+                  else np.concatenate([grid.nodes, _unit_directions(256, 6)]))
     with warnings.catch_warnings():
         warnings.simplefilter("error", BandLimitExceeded)
         fan = RayFan(ds, c, frame, directions, s_max=r, n_steps=64)
     assert fan.band_limit == band
     direct = exp_map(ds, c, r * (directions @ frame.T), n_steps=64) - c
     assert np.abs(fan.offsets_at(np.full(len(directions), r)) - direct).max() < 1e-13 * r
-
-
-def test_fan_tail_above_rounding_at_the_cap_warns(small_grid):
-    # 512 directions cap the coarse grid at band limit 12 (392 rays); the
-    # polynomial data need 20 at r = 0.2
-    ds = _non_conformal_polynomial(seed=5)
-    with pytest.warns(BandLimitExceeded, match="band limit 12"):
-        fan = RayFan(ds, ORIGIN, np.eye(3), small_grid.nodes, s_max=0.2, n_steps=16)
-    assert fan.band_limit == 12
 
 
 def test_fan_integrates_a_coarse_grid_not_one_ray_per_direction(conformal_k, monkeypatch):
@@ -202,21 +207,39 @@ def test_fan_integrates_a_coarse_grid_not_one_ray_per_direction(conformal_k, mon
     assert batches and max(batches) <= 300
 
 
-@pytest.mark.parametrize("bad", ["one-direction", "non-unit", "none"])
-def test_fan_rejects_malformed_directions(conformal, small_grid, bad):
+@pytest.mark.parametrize("bad", ["one-direction", "non-unit", "none", *_BAD_RAY_ORIGINS])
+def test_fan_rejects_malformed_directions(conformal, small_grid, monkeypatch, bad):
+    monkeypatch.setattr(geodesic, "geodesic_acceleration",
+                        lambda *args: pytest.fail("integration step"))
+    center, frame, match = _BAD_RAY_ORIGINS.get(bad, (ORIGIN, np.eye(3), "unit vectors"))
     directions = {"one-direction": np.array([0.0, 0.0, 1.0]),
-                  "non-unit": 1.01 * small_grid.nodes, "none": np.zeros((0, 3))}[bad]
-    with pytest.raises(InvalidParams, match="unit vectors"):
-        RayFan(conformal, ORIGIN, np.eye(3), directions, 0.05, n_steps=8)
+                  "non-unit": 1.01 * small_grid.nodes,
+                  "none": np.zeros((0, 3))}.get(bad, small_grid.nodes)
+    with pytest.raises(InvalidParams, match=match):
+        RayFan(conformal, center, frame, directions, 0.05, n_steps=8)
 
 
-@pytest.mark.parametrize("bad", ["nan", "short"])
+@pytest.mark.parametrize("bad", ["nan", "short", "negative"])
 def test_fan_query_needs_one_finite_radius_per_direction(conformal, small_grid, bad):
     fan = RayFan(conformal, ORIGIN, np.eye(3), small_grid.nodes, 0.05, n_steps=8)
     s = {"nan": np.full(small_grid.n_nodes, np.nan),
-         "short": np.full(small_grid.n_nodes - 1, 0.04)}[bad]
+         "short": np.full(small_grid.n_nodes - 1, 0.04),
+         "negative": np.where(small_grid.nodes[:, 2] > 0, 0.04, -0.01)}[bad]
     with pytest.raises(InvalidParams, match="one finite radius per direction"):
         fan.offsets_at(s)
+
+
+@pytest.mark.parametrize("n_directions", [512, 64], ids=["coarse", "directions"])
+def test_ray_step_below_rounding_raises(conformal, small_grid, monkeypatch, n_directions):
+    # s_max / n_steps = 1e-12 / 128 < 1e-14, found before any integration step
+    for name in ("geodesic_acceleration", "christoffel_from"):
+        monkeypatch.setattr(geodesic, name, lambda *args: pytest.fail("integration step"))
+    directions = small_grid.nodes[:n_directions]
+    with pytest.raises(StepSizeUnderflow, match="underflows"):
+        RayFan(conformal, ORIGIN, np.eye(3), directions, 1e-12, n_steps=128)
+    with pytest.raises(StepSizeUnderflow, match="underflows"):
+        VariationBundle(conformal, ORIGIN, np.eye(3), directions,
+                        np.full(n_directions, 1e-12), n_steps=128)
 
 
 def _non_conformal_polynomial(seed=4):
@@ -300,15 +323,19 @@ def test_band_limited_bundle_matches_one_ray_per_direction(conformal_k, grid, wh
 
 def test_bundle_integrates_its_directions_where_the_cap_leaves_a_tail(small_grid):
     # 512 directions cap the coarse grid at band limit 12 (392 rays) and the
-    # polynomial data need 20 at r = 0.2, where a fan warns: the bundle
-    # integrates the directions themselves and carries no interpolation error
+    # polynomial data need 20 at r = 0.2: fan and bundle integrate the
+    # directions themselves and carry no interpolation error
     ds = _non_conformal_polynomial(seed=5)
     c, frame = transported_center_frame(ds, (0.05, -0.02, 0.03), [0.01, -0.004, 0.002])
     directions = small_grid.nodes
     s = 0.2 * (1 + 0.1 * directions[:, 0] * directions[:, 1])
     with warnings.catch_warnings():
         warnings.simplefilter("error", BandLimitExceeded)
+        fan = RayFan(ds, c, frame, directions, s_max=0.2, n_steps=16)
         bundle = VariationBundle(ds, c, frame, directions, s, n_steps=8)
+    assert fan.band_limit is None
+    direct = exp_map(ds, c, 0.2 * (directions @ frame.T), n_steps=16) - c
+    assert np.abs(fan.offsets_at(np.full(len(directions), 0.2)) - direct).max() < 1e-13 * 0.2
     assert bundle.band_limit is None
     top = np.argmax(s)
     for chunk in np.array_split(np.arange(len(directions)), 4):
@@ -342,9 +369,10 @@ def test_bundle_of_non_finite_data_raises(conformal_k, small_grid):
         return np.full_like(value, np.nan) if n == 3 else value
 
     ds = dataclasses.replace(conformal_k, metric_jet=jet)
-    with pytest.raises(DegenerateMetric, match="not finite"):
-        VariationBundle(ds, ORIGIN, np.eye(3), small_grid.nodes,
-                        np.full(small_grid.n_nodes, 0.05), n_steps=4)
+    for n_directions in (512, 64):  # on the coarse grid and per direction
+        with pytest.raises(DegenerateMetric, match="not finite"):
+            VariationBundle(ds, ORIGIN, np.eye(3), small_grid.nodes[:n_directions],
+                            np.full(n_directions, 0.05), n_steps=4)
 
 
 def test_bundle_integrates_a_coarse_grid_not_one_ray_per_direction(conformal_k):

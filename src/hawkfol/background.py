@@ -25,7 +25,7 @@ from typing import Callable, ClassVar
 
 import numpy as np
 
-from .errors import ChartExceeded, DegenerateMetric, InvalidParams, UnknownPreset
+from .errors import ChartExceeded, DegenerateMetric, InvalidParams, UnknownPreset, as_point
 
 Jet = Callable[[np.ndarray, int], np.ndarray]
 
@@ -358,7 +358,7 @@ def _point_jet(ds: InitialDataSet, x, quantity):
     points against the chart.  The gradient and Hessian steps are 1e-3 and
     2e-3 on closed-form data and 5e-3 and 1e-2 on finite-difference data.
     """
-    x = np.asarray(x, dtype=float).reshape(3)
+    x = as_point(x, "x")
     fd = ds.derivative_mode == "finite_difference"
     grad_step = _DERIVED_FD_STEP if fd else _DERIVED_STEP
     hess_step = _DERIVED_FD_SECOND_STEP if fd else _SECOND_STEP

@@ -38,7 +38,7 @@ import numpy as np
 
 from .background import (AmbientFields, InitialDataSet, _in_frame, _inverse_metric,
                          ambient_fields, preset)
-from .errors import InvalidParams, NonEmbedded
+from .errors import InvalidParams, NonEmbedded, as_count
 from .geodesic import VariationBundle, transported_center_frame
 from .grid import SphereGrid
 from .harmonics import (HarmonicField, analyze_compensated, project_K0,
@@ -192,6 +192,7 @@ def _rescaled_geometry(ds: InitialDataSet, center, tau, radius: float,
                        phi: Optional[HarmonicField], lam: float, grid: SphereGrid,
                        n_steps: int = 64):
     """Residual term dict of S_phi in the rescaled ball."""
+    n_steps = as_count(n_steps, "n_steps")
     phi_vals, dphi1, dphi2 = synthesize_derivatives(
         HarmonicField.zero(0) if phi is None else phi, grid)
     factor = 1.0 + phi_vals

@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package, and its count check.
+"""Exception and warning types shared across the package, and its count and point checks.
 
 InvalidParams is the one input-error type: every argument that is out of
 range or malformed raises it (or its subclass UnknownPreset), and the CLI
@@ -7,6 +7,8 @@ failure, exit code 3.
 """
 
 import operator
+
+import numpy as np
 
 
 class HawkfolError(Exception):
@@ -30,6 +32,18 @@ def as_count(value, name: str, minimum: int = 1) -> int:
     if not hasattr(type(value), "__index__") or operator.index(value) < minimum:
         raise InvalidParams(f"{name} must be an integer >= {minimum}, got {value!r}")
     return operator.index(value)
+
+
+def as_point(value, name: str) -> np.ndarray:
+    """The one check of a point or center offset: `value` as a float array of
+    shape (3,) if it has that shape and is finite."""
+    try:
+        point = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        point = None
+    if point is None or point.shape != (3,) or not np.all(np.isfinite(point)):
+        raise InvalidParams(f"{name} must be a finite point of shape (3,), got {value!r}")
+    return point
 
 
 class UnknownPreset(InvalidParams):

@@ -35,7 +35,7 @@ import numpy as np
 from .background import InitialDataSet, ambient_fields, concentration_scalar
 from .el_operator import ResidualField, el_residual
 from .errors import (ContinuationBroken, DegenerateHessian, HawkfolError, InvalidParams,
-                     NonConvergence, as_count)
+                     NonConvergence, as_count, as_point)
 from .functionals import EnergyReport, hawking_energy
 from .geodesic import RayFan, orthonormal_frame, transported_center_frame
 from .grid import SphereGrid, default_grid
@@ -145,7 +145,7 @@ def initial_guess(ds: InitialDataSet, p, band_limit: int = 8,
     """
     grid = grid or default_grid()
     band_limit = as_count(band_limit, "band_limit", 0)
-    amb = ambient_fields(ds, np.asarray(p, dtype=float).reshape(3))
+    amb = ambient_fields(ds, as_point(p, "p"))
     lam0 = float(-amb.scalar / 3.0 - amb.k_norm_sq / 15.0 - amb.k_trace ** 2 / 5.0)
 
     x = grid.nodes
@@ -190,19 +190,19 @@ class _ReducedSystem:
 
     def __init__(self, ds, p, r, grid, band_limit, hess=None):
         self.ds = ds
-        self.p = np.asarray(p, dtype=float).reshape(3)
+        self.p = as_point(p, "p")
         self.r = float(r)
         self.grid = grid
         self.band_limit = band_limit
         self.n_coeffs = (band_limit + 1) ** 2
         self.hess = hess
-        # (rounded tau, RayFan) of the last evaluation: with no differenced
-        # columns, a center repeats only on consecutive evaluations
+        # (tau, RayFan) of the last evaluation, keyed on tau exactly: with no
+        # differenced columns, a center repeats only on consecutive evaluations
         self._fan = (None, None)
 
     def pack(self, tau, lam, phi: HarmonicField) -> np.ndarray:
         """The Newton unknown u = (tau, lam, phi coefficients of degree >= 2)."""
-        return np.concatenate([np.asarray(tau, dtype=float).reshape(3), [float(lam)],
+        return np.concatenate([as_point(tau, "tau"), [float(lam)],
                                phi.restricted(self.band_limit).coeffs[4:]])
 
     def unpack(self, u):
@@ -213,7 +213,7 @@ class _ReducedSystem:
         """(projected residual, full-field L2 norm, surface) at u: the one
         place the solver builds a surface and its residual."""
         tau, lam, phi = self.unpack(u)
-        key = tuple(np.round(tau, 14))
+        key = tuple(tau)
         if self._fan[0] != key:
             center, frame = transported_center_frame(self.ds, self.p, tau)
             self._fan = (key, RayFan(self.ds, center, frame, self.grid.nodes,
@@ -309,23 +309,18 @@ def solve_critical(ds: InitialDataSet, p, r: float, guess=None,
     grid = grid or default_grid()
     _check_solve(r, tol, band_limit, grid)
     max_iter = as_count(max_iter, "max_iter", 0)
-    _, _, hess = concentration_scalar(ds, p)
-    _, cond, degenerate = _hessian_spectrum(hess)
+    system = _ReducedSystem(ds, p, r, grid, band_limit)
+    if isinstance(guess, CriticalSurfaceSolution):
+        guess = (guess.tau, guess.lam, guess.phi)
+    u = None if guess is None else system.pack(*guess)   # checks tau before any numerical work
+    _, _, system.hess = concentration_scalar(ds, system.p)
+    _, cond, degenerate = _hessian_spectrum(system.hess)
     if degenerate:
         raise DegenerateHessian(
             f"concentration-scalar Hessian condition {cond:.2e} "
             "exceeds 1e8; no isolated critical point to center on")
-
-    system = _ReducedSystem(ds, p, r, grid, band_limit, hess)
-    if guess is None:
-        lam0, phi0 = initial_guess(ds, p, band_limit=band_limit, grid=grid)
-        tau0 = np.zeros(3)
-    elif isinstance(guess, CriticalSurfaceSolution):
-        tau0, lam0, phi0 = guess.tau, guess.lam, guess.phi
-    else:
-        tau0, lam0, phi0 = guess
-
-    u = system.pack(tau0, lam0, phi0)
+    if u is None:
+        u = system.pack(np.zeros(3), *initial_guess(ds, p, band_limit=band_limit, grid=grid))
     u, r_vec, full_norm, surf, iterations = _newton(system, u, np.arange(u.size), tol,
                                                     max_iter)
     tau, lam, phi = system.unpack(u)

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .background import AmbientFields, InitialDataSet, _in_frame, ambient_fields
-from .errors import DegenerateInducedMetric, InvalidParams, NonEmbedded
+from .errors import DegenerateInducedMetric, InvalidParams, NonEmbedded, as_count, as_point
 from .geodesic import RayFan, transported_center_frame
 from .grid import SphereGrid
 # `analyze` is not called here; it stays importable as `hawkfol.surface.analyze`
@@ -156,6 +156,7 @@ def graph_surface(ds: InitialDataSet, center, tau, radius: float,
     """
     if not (np.isfinite(radius) and radius > 0):
         raise InvalidParams(f"radius must be finite and positive, got {radius}")
+    n_steps = as_count(n_steps, "n_steps")
     if phi is None:
         phi_vals = np.zeros(grid.n_nodes)
     else:
@@ -186,7 +187,7 @@ def coordinate_sphere(ds: InitialDataSet, center, radius: float,
     Useful where radial geodesics are unavailable, e.g. spheres centered on
     the Schwarzschild puncture.
     """
-    center = np.asarray(center, dtype=float).reshape(3)
+    center = as_point(center, "center")
     offsets = radius * grid.nodes
     return surface_from_positions(ds, grid, center + offsets, offsets=offsets)
 

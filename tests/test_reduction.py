@@ -5,7 +5,8 @@ import pytest
 
 from hawkfol import (EnergyReport, HarmonicField, SphereGrid, concentration_scalar,
                      el_residual, foliate, initial_guess, kernel_obstruction,
-                     nonexistence_check, preset, reduction, solve_critical)
+                     nonexistence_check, orthonormal_frame, preset, reduction,
+                     solve_critical)
 from hawkfol.errors import (ContinuationBroken, DegenerateHessian, InvalidParams,
                             NonConvergence)
 from hawkfol.reduction import CriticalSurfaceSolution, _newton, _ReducedSystem
@@ -144,6 +145,24 @@ class TestNewton:
         sol = solve_critical(conformal, ORIGIN, 0.05, grid=small_grid)
         assert sol.converged and len(seen) <= 8
         assert len(set(seen)) == len(seen)
+
+    def test_solved_leaf_is_built_at_the_center_of_its_tau(self, conformal, grid,
+                                                           monkeypatch):
+        # the solved tau is about 1e-10 here: the last surface the solver built
+        # is centered at exp_p(tau), not at p
+        centers = []
+        transport = reduction.transported_center_frame
+
+        def recording(ds, p, tau):
+            center, frame = transport(ds, p, tau)
+            centers.append(center)
+            return center, frame
+
+        monkeypatch.setattr(reduction, "transported_center_frame", recording)
+        sol = solve_critical(conformal, ORIGIN, 0.05, grid=grid)
+        assert np.linalg.norm(sol.tau) > 1e-12
+        expected = ORIGIN + orthonormal_frame(conformal, ORIGIN) @ sol.tau
+        assert np.abs(centers[-1] - expected).max() <= 1e-15
 
     def test_kernel_obstruction_builds_one_fan(self, small_grid, monkeypatch):
         fans = []

@@ -10,7 +10,7 @@ from scipy.integrate import solve_ivp
 
 from hawkfol import (HarmonicField, RayFan, VariationBundle, geodesic,
                      coordinate_sphere, default_grid, exp_map, geodesic_sphere, graph_surface,
-                     moment_value, preset, rescaled_phi, solve_critical,
+                     moment_value, orthonormal_frame, preset, rescaled_phi, solve_critical,
                      surface_from_positions, surface_to_csv, synthesize,
                      transported_center_frame, w_split)
 from hawkfol.errors import (BandLimitExceeded, ChartExceeded, DegenerateInducedMetric,
@@ -18,6 +18,7 @@ from hawkfol.errors import (BandLimitExceeded, ChartExceeded, DegenerateInducedM
 from hawkfol.background import christoffel_from
 
 ORIGIN = np.zeros(3)
+TAU = np.array([0.01, 0.0, 0.0])
 
 
 def _gamma_at(ds, pts):
@@ -64,10 +65,14 @@ _STEP_COUNT_CALLS = {
         ds, ORIGIN, np.eye(3), grid.nodes, np.full(grid.n_nodes, 0.05), n_steps=n),
     "graph_surface": lambda ds, grid, n: graph_surface(ds, ORIGIN, ORIGIN, 0.05, None, grid,
                                                        n_steps=n),
+    "graph_surface-tau": lambda ds, grid, n: graph_surface(ds, ORIGIN, TAU, 0.05, None, grid,
+                                                           n_steps=n),
     "geodesic_sphere": lambda ds, grid, n: geodesic_sphere(ds, ORIGIN, ORIGIN, 0.05, grid,
                                                            n_steps=n),
     "rescaled_phi": lambda ds, grid, n: rescaled_phi(ds, ORIGIN, ORIGIN, 0.05, None, 0.0,
                                                      grid, n_steps=n),
+    "rescaled_phi-tau": lambda ds, grid, n: rescaled_phi(ds, ORIGIN, TAU, 0.05, None, 0.0,
+                                                         grid, n_steps=n),
     "w_split": lambda ds, grid, n: w_split(ds, ORIGIN, ORIGIN, 0.05, None, 0.0, grid,
                                            n_steps=n),
 }
@@ -116,23 +121,16 @@ _BAD_RAY_ORIGINS = {
 }
 
 
-@pytest.mark.parametrize("bad", ["one-direction", "non-unit", *_BAD_RAY_ORIGINS])
+@pytest.mark.parametrize("bad", ["one-direction", "non-unit", "none", *_BAD_RAY_ORIGINS])
 def test_bundle_rejects_malformed_directions(conformal, monkeypatch, bad):
     for name in ("geodesic_acceleration", "christoffel_from"):
         monkeypatch.setattr(geodesic, name, lambda *args: pytest.fail("integration step"))
     center, frame, match = _BAD_RAY_ORIGINS.get(bad, (ORIGIN, np.eye(3), "unit vectors"))
     directions = {"one-direction": np.array([0.0, 0.0, 1.0]),
-                  "non-unit": np.array([[2.0, 0.0, 0.0]])}.get(bad, np.array([[0.0, 0.0, 1.0]]))
+                  "non-unit": np.array([[2.0, 0.0, 0.0]]),
+                  "none": np.zeros((0, 3))}.get(bad, np.array([[0.0, 0.0, 1.0]]))
     with pytest.raises(InvalidParams, match=match):
         VariationBundle(conformal, center, frame, directions, np.full(1, 0.05))
-
-
-def test_bundle_of_no_directions_is_empty(conformal, monkeypatch):
-    for name in ("geodesic_acceleration", "christoffel_from"):
-        monkeypatch.setattr(geodesic, name, lambda *args: pytest.fail("integration step"))
-    bundle = VariationBundle(conformal, ORIGIN, np.eye(3), np.zeros((0, 3)), np.zeros(0))
-    assert (bundle.points.shape, bundle.df.shape, bundle.d2f.shape) == (
-        (0, 3), (0, 3, 3), (0, 3, 3, 3))
 
 
 def test_transport_carries_leading_batch_axes(conformal):
@@ -143,6 +141,46 @@ def test_transport_carries_leading_batch_axes(conformal):
         single = geodesic._transport(conformal, ORIGIN, v[b], 16, scale * frame)
         for got, want in zip(batched, single):
             assert_allclose(got[b], want, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("p", [ORIGIN, np.array([0.1, 0.05, 0.0])], ids=["origin", "off-origin"])
+def test_every_tau_moves_the_center(conformal, p):
+    # no tau is too small to transport: the center is p + frame_p tau up to
+    # O(Gamma |tau|^2), about 1e-19 here, and tau = 0 returns (p, frame_p) exactly
+    frame_p = orthonormal_frame(conformal, p)
+    tau = np.array([5e-9, -2.5e-9, 0.0])
+    center, _ = transported_center_frame(conformal, p, tau)
+    assert np.abs(center - p - frame_p @ tau).max() <= 1e-15
+    center, frame = transported_center_frame(conformal, p, ORIGIN)
+    assert np.array_equal(center, p) and np.array_equal(frame, frame_p)
+
+
+@pytest.mark.parametrize("which, p, size", [
+    ("conformal_k", ORIGIN, 0.01),
+    ("conformal_eps1", (0.4, 0.3, 0.0), 0.01),
+    ("polynomial", (0.05, -0.02, 0.03), 0.01),
+    ("schwarzschild", (2.0, 0.0, 0.0), 0.05),
+], ids=["conformal_k", "conformal_eps1", "polynomial", "schwarzschild"])
+def test_center_frame_steps_are_at_rounding(conformal_k, which, p, size):
+    # the center transport against 512 steps: within the 64-step error plus
+    # 1e-15 per unit of |p| (the rounding of absolute coordinates), for every
+    # |tau| <= 0.05 that a test or benchmark transports.  Out of that range
+    # the steps show: conformal_quadratic(-0.25, k) at |tau| = 0.2 is off by
+    # 5e-12 at 16 steps and 2e-14 at 64.
+    ds = {"conformal_k": conformal_k,
+          "conformal_eps1": preset("conformal_quadratic", eps=1.0),
+          "polynomial": _non_conformal_polynomial(seed=5),
+          "schwarzschild": preset("schwarzschild_slice", mass=1.0)}[which]
+    p = np.asarray(p, dtype=float)
+    tau = size * np.array([0.6, -0.48, 0.64])
+    center, frame = transported_center_frame(ds, p, tau)
+    frame_p = orthonormal_frame(ds, p)
+    v = frame_p @ tau
+    reference = geodesic._transport(ds, p, v, 512, frame_p)
+    at_64 = geodesic._transport(ds, p, v, 64, frame_p)
+    bound = 1e-15 * max(1.0, np.linalg.norm(p))
+    for got, ref, coarse in ((center, reference[0], at_64[0]), (frame, reference[2], at_64[2])):
+        assert np.abs(got - ref).max() <= np.abs(coarse - ref).max() + bound
 
 
 def test_parallel_transport_preserves_frame(conformal):

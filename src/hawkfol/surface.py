@@ -89,10 +89,11 @@ def geometry_from_embedding(grid: SphereGrid, d1, d2, amb: AmbientFields):
     (see `AmbientFields.rescaled`).  Returns a dict of per-node fields, `d1`
     included, keyed by the names of the `EmbeddedSurface` fields.
     """
-    gsig = _in_frame(d1, amb.metric)
-    det = gsig[:, 0, 0] * gsig[:, 1, 1] - gsig[:, 0, 1] * gsig[:, 1, 0]
-    if not np.all(det > 0):
-        raise DegenerateInducedMetric("induced metric is singular at a node")
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite det is rejected below
+        gsig = _in_frame(d1, amb.metric)
+        det = gsig[:, 0, 0] * gsig[:, 1, 1] - gsig[:, 0, 1] * gsig[:, 1, 0]
+    if not np.all((det > 0) & (det < np.inf)):
+        raise DegenerateInducedMetric("induced metric is singular or not finite at a node")
     ginv = np.empty_like(gsig)
     ginv[:, 0, 0] = gsig[:, 1, 1] / det
     ginv[:, 1, 1] = gsig[:, 0, 0] / det

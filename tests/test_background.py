@@ -471,14 +471,14 @@ def _one_bad_node(kind, node=1234, n=2048):
 @pytest.mark.parametrize("kind", sorted(_BAD_NODE))
 def test_single_bad_node_raises_degenerate_metric(kind):
     # a fan integrates its rays on a grid of its own, not one ray per direction,
-    # so its bad metric sits on a thin shell at radius 0.05, where every ray of
-    # length 0.1 has an RK4 stage
-    shell = _bad_metric_data(kind, lambda pts: np.abs(np.linalg.norm(pts, axis=-1) - 0.05) < 1e-3)
+    # and at points of its integrator's choosing, so its bad metric fills
+    # |x| > 0.05, which every ray of length 0.1 meets whatever the points
+    outside = _bad_metric_data(kind, lambda pts: np.linalg.norm(pts, axis=-1) > 0.05)
     rng = np.random.default_rng(5)
     directions = rng.normal(size=(2048, 3))
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)
     with pytest.raises(DegenerateMetric):
-        RayFan(shell, ORIGIN, np.eye(3), directions, 0.1, n_steps=4)
+        RayFan(outside, ORIGIN, np.eye(3), directions, 0.1, n_steps=4)
     ds = _one_bad_node(kind)
     with pytest.raises(DegenerateMetric):
         ambient_fields(ds, 0.1 * directions)

@@ -16,14 +16,39 @@ from hawkfol import (HarmonicField, RayFan, VariationBundle, geodesic,
 from hawkfol.errors import (BandLimitExceeded, ChartExceeded, DegenerateInducedMetric,
                             DegenerateMetric, InvalidParams, NonEmbedded, StepSizeUnderflow)
 from hawkfol.background import christoffel_from
+from hawkfol.surface import geometry_from_embedding
 
 ORIGIN = np.zeros(3)
 TAU = np.array([0.01, 0.0, 0.0])
+K_GENERIC = np.array([[0.3, 0.1, 0.0], [0.1, -0.2, 0.05], [0.0, 0.05, 0.4]])
 
 
 def _gamma_at(ds, pts):
     """Christoffel symbols for the oracles, independent of the geodesic kernel."""
     return christoffel_from(np.linalg.inv(ds.metric_jet(pts, 0)), ds.metric_jet(pts, 1))
+
+
+def _reference_transport(ds, base, v, n_steps, *vectors):
+    """(x, u, *vectors) at the end of t -> exp_base(t v), t in [0, 1], with the
+    columns of `vectors` parallel transported: the fixed-step RK4 oracle of
+    the Chebyshev-Picard integrator, on `geodesic_acceleration`."""
+    def rhs(t, x, u, *w):
+        transported = ()
+        if w:
+            gam_u = np.einsum("...ijk,...j->...ik", _gamma_at(ds, x), u)
+            transported = tuple(-gam_u @ a for a in w)
+        return (u, geodesic.geodesic_acceleration(ds, x, u), *transported)
+
+    v = np.asarray(v, dtype=float)
+    state = (np.broadcast_to(base, v.shape), v, *vectors)
+    for _, state in geodesic._rk4(ds, rhs, state, 1.0, n_steps):
+        pass
+    return state
+
+
+def _reference_exp(ds, base, v, n_steps=512):
+    """exp_base(v) by `n_steps` RK4 steps."""
+    return _reference_transport(ds, base, v, n_steps)[0]
 
 
 class TestExpMap:
@@ -59,7 +84,6 @@ class TestExpMap:
 
 
 _STEP_COUNT_CALLS = {
-    "exp_map": lambda ds, grid, n: exp_map(ds, ORIGIN, 0.05 * grid.nodes, n_steps=n),
     "RayFan": lambda ds, grid, n: RayFan(ds, ORIGIN, np.eye(3), grid.nodes, 0.05, n_steps=n),
     "VariationBundle": lambda ds, grid, n: VariationBundle(
         ds, ORIGIN, np.eye(3), grid.nodes, np.full(grid.n_nodes, 0.05), n_steps=n),
@@ -136,9 +160,9 @@ def test_bundle_rejects_malformed_directions(conformal, monkeypatch, bad):
 def test_transport_carries_leading_batch_axes(conformal):
     frame = transported_center_frame(conformal, ORIGIN, ORIGIN)[1]
     v = np.array([[0.03, -0.01, 0.02], [-0.02, 0.04, 0.01]])
-    batched = geodesic._transport(conformal, ORIGIN, v, 16, np.stack([frame, 2 * frame]))
+    batched = geodesic._transport(conformal, ORIGIN, v, np.stack([frame, 2 * frame]))
     for b, scale in enumerate((1, 2)):
-        single = geodesic._transport(conformal, ORIGIN, v[b], 16, scale * frame)
+        single = geodesic._transport(conformal, ORIGIN, v[b], scale * frame)
         for got, want in zip(batched, single):
             assert_allclose(got[b], want, rtol=0, atol=1e-15)
 
@@ -162,11 +186,9 @@ def test_every_tau_moves_the_center(conformal, p):
     ("schwarzschild", (2.0, 0.0, 0.0), 0.05),
 ], ids=["conformal_k", "conformal_eps1", "polynomial", "schwarzschild"])
 def test_center_frame_steps_are_at_rounding(conformal_k, which, p, size):
-    # the center transport against 512 steps: within the 64-step error plus
-    # 1e-15 per unit of |p| (the rounding of absolute coordinates), for every
-    # |tau| <= 0.05 that a test or benchmark transports.  Out of that range
-    # the steps show: conformal_quadratic(-0.25, k) at |tau| = 0.2 is off by
-    # 5e-12 at 16 steps and 2e-14 at 64.
+    # the center transport against 512 RK4 steps: within the 64-step error
+    # plus 1e-15 per unit of |p| (the rounding of absolute coordinates), for
+    # every |tau| <= 0.05 that a test or benchmark transports
     ds = {"conformal_k": conformal_k,
           "conformal_eps1": preset("conformal_quadratic", eps=1.0),
           "polynomial": _non_conformal_polynomial(seed=5),
@@ -176,8 +198,8 @@ def test_center_frame_steps_are_at_rounding(conformal_k, which, p, size):
     center, frame = transported_center_frame(ds, p, tau)
     frame_p = orthonormal_frame(ds, p)
     v = frame_p @ tau
-    reference = geodesic._transport(ds, p, v, 512, frame_p)
-    at_64 = geodesic._transport(ds, p, v, 64, frame_p)
+    reference = _reference_transport(ds, p, v, 512, frame_p)
+    at_64 = _reference_transport(ds, p, v, 64, frame_p)
     bound = 1e-15 * max(1.0, np.linalg.norm(p))
     for got, ref, coarse in ((center, reference[0], at_64[0]), (frame, reference[2], at_64[2])):
         assert np.abs(got - ref).max() <= np.abs(coarse - ref).max() + bound
@@ -195,7 +217,7 @@ def test_ray_fan_matches_exp_map(conformal, small_grid):
     center, frame = transported_center_frame(conformal, [0.02, 0.0, 0.01], ORIGIN)
     fan = RayFan(conformal, center, frame, small_grid.nodes, s_max=0.12, n_steps=64)
     s = np.full(small_grid.n_nodes, 0.0735)
-    direct = exp_map(conformal, center, 0.0735 * (small_grid.nodes @ frame.T), n_steps=128)
+    direct = _reference_exp(conformal, center, 0.0735 * (small_grid.nodes @ frame.T))
     assert np.abs(fan.positions_at(s) - direct).max() < 1e-12
 
 
@@ -215,9 +237,10 @@ def _unit_directions(n, seed):
         "polynomial-0.2-per-direction"])
 def test_band_limited_fan_matches_exp_map(conformal_k, grid, which, center, r, band):
     # the fan's rays run on its coarse grid; its offsets at the 32 x 64 nodes
-    # and at 256 random directions against one exp_map ray per direction, at
-    # s = s_max, where the Hermite interpolation in s is exact.  Below the
-    # first grid's 200 rays the fan integrates its directions themselves.
+    # and at 256 random directions against one 512-step RK4 ray per
+    # direction, at s = s_max, where the Hermite interpolation in s is exact.
+    # Below the first grid's 200 rays the fan integrates its directions
+    # themselves.
     ds = {"conformal_k": conformal_k, "polynomial": _non_conformal_polynomial(seed=5),
           "schwarzschild": preset("schwarzschild_slice", mass=1.0)}[which]
     c, frame = transported_center_frame(ds, center, ORIGIN)
@@ -227,22 +250,95 @@ def test_band_limited_fan_matches_exp_map(conformal_k, grid, which, center, r, b
         warnings.simplefilter("error", BandLimitExceeded)
         fan = RayFan(ds, c, frame, directions, s_max=r, n_steps=64)
     assert fan.band_limit == band
-    direct = exp_map(ds, c, r * (directions @ frame.T), n_steps=64) - c
+    direct = _reference_exp(ds, c, r * (directions @ frame.T)) - c
     assert np.abs(fan.offsets_at(np.full(len(directions), r)) - direct).max() < 1e-13 * r
 
 
+@pytest.mark.parametrize("which, center, r, n_steps", [
+    ("conformal_quadratic(-0.25, k)", ORIGIN, 0.8, 1024),
+    # 17 nodes stall at 5.8e-10 r: the node count grows to 65.  The 1024-step
+    # reference is off by 2.4e-13 r here, 16 times less at 2048 steps
+    ("conformal_quadratic(-0.25, k)", ORIGIN, 1.0, 2048),
+    ("polynomial", (0.05, -0.02, 0.03), 0.2, 1024),
+    ("schwarzschild", (2.0, 0.0, 0.0), 0.5, 1024),
+], ids=["conformal_quadratic-0.8", "conformal_quadratic-1.0", "polynomial-0.2",
+        "schwarzschild-0.5"])
+def test_fan_rays_are_resolved_in_s(which, center, r, n_steps):
+    # the rays to s_max = 1.3 r, the solver's, against one RK4 ray per
+    # direction at 256 random directions: a coarse grid of band limit 8 on
+    # conformal_quadratic, the directions themselves on the other two
+    ds = {"conformal_quadratic(-0.25, k)": preset("conformal_quadratic", eps=-0.25,
+                                                  k=K_GENERIC),
+          "polynomial": _non_conformal_polynomial(seed=5),
+          "schwarzschild": preset("schwarzschild_slice", mass=1.0)}[which]
+    c, frame = transported_center_frame(ds, center, ORIGIN)
+    directions = _unit_directions(256, 7)
+    fan = RayFan(ds, c, frame, directions, s_max=1.3 * r)
+    direct = _reference_exp(ds, c, 1.3 * r * (directions @ frame.T), n_steps) - c
+    assert np.abs(fan.offsets_at(np.full(len(directions), 1.3 * r)) - direct).max() < 1e-13 * r
+
+
 def test_fan_integrates_a_coarse_grid_not_one_ray_per_direction(conformal_k, monkeypatch):
-    batches = []
+    # a batch holds every Chebyshev node of every ray, (nodes, rays, 3)
+    rays = []
     acceleration = geodesic.geodesic_acceleration
 
     def recording(ds, pts, vel):
-        batches.append(len(pts))
+        rays.append(pts.shape[-2])
         return acceleration(ds, pts, vel)
 
     monkeypatch.setattr(geodesic, "geodesic_acceleration", recording)
     nodes = default_grid(64, 128).nodes
     RayFan(conformal_k, ORIGIN, np.eye(3), nodes, s_max=0.065, n_steps=8)
-    assert batches and max(batches) <= 300
+    assert rays and max(rays) <= 300
+
+
+def test_fan_makes_one_kernel_call_per_iteration(conformal_k, grid, monkeypatch):
+    # the solver's fan: a handful of Chebyshev-Picard iterations, where 64 RK4
+    # steps made 256 calls
+    calls = []
+    acceleration = geodesic.geodesic_acceleration
+
+    def recording(ds, pts, vel):
+        calls.append(pts.shape)
+        return acceleration(ds, pts, vel)
+
+    monkeypatch.setattr(geodesic, "geodesic_acceleration", recording)
+    center, frame = transported_center_frame(conformal_k, ORIGIN, [0.006, -0.008, 0.0])
+    fan = RayFan(conformal_k, center, frame, grid.nodes, s_max=1.3 * 0.05, n_steps=64)
+    assert fan.band_limit == 8 and len(calls) <= 8
+
+
+def test_fans_over_the_same_nodes_share_one_basis(conformal_k, monkeypatch):
+    built = []
+    basis = geodesic.point_basis
+
+    def recording(band, points):
+        built.append(band)
+        return basis(band, points)
+
+    monkeypatch.setattr(geodesic, "point_basis", recording)
+    directions = _unit_directions(300, 11)  # asked for by no other test
+    fans = [RayFan(conformal_k, ORIGIN, np.eye(3), directions.copy(), s_max=0.05)
+            for _ in range(2)]
+    assert built == [8]
+    s = np.full(len(directions), 0.04)
+    assert np.array_equal(fans[0].offsets_at(s), fans[1].offsets_at(s))
+
+
+def test_unresolvable_ray_raises(flat, monkeypatch):
+    # a metric gradient of random noise at every evaluation: no segment's
+    # iteration contracts until the segments are below rounding
+    rng = np.random.default_rng(0)
+
+    def noisy(pts, n):
+        return rng.normal(size=pts.shape[:-1] + (3,) * (n + 2)) if n else flat.metric_jet(pts, 0)
+
+    ds = dataclasses.replace(flat, metric_jet=noisy)
+    with pytest.raises(StepSizeUnderflow, match="does not resolve"):
+        RayFan(ds, ORIGIN, np.eye(3), _unit_directions(16, 3), s_max=0.1)
+    with pytest.raises(StepSizeUnderflow, match="does not resolve"):
+        exp_map(ds, ORIGIN, np.array([0.1, 0.0, 0.0]))
 
 
 @pytest.mark.parametrize("bad", ["one-direction", "non-unit", "none", *_BAD_RAY_ORIGINS])
@@ -372,7 +468,7 @@ def test_bundle_integrates_its_directions_where_the_cap_leaves_a_tail(small_grid
         fan = RayFan(ds, c, frame, directions, s_max=0.2, n_steps=16)
         bundle = VariationBundle(ds, c, frame, directions, s, n_steps=8)
     assert fan.band_limit is None
-    direct = exp_map(ds, c, 0.2 * (directions @ frame.T), n_steps=16) - c
+    direct = _reference_exp(ds, c, 0.2 * (directions @ frame.T)) - c
     assert np.abs(fan.offsets_at(np.full(len(directions), 0.2)) - direct).max() < 1e-13 * 0.2
     assert bundle.band_limit is None
     top = np.argmax(s)
@@ -482,22 +578,18 @@ class TestGraphSurfaces:
 
     def test_spectral_tangents_match_shooting_stencil(self, conformal, grid):
         # cross-check of the spectral embedding derivatives against 4th-order
-        # finite differences of exp_map in the shooting direction
+        # finite differences of RK4 rays in the shooting direction
         r = 0.06
         s = geodesic_sphere(conformal, ORIGIN, ORIGIN, r, grid)
         d1x, _ = grid.embedding_derivatives
-        for node in (137, 900, 1500):
-            for a in range(2):
-                w = r * d1x[node, a]
-                eta = 1e-5 * r
-
-                def shoot(t):
-                    return exp_map(conformal, ORIGIN,
-                                   r * grid.nodes[node] + t * w, n_steps=64)
-
-                fd = (shoot(-2 * eta) - 8 * shoot(-eta) + 8 * shoot(eta)
-                      - shoot(2 * eta)) / (12 * eta)
-                assert np.abs(s.d1[node, a] - fd).max() < 1e-9 * r
+        nodes = np.array([137, 900, 1500])
+        eta = 1e-5 * r
+        w = r * d1x[nodes]                                     # (node, a, 3)
+        shots = _reference_exp(conformal, ORIGIN, r * grid.nodes[nodes, None, None]
+                               + eta * np.array([-2, -1, 1, 2])[:, None] * w[:, :, None])
+        fd = (shots[:, :, 0] - 8 * shots[:, :, 1] + 8 * shots[:, :, 2]
+              - shots[:, :, 3]) / (12 * eta)
+        assert np.abs(s.d1[nodes] - fd).max() < 1e-9 * r
 
 
 class TestCurvedExpansions:
@@ -589,6 +681,19 @@ def test_degenerate_induced_metric(flat, grid):
     positions = np.zeros((grid.n_nodes, 3))
     with pytest.raises(DegenerateInducedMetric):
         surface_from_positions(flat, grid, positions, check_band=False)
+
+
+@pytest.mark.parametrize("scale", [1e200, np.inf, np.nan])
+def test_non_finite_induced_metric_raises_without_warnings(conformal, grid, scale):
+    # embedding derivatives whose induced metric overflows, as a diverging
+    # Newton step produces: a typed error, and no overflow warning first
+    s = geodesic_sphere(conformal, ORIGIN, ORIGIN, 0.05, grid)
+    d1 = s.d1.copy()
+    d1[100] *= scale
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateInducedMetric, match="not finite"):
+            geometry_from_embedding(grid, d1, np.zeros(d1.shape[:1] + (2, 2, 3)), s.ambient)
 
 
 def test_band_limit_warning_on_noisy_positions(flat, grid):

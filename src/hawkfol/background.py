@@ -44,6 +44,20 @@ _DERIVED_FD_STEP = 5e-3
 _DERIVED_FD_SECOND_STEP = 1e-2
 
 
+def _order_checked(jet: Jet, name: str, top: int) -> Jet:
+    """`jet` raising InvalidParams unless the order n is an integer in 0..top."""
+    if getattr(jet, "top_order", None) == top:
+        return jet
+
+    def checked(pts, n):
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or not 0 <= n <= top:
+            raise InvalidParams(f"{name} has the orders 0 to {top}, got {n!r}")
+        return jet(pts, n)
+
+    checked.top_order = top
+    return checked
+
+
 def _check_chart(pts, chart_radius):
     r = np.linalg.norm(np.atleast_2d(pts), axis=-1)
     if np.any(r >= chart_radius):
@@ -58,11 +72,12 @@ class InitialDataSet:
     Parameters
     ----------
     metric_jet : callable
-        metric_jet(pts, n), n = 0..3: the n-th partial derivatives of g at
+        metric_jet(pts, n), n = 0..2: the n-th partial derivatives of g at
         points (..., 3), the n derivative axes between the point axes and the
         tensor axes (see the module docstring for the index layout).
     k_jet : callable
-        The same for k, n = 0 and 1.
+        The same for k, n = 0 and 1.  Either jet raises InvalidParams for
+        any other order.
     chart_radius : float
         Coordinate validity radius; evaluating the data at |x| >=
         chart_radius raises ChartExceeded.
@@ -75,13 +90,18 @@ class InitialDataSet:
 
     derivative_mode: ClassVar[str] = "closed_form"   # fixed by the constructor
 
+    def __post_init__(self):
+        # the one check of the jet orders, for every data set and replacement
+        for name, top in (("metric_jet", 2), ("k_jet", 1)):
+            object.__setattr__(self, name, _order_checked(getattr(self, name), name, top))
+
     @staticmethod
     def from_values(metric, k_tensor, chart_radius: float = np.inf,
                     name: str = "") -> "InitialDataSet":
         """Data set from vectorized callables mapping points (..., 3) to the
         values (..., 3, 3) of g and k.  Its jets are central differences with
-        steps 1e-4 and 2e-3, the third derivative of g the 1e-3 gradient of the
-        2e-3 Hessian, and every point they evaluate is checked against the chart."""
+        steps 1e-4 and 2e-3, and every point they evaluate is checked against
+        the chart."""
         return _FiniteDifferenceData(_stencil_jet(metric, chart_radius),
                                      _stencil_jet(k_tensor, chart_radius), chart_radius, name)
 
@@ -161,11 +181,8 @@ def _stencil_jet(values, chart_radius) -> Jet:
         _check_chart(pts, chart_radius)
         return values(pts)
 
-    def hess(pts):
-        return _fd_hess(guarded, pts, _SECOND_STEP)
-
-    orders = (guarded, lambda pts: _fd_grad(guarded, pts, _STEP), hess,
-              lambda pts: _fd_grad(hess, pts, _DERIVED_STEP))
+    orders = (guarded, lambda pts: _fd_grad(guarded, pts, _STEP),
+              lambda pts: _fd_hess(guarded, pts, _SECOND_STEP))
     return lambda pts, n: orders[n](np.asarray(pts, dtype=float))
 
 
@@ -498,20 +515,8 @@ def _schwarzschild_slice(mass, chart_radius=np.inf):
             return 4.0 * (psi ** 3)[..., None] * dpsi
         d2psi = -0.5 * m * (np.einsum("kl,...->...kl", eye, rho ** -3)
                             - 3.0 * np.einsum("...k,...l,...->...kl", pts, pts, rho ** -5))
-        if n == 2:
-            return (12.0 * (psi ** 2)[..., None, None] * np.einsum("...k,...l->...kl", dpsi, dpsi)
-                    + 4.0 * (psi ** 3)[..., None, None] * d2psi)
-        d3psi = -0.5 * m * (-3.0 * (np.einsum("kl,...n->...kln", eye, pts)
-                                    + np.einsum("kn,...l->...kln", eye, pts)
-                                    + np.einsum("ln,...k->...kln", eye, pts)) * (rho ** -5)[..., None, None, None]
-                            + 15.0 * np.einsum("...k,...l,...n->...kln", pts, pts, pts)
-                            * (rho ** -7)[..., None, None, None])
-        return (24.0 * psi[..., None, None, None] * np.einsum("...k,...l,...n->...kln", dpsi, dpsi, dpsi)
-                + 12.0 * (psi ** 2)[..., None, None, None]
-                * (np.einsum("...kl,...n->...kln", d2psi, dpsi)
-                   + np.einsum("...kn,...l->...kln", d2psi, dpsi)
-                   + np.einsum("...ln,...k->...kln", d2psi, dpsi))
-                + 4.0 * (psi ** 3)[..., None, None, None] * d3psi)
+        return (12.0 * (psi ** 2)[..., None, None] * np.einsum("...k,...l->...kl", dpsi, dpsi)
+                + 4.0 * (psi ** 3)[..., None, None] * d2psi)
 
     return _conformally_flat(w, _constant(np.zeros((3, 3))), chart_radius,
                              f"schwarzschild_slice(m={m})")

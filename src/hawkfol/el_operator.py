@@ -156,21 +156,20 @@ def el_residual(ds: InitialDataSet, surface: EmbeddedSurface, lam: float) -> Res
 # ----------------------------------------------------------------------
 
 def _rescaled_node_data(ds: InitialDataSet, center, tau, radius: float,
-                        grid: SphereGrid, radial_factor: np.ndarray,
-                        n_steps: int = 64) -> AmbientFields:
+                        grid: SphereGrid, radial_factor: np.ndarray) -> AmbientFields:
     """Ambient data of (g_{tau,r}, k_{tau,r}) at the graph nodes of the ball.
 
     Pulls every tensor back through the normal-coordinate chart F_tau using
-    the exact chart differentials (Jacobi fields) and Hessians (second
-    variations), then stretches the chart by 1/r with
-    `AmbientFields.rescaled(radius)`.  At r = 0 the ball data is flat.
+    its differential and Hessian from the `VariationBundle`, then stretches
+    the chart by 1/r with `AmbientFields.rescaled(radius)`.  At r = 0 the
+    ball data is flat.
     """
     if radius == 0.0:
         return ambient_fields(preset("flat"), np.zeros((grid.n_nodes, 3)))
 
     center_pt, frame = transported_center_frame(ds, center, tau)
     radii = radius * radial_factor
-    bundle = VariationBundle(ds, center_pt, frame, grid.nodes, radii, n_steps=n_steps)
+    bundle = VariationBundle(ds, center_pt, frame, grid, radii)
     amb = ambient_fields(ds, bundle.points)
 
     df = bundle.df        # (n, a, i): manifold a, chart i
@@ -191,8 +190,9 @@ def _rescaled_node_data(ds: InitialDataSet, center, tau, radius: float,
 def _rescaled_geometry(ds: InitialDataSet, center, tau, radius: float,
                        phi: Optional[HarmonicField], lam: float, grid: SphereGrid,
                        n_steps: int = 64):
-    """Residual term dict of S_phi in the rescaled ball."""
-    n_steps = as_count(n_steps, "n_steps")
+    """Residual term dict of S_phi in the rescaled ball.  `n_steps` is checked
+    but sets nothing: the bundle's rays are resolved in s by their own rule."""
+    as_count(n_steps, "n_steps")
     phi_vals, dphi1, dphi2 = synthesize_derivatives(
         HarmonicField.zero(0) if phi is None else phi, grid)
     factor = 1.0 + phi_vals
@@ -207,7 +207,7 @@ def _rescaled_geometry(ds: InitialDataSet, center, tau, radius: float,
           + dphi1[:, :, None, None] * x1[:, None, :, :]
           + dphi1[:, None, :, None] * x1[:, :, None, :])
 
-    amb = _rescaled_node_data(ds, center, tau, radius, grid, factor, n_steps=n_steps)
+    amb = _rescaled_node_data(ds, center, tau, radius, grid, factor)
     return _residual_terms(grid, geometry_from_embedding(grid, d1, d2, amb), amb,
                            radius * radius * lam)
 

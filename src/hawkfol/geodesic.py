@@ -1,54 +1,47 @@
 """Geodesic shooting and radial ray bundles.
 
-Surfaces are built from radial geodesics ("rays") leaving a common center.
-A RayFan integrates its rays once, as their deviation from the straight chord
-(for conditioning), and answers position queries at arbitrary radii through
-cubic Hermite interpolation, so changing the radial graph function never
-forces a re-integration.  A VariationBundle additionally carries the Jacobi
-fields and second variations of the exponential map, which give the exact
-differential and Hessian of the normal-coordinate chart needed by the
-rescaled operator; it integrates them as deviations from their flat-space
-values too, over [0, max radius], and interpolates each direction at its
-own radius.
+Surfaces are built from radial geodesics ("rays") leaving a common center,
+integrated as their deviation xi from the straight chord (for conditioning).
+A RayFan answers position queries at arbitrary radii through cubic Hermite
+interpolation, so changing the radial graph function never forces a
+re-integration.  A VariationBundle evaluates the same ray field at each node
+of a grid at its own radius, with its derivatives in s and in the direction,
+which give the exact differential and Hessian of the normal-coordinate chart
+needed by the rescaled operator.
 
-Both run their rays through one helper, `_CoarseRays`, by one rule.  The
-deviations are smooth in the direction, so the rays run only on a coarse
-Gauss grid, (L + 2) x (2L + 4) nodes at band limit L, whose harmonic
-coefficients are kept at every stored radius and synthesised at the requested
-directions.  L starts at 8 (200 rays, whatever the surface grid) and grows by
-4 while the top two degrees of a stored quantity at the end of the rays carry
-more than its rounding, 1e-16 s_max plus 1e-14 of its largest coefficient.
-Whenever the next grid would hold more rays than there are requested
-directions, the directions themselves are integrated instead (fewer than 200
-directions are so from the start) and `band_limit` is None, so no output
-carries an interpolation error above rounding.  Every integrated state must
-be finite, or DegenerateMetric is raised.  The rays are chart-checked at every
-iterate or step, and the returned positions when they are queried.
+Both run their rays by one rule.  The deviations are smooth in the
+direction, so the rays run only on a coarse Gauss grid, (L + 2) x (2L + 4)
+nodes at band limit L, whose harmonic coefficients are kept and synthesised
+at the requested directions.  L starts at 8 (200 rays, whatever the surface
+grid) and grows by 4 while the top two degrees of a stored quantity at the
+end of the rays carry more than its rounding, 1e-16 s_max plus 1e-14 of its
+largest coefficient.  Whenever the next grid would hold more rays than there
+are requested directions, the directions themselves are integrated instead
+(fewer than 200 directions are so from the start) and `band_limit` is None,
+so no position carries an interpolation error above rounding.  Every
+integrated state must be finite, or DegenerateMetric is raised.  The rays
+are chart-checked at every iterate, and the returned positions when they are
+queried.
 
 Integration in s
 ----------------
-The rays are analytic in s, and two integrators serve them.  `_picard`
-solves v'' = a(s, v, v') by Picard iteration on Chebyshev-Lobatto nodes
-(Clenshaw & Norton, Comput. J. 6, 1963; Bai & Junkins, Celest. Mech. Dyn.
-Astron. 110, 2011): each iteration is one kernel call on all nodes of all
-rays, where a fixed RK4 step makes four calls.  It grows its node count, and
-halves its interval, by the same tail bound as the coarse grid.  It serves
-RayFan, which samples the converged series at its `n_steps` + 1 query radii,
-and the center-frame transport, which exp_map is with no vectors to carry.
-Only the VariationBundle keeps the fixed-step loop `_rk4`: its per-point
-kernel (Jacobi fields, second variations, d^3 g) is heavy enough that Picard
-iterations on all nodes at once cost more time and memory than the dozen
-RK4 steps the rescaled operator takes.
+The rays are analytic in s, and one integrator serves every ray of the
+library.  `_picard` solves v'' = a(s, v, v') by Picard iteration on
+Chebyshev-Lobatto nodes (Clenshaw & Norton, Comput. J. 6, 1963; Bai &
+Junkins, Celest. Mech. Dyn. Astron. 110, 2011): each iteration is one kernel
+call on all nodes of all rays.  It grows its node count, and halves its
+interval, by the same tail bound as the coarse grid.  RayFan samples the
+converged series at its `n_steps` + 1 query radii; VariationBundle evaluates
+the series of xi and xi' at each node's radius; the center-frame transport,
+which exp_map is with no vectors to carry, takes the end state.
 
 Kernel
 ------
 Geodesics are driven by `geodesic_acceleration`, the one hand-contracted
 connection: it contracts the velocity into the metric gradient before raising
 the index, so -Gamma(v, v) costs a few 3-vector contractions per node and one
-closed-form 3x3 inverse per point.  The center-frame transport and
-VariationBundle take Gamma and d Gamma from `christoffel_from` and
-`dchristoffel_from`; the bundle builds d^2 Gamma(v, v) by the same rule
-(differentiate g Gamma = S / 2), so no derivative of g^-1 is formed.
+closed-form 3x3 inverse per point.  It reads g and its first derivatives
+only.  The center-frame transport takes Gamma from `christoffel_from`.
 """
 
 from __future__ import annotations
@@ -57,12 +50,11 @@ import functools
 
 import numpy as np
 
-from .background import (_SYM6, InitialDataSet, _inverse_metric, christoffel_from,
-                         dchristoffel_from)
+from .background import InitialDataSet, _inverse_metric, christoffel_from
 from .errors import (ChartExceeded, DegenerateMetric, InvalidParams, StepSizeUnderflow, as_count,
                      as_point)
-from .grid import default_grid
-from .harmonics import analyze, point_basis
+from .grid import SphereGrid, default_grid
+from .harmonics import HarmonicField, analyze, point_basis, synthesize_derivatives
 
 # The coarse ray grid: its starting band limit and increment.  The top two
 # degrees of a value group at s_max are at rounding when their coefficients
@@ -90,34 +82,6 @@ def geodesic_acceleration(ds: InitialDataSet, pts: np.ndarray, vel: np.ndarray) 
     lowered = (2.0 * np.einsum("...jl,...j->...l", dg_v, vel)
                - np.einsum("...lj,...j->...l", dg_v, vel))
     return -0.5 * np.einsum("...il,...l->...i", g_inv, lowered)
-
-
-def _rk4(ds: InitialDataSet, rhs, state, span: float, n_steps,
-         position=lambda t, state: state[0]):
-    """Iterator over (t, state) after each of `n_steps` classical RK4 steps on [0, span].
-
-    `rhs(t, *state)` returns the tuple of derivatives of the tuple of arrays
-    `state`.  InvalidParams unless `n_steps` is an integer >= 1, raised on
-    the call.  After every step `position(t, state)` is checked against the
-    chart.
-    """
-    n_steps = as_count(n_steps, "n_steps")
-    h = span / n_steps
-
-    def steps(state):
-        t = 0.0
-        for j in range(n_steps):
-            k1 = rhs(t, *state)
-            k2 = rhs(t + 0.5 * h, *(a + 0.5 * h * k for a, k in zip(state, k1)))
-            k3 = rhs(t + 0.5 * h, *(a + 0.5 * h * k for a, k in zip(state, k2)))
-            k4 = rhs(t + h, *(a + h * k for a, k in zip(state, k3)))
-            state = tuple(a + (h / 6.0) * (p + 2 * q + 2 * r + w)
-                          for a, p, q, r, w in zip(state, k1, k2, k3, k4))
-            t = (j + 1) * h
-            ds.check_chart(position(t, state))
-            yield t, state
-
-    return steps(state)
 
 
 @functools.lru_cache(maxsize=None)
@@ -330,119 +294,34 @@ def _n_rays(band: int) -> int:
     return (band + 2) * (2 * band + 4)
 
 
-class _CoarseRays:
-    """Rays from a common center, integrated on a coarse Gauss grid or along
-    the requested directions, by the rule of the module docstring.
+def _xi_segments(ds: InitialDataSet, center, u: np.ndarray, s_max: float):
+    """`_picard`'s segments of the deviation xi of the rays from `center` with
+    unit chart velocities u (n, 3) from their chords: the ray is at
+    center + s u + xi, and xi and xi' start at zero."""
+    zeros = (np.zeros(u.shape),)
+    return _picard(ds, lambda s, v, dv: (geodesic_acceleration(
+                       ds, center + s[:, None, None] * u + v[0], u + dv[0]),),
+                   zeros, zeros, s_max, lambda s, v: center + s[:, None, None] * u + v[0])
 
-    The ray along the unit direction d leaves `center` with chart velocity
-    u = frame @ d.  Its state is (value, d value / ds): value groups of the
-    trailing shapes `shapes`, the first of them the deviation xi of the ray
-    from its chord (the ray is at center + s u + xi), then their
-    s-derivatives in the same order.  The state starts at zero and
-    `accel(s, u, *state)` returns the second s-derivatives of the value
-    groups, with s a scalar or a column that broadcasts against u; every
-    group should vanish in flat space, so that its rounding is relative to
-    itself and not to a chord part, and each group has its own tail bound.
-    The rays are integrated over [0, s_max] by `_picard` and their states
-    stored at `n_steps` + 1 equally spaced radii, or, where `rk4` is set, at
-    the steps of `n_steps` RK4 steps: as harmonic coefficients on a coarse
-    grid of band limit `band_limit`, or as they are when `band_limit` is
-    None.
+
+def _coarse_rays(ds: InitialDataSet, center, frame, directions, s_max: float, table):
+    """(band_limit, stored): the rays along `directions` by the module docstring's rule.
+
+    `table(grid, segments)` turns `_xi_segments` of the rays along the nodes
+    of a coarse grid, or along the directions themselves where grid is None,
+    into (stored, ends): what the caller keeps, and the harmonic coefficients
+    (n_coeffs, k) at s_max of each group whose tail is checked.
+    band_limit is the coarse grid's band limit, or None.
     """
-
-    def __init__(self, ds: InitialDataSet, center, frame, directions, s_max: float,
-                 n_steps: int, shapes, accel, rk4: bool = False):
-        self.ds = ds
-        self.center = center
-        self.s_max = s_max
-        self.n_steps = as_count(n_steps, "n_steps")
-        self._h = s_max / self.n_steps
-        if self._h < 1e-14:
-            raise StepSizeUnderflow("ray step underflows double precision")
-        self._u = directions @ frame.T  # chart components of unit initial velocities
-        self._shapes = shapes
-        self._widths = [int(np.prod(shape)) for shape in shapes]
-        self._accel = accel
-        self._rk4 = rk4
-
-        band = _START_BAND
-        while _n_rays(band) <= len(directions):
-            grid = default_grid(band + 2, 2 * band + 4, band_limit=band)
-            self._stored = analyze(grid, self._integrate(grid.nodes @ frame.T), check=False).coeffs
-            if self._resolved(band):
-                self.band_limit = band
-                self._basis = _point_basis(band, directions.tobytes())
-                return
-            band += _BAND_STEP
-        self.band_limit = None
-        self._stored = self._integrate(self._u)
-
-    def _integrate(self, u: np.ndarray) -> np.ndarray:
-        """States (n_rays, n_steps + 1, 2 k) of the rays with chart velocities u,
-        each flattened to its k value components, then their derivatives;
-        DegenerateMetric unless every state is finite."""
-        center, n, k = self.center, len(u), len(self._shapes)
-        zeros = tuple(np.zeros((n,) + shape) for shape in self._shapes)
-        if not self._rk4:
-            segments = _picard(self.ds, lambda s, v, dv: self._accel(s[:, None, None], u, *v, *dv),
-                               zeros, zeros, self.s_max,
-                               lambda s, v: center + s[:, None, None] * u + v[0])
-            samples = np.linspace(0.0, self.s_max, self.n_steps + 1)
-            state = [a for group in _sample(segments, samples) for a in group]
-            return np.concatenate([np.moveaxis(a, 0, 1).reshape(n, len(samples), -1)
-                                   for a in state], axis=2)
-        steps = _rk4(self.ds, lambda s, *state: (*state[k:], *self._accel(s, u, *state)),
-                     2 * zeros, self.s_max, self.n_steps,
-                     position=lambda s, state: center + s * u + state[0])
-        history = np.zeros((n, self.n_steps + 1, 2 * sum(self._widths)))
-        for j, (_, state) in enumerate(steps):
-            history[:, j + 1] = np.concatenate([a.reshape(n, -1) for a in state], axis=1)
-        # an RK4 step keeps a non-finite component non-finite: the last step shows all
-        if not np.all(np.isfinite(history[:, -1])):
-            raise DegenerateMetric("ray state is not finite at the end of the rays")
-        return history
-
-    def _resolved(self, band: int) -> bool:
-        """Whether every value group's coefficients of degrees band - 1 and
-        band at s_max are within its rounding bound."""
-        ends = np.split(np.abs(self._stored[:, -1, :sum(self._widths)]),
-                        np.cumsum(self._widths)[:-1], axis=1)
-        return all(end[(band - 1) ** 2:].max() <= _TAIL * self.s_max + _ROUNDING * end.max()
-                   for end in ends)
-
-    def at(self, s: np.ndarray) -> list:
-        """The value groups at one finite radius s >= 0 per direction, (n, *shape)
-        each, by cubic Hermite interpolation between the bracketing steps; the
-        first is the offset s u + xi from the center, and the positions
-        center + s u + xi are chart-checked."""
-        s = np.asarray(s, dtype=float)
-        n = len(self._u)
-        if s.shape != (n,) or not np.all(np.isfinite(s) & (s >= 0)):
-            raise InvalidParams(f"need one finite radius per direction, none negative, "
-                                f"shape ({n},)")
-        if np.any(s > self.s_max * (1 + 1e-12)):
-            raise ChartExceeded(
-                f"requested radius outside the integrated ray range [0, {self.s_max:.4g}]")
-        h = self._h
-        j = np.clip((s / h).astype(int), 0, self.n_steps - 1)
-        lo, hi = j.min(), j.max() + 2
-        values = self._stored[:, lo:hi]
-        if self.band_limit is not None:
-            # synthesise only the steps from the lowest to the highest bracket, in one product
-            values = (self._basis @ values.reshape(len(values), -1)).reshape(n, hi - lo, -1)
-        idx = np.arange(n)
-        x0, v0 = np.split(values[idx, j - lo], 2, axis=1)
-        x1, v1 = np.split(values[idx, j - lo + 1], 2, axis=1)
-        t = ((s - j * h) / h)[:, None]
-        h00 = (1 + 2 * t) * (1 - t) ** 2
-        h10 = t * (1 - t) ** 2
-        h01 = t * t * (3 - 2 * t)
-        h11 = t * t * (t - 1)
-        value = h00 * x0 + h * h10 * v0 + h01 * x1 + h * h11 * v1
-        groups = np.split(value, np.cumsum(self._widths)[:-1], axis=1)
-        groups[0] = s[:, None] * self._u + groups[0]
-        self.ds.check_chart(self.center + groups[0])
-        return [g.reshape((n,) + shape) for g, shape in zip(groups, self._shapes)]
+    band = _START_BAND
+    while _n_rays(band) <= len(directions):
+        grid = default_grid(band + 2, 2 * band + 4, band_limit=band)
+        stored, ends = table(grid, _xi_segments(ds, center, grid.nodes @ frame.T, s_max))
+        if all(end[(band - 1) ** 2:].max() <= _TAIL * s_max + _ROUNDING * end.max()
+               for end in map(np.abs, ends)):
+            return band, stored
+        band += _BAND_STEP
+    return None, table(None, _xi_segments(ds, center, directions @ frame.T, s_max))[0]
 
 
 class RayFan:
@@ -473,111 +352,151 @@ class RayFan:
         self.center = center
         self.frame = frame
         self.s_max = float(s_max)
+        self.n_steps = as_count(n_steps, "n_steps")
+        self._h = self.s_max / self.n_steps
+        if self._h < 1e-14:
+            raise StepSizeUnderflow("ray step underflows double precision")
+        self._u = directions @ frame.T  # chart components of unit initial velocities
+        samples = np.linspace(0.0, self.s_max, self.n_steps + 1)
 
-        def accel(s, u, xi, dxi):
-            return (geodesic_acceleration(ds, center + s * u + xi, u + dxi),)
+        def table(grid, segments):
+            # xi | xi' at the samples, (rays, samples, 6), as coefficients on a grid
+            state = np.concatenate([np.moveaxis(group[0], 0, 1)
+                                    for group in _sample(segments, samples)], axis=2)
+            stored = state if grid is None else analyze(grid, state, check=False).coeffs
+            return stored, [stored[:, -1, :3]]
 
-        self._rays = _CoarseRays(ds, center, frame, directions, self.s_max, n_steps,
-                                 [(3,)], accel)
-        self.n_steps = self._rays.n_steps
-        self.band_limit = self._rays.band_limit
+        self.band_limit, self._stored = _coarse_rays(ds, center, frame, directions,
+                                                     self.s_max, table)
+        if self.band_limit is not None:
+            self._basis = _point_basis(self.band_limit, directions.tobytes())
 
     def offsets_at(self, s: np.ndarray) -> np.ndarray:
         """Chord-plus-deviation offsets s u + xi(s) from the center, one finite
-        radius s >= 0 per direction; the positions are chart-checked.
+        radius s >= 0 per direction, by cubic Hermite interpolation between the
+        bracketing samples; the positions are chart-checked.
 
         Keeping the center out preserves full relative accuracy of the
         offsets even when the center coordinates are much larger than s.
         """
-        return self._rays.at(s)[0]
+        s = np.asarray(s, dtype=float)
+        n = len(self._u)
+        if s.shape != (n,) or not np.all(np.isfinite(s) & (s >= 0)):
+            raise InvalidParams(f"need one finite radius per direction, none negative, "
+                                f"shape ({n},)")
+        if np.any(s > self.s_max * (1 + 1e-12)):
+            raise ChartExceeded(
+                f"requested radius outside the integrated ray range [0, {self.s_max:.4g}]")
+        h = self._h
+        j = np.clip((s / h).astype(int), 0, self.n_steps - 1)
+        lo, hi = j.min(), j.max() + 2
+        values = self._stored[:, lo:hi]
+        if self.band_limit is not None:
+            # synthesise only the samples from the lowest to the highest bracket, in one product
+            values = (self._basis @ values.reshape(len(values), -1)).reshape(n, hi - lo, -1)
+        idx = np.arange(n)
+        x0, v0 = np.split(values[idx, j - lo], 2, axis=1)
+        x1, v1 = np.split(values[idx, j - lo + 1], 2, axis=1)
+        t = ((s - j * h) / h)[:, None]
+        h00 = (1 + 2 * t) * (1 - t) ** 2
+        h10 = t * (1 - t) ** 2
+        h01 = t * t * (3 - 2 * t)
+        h11 = t * t * (t - 1)
+        offsets = s[:, None] * self._u + (h00 * x0 + h * h10 * v0 + h01 * x1 + h * h11 * v1)
+        self.ds.check_chart(self.center + offsets)
+        return offsets
 
     def positions_at(self, s: np.ndarray) -> np.ndarray:
         """Points at arclength s (one value per ray)."""
         return self.center + self.offsets_at(s)
 
 
-# The pairs (i, j) of the second variations C, D: the order (00, 11, 22, 01, 02, 12) of
-# the second-derivative stencil rows, so background._SYM6 maps (i, j) to the pair.
-_PAIR_I = np.array([0, 1, 2, 0, 0, 1])
-_PAIR_J = np.array([0, 1, 2, 1, 2, 2])
-
-
 class VariationBundle:
-    """Exponential-map differentials along the rays of a graph sphere.
+    """The normal-coordinate chart F(y) = exp_center(frame y) at the nodes of a
+    graph sphere: points F, differential DF (manifold x chart) and Hessian D2F
+    at y = s x, with x the nodes of `grid` and s = `radii`.
 
-    For each node direction d and target radius s the bundle integrates the
-    geodesic together with three Jacobi fields A_i and their six second
-    variations C_ij, yielding the pullback data of the normal-coordinate
-    chart: point F(s d), differential DF (manifold x chart), and Hessian D2F.
-
-    The rays run as in RayFan, on a coarse grid or per direction by the
-    module docstring's rule, with the state held as deviations that vanish
-    in flat space, (xi, A - s B0, C | dxi/ds, B - B0, D) with B = dA/ds,
-    D = dC/ds and B0 = B(0).  `n_steps` RK4 steps cover [0, max(radii)], and
-    each direction is Hermite-interpolated at its own radius.  Every ray,
-    coarse or not, is integrated and chart-checked out to max(radii), so the
-    chart must hold the rays out to the largest radius, not only each
-    direction's own; on a coarse grid that is the rays of every direction.
-    `band_limit` is the coarse grid's band limit, or None where the
-    directions are integrated themselves.
+    Along the ray of x, F(s x) = G(s, x) = center + s frame x + xi(s, x), with
+    xi the ray's deviation from its chord as in RayFan.  xi and xi' = dxi/ds
+    are integrated by `_picard` over [0, max(radii)] on the rays of the
+    module docstring's rule, whose tail bound covers both, and analysed at
+    every Chebyshev node: on the coarse grid, or, where the grid's own nodes
+    are integrated, on those nodes at every degree that Gauss quadrature on
+    them analyses exactly (n_theta - 1 on an n_theta x 2 n_theta grid, above
+    its band limit).  Both series are evaluated at each node's own radius
+    with their angle derivatives from `synthesize_derivatives`, one Chebyshev
+    node at a time, and xi'' is the geodesic acceleration of the queried
+    state.  With M = [x, s x_theta, s x_phi], the derivative of y in
+    (s, theta, phi) from `grid.embedding_derivatives`,
+    DF = [G_s, G_theta, G_phi] M^-1, and D2F follows from the second
+    derivatives of G by the same chain rule; the flat parts of both cancel in
+    closed form, so in flat space DF is the frame and D2F zero exactly.  The
+    chart must hold every ray out to the largest radius; on a coarse grid
+    that is the rays of every direction.  `band_limit` is the coarse grid's
+    band limit, or None where the grid's nodes are integrated themselves; the
+    points are then the rays' own, and the angle derivatives as exact as
+    spectral differentiation on those nodes.
     """
 
-    def __init__(self, ds: InitialDataSet, center, frame, directions, radii,
-                 n_steps: int = 64):
-        center, frame, directions = _ray_inputs(center, frame, directions)
+    def __init__(self, ds: InitialDataSet, center, frame, grid: SphereGrid, radii):
+        if not isinstance(grid, SphereGrid):
+            raise InvalidParams("the bundle's directions must be the nodes of a SphereGrid")
+        center, frame, x = _ray_inputs(center, frame, grid.nodes)
         radii = np.asarray(radii, dtype=float)
-        n = len(directions)
+        n = len(x)
         if radii.shape != (n,) or not np.all(np.isfinite(radii) & (radii > 0)):
-            raise InvalidParams(f"bundle radii must be finite and positive, one per direction, "
+            raise InvalidParams(f"bundle radii must be finite and positive, one per node, "
                                 f"shape ({n},) (use the flat shortcut at r = 0)")
-        b0 = frame.T   # B0[i, :] = the initial velocity of the Jacobi field A_i
 
-        def accel(s, u, xi, a_dev, c, dxi, b_dev, d):
-            # Gamma and d Gamma(v, .) from the curvature chain.  d^2 Gamma(v, v)
-            # differentiates g Gamma = S / 2 twice, contracted with v first:
-            # g^-1 (d_m d_q S(v, v) / 2 - d_m d_q g Gamma(v, v)
-            #       - d_m g d_q Gamma(v, v) - d_q g d_m Gamma(v, v)).
-            x, v = center + s * u + xi, u + dxi
-            A, B = a_dev + s * b0, b_dev + b0
-            g_inv = _inverse_metric(ds.metric_jet(x, 0))
-            dg, d2g, d3g = (ds.metric_jet(x, n) for n in (1, 2, 3))
-            gam = christoffel_from(g_inv, dg)
-            gam_v = np.einsum("nijk,nk->nij", gam, v)
-            gam_vv = np.einsum("nij,nj->ni", gam_v, v)
-            dgam_v = np.einsum("nmijk,nk->nmij", dchristoffel_from(g_inv, dg, d2g, gam), v)
-            dgam_vv = np.einsum("nmij,nj->nmi", dgam_v, v)
+        def table(coarse, segments):
+            # xi | xi' at each segment's Chebyshev nodes: (nodes, n_coeffs, 6)
+            # coefficients on the coarse grid, or (nodes, n, 6) values at the cap
+            tables = []
+            for a, h, m, v, dv in segments:
+                state = np.concatenate([v[0], dv[0]], axis=2)
+                if coarse is not None:
+                    state = np.moveaxis(
+                        analyze(coarse, np.moveaxis(state, 0, 1), check=False).coeffs, 1, 0)
+                tables.append((a, h, m, state))
+            end = tables[-1][3][-1]
+            return tables, [end[:, :3], end[:, 3:]]
 
-            dg_dgam = np.einsum("nmil,nql->nmqi", dg, dgam_vv)
-            lowered = ((d2g @ gam_vv[:, None, None, :, None])[..., 0]
-                       + dg_dgam + np.swapaxes(dg_dgam, 1, 2))
-            if d3g.any():
-                t1 = np.einsum("nmqjlk,nj,nk->nmql", d3g, v, v, optimize=True)
-                t3 = np.einsum("nmqljk,nj,nk->nmql", d3g, v, v, optimize=True)
-                lowered -= 0.5 * (2.0 * t1 - t3)
-            d2gam_vv = -(lowered @ g_inv[:, None])
+        self.band_limit, tables = _coarse_rays(ds, center, frame, x, float(radii.max()), table)
+        # the grid's nodes, at the coarse band limit or, at the cap, at every
+        # degree that Gauss quadrature on them analyses exactly
+        band = (min(grid.n_theta - 1, (grid.n_phi - 1) // 2) if self.band_limit is None
+                else self.band_limit)
+        nodes = default_grid(grid.n_theta, grid.n_phi, band_limit=band)
+        # f | d_a f | d_a d_b f of xi | xi' at each node's own radius
+        f, d1, d2 = (np.zeros((n,) + shape + (6,)) for shape in ((), (2,), (2, 2)))
+        which = np.searchsorted([a for a, *_ in tables], radii, side="right") - 1
+        for i, (a, h, m, state) in enumerate(tables):
+            mine = which == i
+            rows = np.zeros((n, m))
+            rows[mine] = _interpolation(m, np.clip(2.0 * (radii[mine] - a) / h - 1.0, -1.0, 1.0))
+            for k in np.flatnonzero(rows.any(axis=0)):
+                if self.band_limit is None:
+                    parts = synthesize_derivatives(analyze(nodes, state[k], check=False), nodes)
+                    parts = (state[k],) + parts[1:]
+                else:
+                    parts = synthesize_derivatives(HarmonicField(state[k], band), nodes)
+                for total, part in zip((f, d1, d2), parts):
+                    total += rows[:, k].reshape((-1,) + (1,) * (part.ndim - 1)) * part
 
-            def pairs(X, Y):  # [n, p, (m, q)] = X[n, p, m] Y[n, p, q]
-                return (X[:, :, :, None] * Y[:, :, None, :]).reshape(len(x), 6, 9)
-
-            dv = -gam_vv
-            dB = -(A @ dgam_vv + 2.0 * (B @ np.swapaxes(gam_v, 1, 2)))
-            A1, A2 = A[:, _PAIR_I], A[:, _PAIR_J]
-            B1, B2 = B[:, _PAIR_I], B[:, _PAIR_J]
-            dD = -(pairs(A1, A2) @ d2gam_vv.reshape(len(x), 9, 3)
-                   + c @ dgam_vv
-                   + 2.0 * ((pairs(A2, B1) + pairs(A1, B2))
-                            @ dgam_v.transpose(0, 1, 3, 2).reshape(len(x), 9, 3))
-                   + 2.0 * (d @ np.swapaxes(gam_v, 1, 2))
-                   + 2.0 * (pairs(B1, B2) @ gam.transpose(0, 2, 3, 1).reshape(len(x), 9, 3)))
-            return dv, dB, dD
-
-        rays = _CoarseRays(ds, center, frame, directions, float(radii.max()), n_steps,
-                           [(3,), (3, 3), (6, 3)], accel, rk4=True)
-        self.band_limit = rays.band_limit
-        offsets, a_dev, c = rays.at(radii)
-        self.points = center + offsets
-        # DF[:, a, i] = (A_i(s))^a / s = frame[a, i] + (A_i(s) - s B0_i)^a / s ;
-        # D2F[:, a, i, j] = (C_ij(s))^a / s^2
-        self.df = frame + np.swapaxes(a_dev, 1, 2) / radii[:, None, None]
-        self.d2f = (np.take(c, _SYM6, axis=1).transpose(0, 3, 1, 2)
-                    / (radii ** 2)[:, None, None, None])
+        u = x @ frame.T
+        self.points = center + (radii[:, None] * u + f[:, :3])
+        ds.check_chart(self.points)
+        x1, x2 = grid.embedding_derivatives
+        columns = np.concatenate([x[:, None], x1], axis=1)   # of N = [x, x_theta, x_phi]
+        n_inv = columns / np.sum(columns * columns, axis=2, keepdims=True)  # orthogonal: N^-1
+        s = radii[:, None, None]
+        # DF = frame + [xi', xi_theta / s, xi_phi / s] N^-1, with N = M diag(1, 1/s, 1/s)
+        dev = np.swapaxes(np.concatenate([f[:, None, 3:], d1[..., :3] / s], axis=1), 1, 2) @ n_inv
+        self.df = frame + dev
+        # the (s, theta, phi) Hessian of G less DF times that of y, over (1, s, s)^2
+        hess = np.empty((n, 3, 3, 3))
+        hess[:, 0, 0] = geodesic_acceleration(ds, self.points, u + f[:, 3:])
+        hess[:, 0, 1:] = hess[:, 1:, 0] = (d1[..., 3:] - np.einsum("nci,nbi->nbc", dev, x1)) / s
+        hess[:, 1:, 1:] = ((d2[..., :3] / s[..., None] - np.einsum("nci,nabi->nabc", dev, x2))
+                           / s[..., None])
+        self.d2f = np.einsum("nai,nabc,nbj->ncij", n_inv, hess, n_inv, optimize=True)

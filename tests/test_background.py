@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from hawkfol import (InitialDataSet, RayFan, VariationBundle, ambient_fields,
-                     concentration_scalar, curvature_at, geodesic_acceleration,
+                     concentration_scalar, curvature_at, default_grid, geodesic_acceleration,
                      initial_guess, orthonormal_frame, preset)
 from hawkfol.background import (_DERIVED_STEP, _SECOND_STEP, _fd_grad, _fd_hess,
                                 _in_frame, _inverse_metric, christoffel_from)
@@ -340,17 +340,19 @@ def test_finite_difference_acceleration_stays_in_chart():
 
 
 def test_finite_difference_bundle_stays_in_chart():
-    # a bundle ending at radius 1.7931 along a diagonal, where the d3g stencil
-    # (the 1e-3 gradient of the 2e-3 Hessian) reaches 7.1e-3 further out
+    # a bundle whose ray along +x ends at radius 1.7999, where the gradient
+    # stencil of the metric (1e-4) reaches 2e-4 further out: the bundle reads
+    # g and its first derivatives only.  The 5 x 10 grid has the node +x, and
+    # the arclength to 1.7999 along the x axis is int sqrt(1 - x^2 / 4) dx
     ds = preset("conformal_quadratic", eps=-0.25)  # chart radius 1.8
-    e = np.array([[1.0, 1.0, 0.0]]) / np.sqrt(2.0)
-    center = 1.75 * e[0]
+    grid = default_grid(5, 10)
+    center = np.array([1.7, 0.0, 0.0])
     frame = orthonormal_frame(ds, center)
-    bundle = VariationBundle(ds, center, frame, e, np.array([0.02]), n_steps=16)
-    assert np.linalg.norm(bundle.points) == pytest.approx(1.7931, abs=1e-4)
+    radii = np.full(grid.n_nodes, 0.04827624745544191)
+    bundle = VariationBundle(ds, center, frame, grid, radii)
+    assert np.linalg.norm(bundle.points, axis=1).max() == pytest.approx(1.7999, abs=1e-12)
     with pytest.raises(ChartExceeded):
-        VariationBundle(ds.with_finite_differences(), center, frame, e, np.array([0.02]),
-                        n_steps=16)
+        VariationBundle(ds.with_finite_differences(), center, frame, grid, radii)
 
 
 def test_degenerate_metric_detected():

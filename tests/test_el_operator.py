@@ -194,8 +194,9 @@ class TestPhysicalResidual:
 
 
 class TestRescalingIdentity:
-    # Schwarzschild has d3g != 0, so it pins the d^2 S(v, v) term of the
-    # VariationBundle, which vanishes on conformal_quadratic data
+    # Schwarzschild's metric is not quadratic, so the bundle's D2F reads a
+    # connection whose second derivatives do not vanish, as they do on
+    # conformal_quadratic data
     @pytest.mark.parametrize("which, center, n_surfaces",
                              [("conformal_k", ORIGIN, 3),
                               ("schwarzschild", np.array([2.0, 0.3, -0.4]), 1)],
@@ -214,6 +215,26 @@ class TestRescalingIdentity:
             diff = np.sqrt(np.sum(grid.weights
                                   * (resc.values - r ** 3 * phys.values) ** 2))
             assert diff < 1e-9 * resc.l2_norm
+
+    @pytest.mark.parametrize("r", [0.05, 0.1])
+    def test_identity_does_not_depend_on_a_step_count(self, r):
+        # the polynomial data of tests/test_surface.py (seed 5) with perfbench's
+        # n_steps=12, which sets no step: within 1e-9 at both radii (measured
+        # 1.7e-10 and 1.5e-10; the 12-step RK4 bundle read 1.6e-9 and 2.5e-8 on
+        # 32 x 64).  On 48 x 96, since at r = 0.1 the graph surface needs more
+        # than the 32 x 64 grid's band limit 20: there the identity reads
+        # 1.03e-9 with any bundle, and 1.5e-10 once the grid resolves both sides.
+        c4 = np.random.default_rng(5).normal(size=(3, 3, 3, 3))
+        c4 = c4 + c4.transpose(1, 0, 2, 3)
+        ds = preset("polynomial", g_quadratic=0.05 * (c4 + c4.transpose(0, 1, 3, 2)))
+        grid = default_grid(48, 96)
+        rng = np.random.default_rng(7)
+        lam, tau = rng.uniform(-1, 1), rng.normal(size=3) * 0.01
+        phi = smooth_phi(rng)
+        resc = rescaled_phi(ds, ORIGIN, tau, r, phi, lam, grid, n_steps=12)
+        phys = el_residual(ds, graph_surface(ds, ORIGIN, tau, r, phi, grid, n_steps=128), lam)
+        diff = np.sqrt(np.sum(grid.weights * (resc.values - r ** 3 * phys.values) ** 2))
+        assert diff < 1e-9 * resc.l2_norm
 
     def test_flat_leading_order(self, flat, grid):
         # flat, k = 0, phi = 0: Phi = 2 lambda r^2 exactly

@@ -79,3 +79,16 @@ def test_malformed_points_raise_before_any_numerical_work(conformal, small_grid,
     run, name = _POINT_CALLS[call]
     with pytest.raises(InvalidParams, match=f"^{name} must be a finite point of shape"):
         run(ds, small_grid)
+
+
+# a jet order outside the data set's: metric_jet has the orders 0 to 2 and
+# k_jet 0 and 1, on closed-form and finite-difference data alike (before,
+# metric_jet(p, -1) returned d^3 g or leaked numpy's ValueError, and
+# metric_jet(p, 4) returned zeros or raised IndexError)
+@pytest.mark.parametrize("jet, n", [("metric_jet", -1), ("metric_jet", 3), ("metric_jet", 4),
+                                    ("metric_jet", 1.0), ("k_jet", -1), ("k_jet", 2)])
+@pytest.mark.parametrize("kind", ["closed_form", "finite_difference"])
+def test_jet_orders_outside_the_data_set_raise(conformal, kind, jet, n):
+    ds = conformal if kind == "closed_form" else conformal.with_finite_differences()
+    with pytest.raises(InvalidParams, match=f"^{jet} has the orders 0 to"):
+        getattr(ds, jet)(np.array([[0.1, 0.0, 0.0]]), n)

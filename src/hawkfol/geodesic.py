@@ -304,24 +304,24 @@ def _xi_segments(ds: InitialDataSet, center, u: np.ndarray, s_max: float):
                    zeros, zeros, s_max, lambda s, v: center + s[:, None, None] * u + v[0])
 
 
-def _coarse_rays(ds: InitialDataSet, center, frame, directions, s_max: float, table):
+def _coarse_rays(frame, directions, s_max: float, table):
     """(band_limit, stored): the rays along `directions` by the module docstring's rule.
 
-    `table(grid, segments)` turns `_xi_segments` of the rays along the nodes
-    of a coarse grid, or along the directions themselves where grid is None,
-    into (stored, ends): what the caller keeps, and the harmonic coefficients
-    (n_coeffs, k) at s_max of each group whose tail is checked.
-    band_limit is the coarse grid's band limit, or None.
+    `table(grid, u)` integrates the rays with the unit chart velocities u,
+    those of the nodes of a coarse grid, or of the directions themselves
+    where grid is None, and returns (stored, ends): what the caller keeps,
+    and the harmonic coefficients (n_coeffs, k) at s_max of each group whose
+    tail is checked.  band_limit is the coarse grid's band limit, or None.
     """
     band = _START_BAND
     while _n_rays(band) <= len(directions):
         grid = default_grid(band + 2, 2 * band + 4, band_limit=band)
-        stored, ends = table(grid, _xi_segments(ds, center, grid.nodes @ frame.T, s_max))
+        stored, ends = table(grid, grid.nodes @ frame.T)
         if all(end[(band - 1) ** 2:].max() <= _TAIL * s_max + _ROUNDING * end.max()
                for end in map(np.abs, ends)):
             return band, stored
         band += _BAND_STEP
-    return None, table(None, _xi_segments(ds, center, directions @ frame.T, s_max))[0]
+    return None, table(None, directions @ frame.T)[0]
 
 
 class RayFan:
@@ -359,15 +359,15 @@ class RayFan:
         self._u = directions @ frame.T  # chart components of unit initial velocities
         samples = np.linspace(0.0, self.s_max, self.n_steps + 1)
 
-        def table(grid, segments):
-            # xi | xi' at the samples, (rays, samples, 6), as coefficients on a grid
-            state = np.concatenate([np.moveaxis(group[0], 0, 1)
-                                    for group in _sample(segments, samples)], axis=2)
+        def table(grid, u):
+            # xi | xi' at the samples, (rays, samples, 6), as coefficients on a
+            # grid; the segments and samples are freed before the analysis
+            state = np.concatenate([np.moveaxis(group[0], 0, 1) for group in _sample(
+                _xi_segments(ds, center, u, self.s_max), samples)], axis=2)
             stored = state if grid is None else analyze(grid, state, check=False).coeffs
             return stored, [stored[:, -1, :3]]
 
-        self.band_limit, self._stored = _coarse_rays(ds, center, frame, directions,
-                                                     self.s_max, table)
+        self.band_limit, self._stored = _coarse_rays(frame, directions, self.s_max, table)
         if self.band_limit is not None:
             self._basis = _point_basis(self.band_limit, directions.tobytes())
 
@@ -448,11 +448,13 @@ class VariationBundle:
             raise InvalidParams(f"bundle radii must be finite and positive, one per node, "
                                 f"shape ({n},) (use the flat shortcut at r = 0)")
 
-        def table(coarse, segments):
+        s_max = float(radii.max())
+
+        def table(coarse, u):
             # xi | xi' at each segment's Chebyshev nodes: (nodes, n_coeffs, 6)
             # coefficients on the coarse grid, or (nodes, n, 6) values at the cap
             tables = []
-            for a, h, m, v, dv in segments:
+            for a, h, m, v, dv in _xi_segments(ds, center, u, s_max):
                 state = np.concatenate([v[0], dv[0]], axis=2)
                 if coarse is not None:
                     state = np.moveaxis(
@@ -461,7 +463,7 @@ class VariationBundle:
             end = tables[-1][3][-1]
             return tables, [end[:, :3], end[:, 3:]]
 
-        self.band_limit, tables = _coarse_rays(ds, center, frame, x, float(radii.max()), table)
+        self.band_limit, tables = _coarse_rays(frame, x, s_max, table)
         # the grid's nodes, at the coarse band limit or, at the cap, at every
         # degree that Gauss quadrature on them analyses exactly
         band = (min(grid.n_theta - 1, (grid.n_phi - 1) // 2) if self.band_limit is None

@@ -46,15 +46,11 @@ _DERIVED_FD_SECOND_STEP = 1e-2
 
 def _order_checked(jet: Jet, name: str, top: int) -> Jet:
     """`jet` raising InvalidParams unless the order n is an integer in 0..top."""
-    if getattr(jet, "top_order", None) == top:
-        return jet
-
     def checked(pts, n):
         if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or not 0 <= n <= top:
             raise InvalidParams(f"{name} has the orders 0 to {top}, got {n!r}")
         return jet(pts, n)
 
-    checked.top_order = top
     return checked
 
 

@@ -15,13 +15,15 @@ nodes at band limit L, whose harmonic coefficients are kept and synthesised
 at the requested directions.  L starts at 8 (200 rays, whatever the surface
 grid) and grows by 4 while the top two degrees of a stored quantity at the
 end of the rays carry more than its rounding, 1e-16 s_max plus 1e-14 of its
-largest coefficient.  Whenever the next grid would hold more rays than there
-are requested directions, the directions themselves are integrated instead
-(fewer than 200 directions are so from the start) and `band_limit` is None,
-so no position carries an interpolation error above rounding.  Every
-integrated state must be finite, or DegenerateMetric is raised.  The rays
-are chart-checked at every iterate, and the returned positions when they are
-queried.
+largest coefficient.  A RayFan stops where the next grid would hold more
+rays than it has directions and integrates the directions themselves instead
+(fewer than 200 directions are so from the start), with `band_limit` None, so
+no position carries an interpolation error above rounding.  A
+VariationBundle reads angle derivatives from the coarse series, so its grid
+grows past the node count, up to band limit 48, past which it warns
+BandLimitExceeded.  Every integrated state must be finite, or
+DegenerateMetric is raised.  The rays are chart-checked at every iterate,
+and the returned positions when they are queried.
 
 Integration in s
 ----------------
@@ -47,12 +49,13 @@ only.  The center-frame transport takes Gamma from `christoffel_from`.
 from __future__ import annotations
 
 import functools
+import warnings
 
 import numpy as np
 
 from .background import InitialDataSet, _inverse_metric, christoffel_from
-from .errors import (ChartExceeded, DegenerateMetric, InvalidParams, StepSizeUnderflow, as_count,
-                     as_point)
+from .errors import (BandLimitExceeded, ChartExceeded, DegenerateMetric, InvalidParams,
+                     StepSizeUnderflow, as_count, as_point)
 from .grid import SphereGrid, default_grid
 from .harmonics import HarmonicField, analyze, point_basis, synthesize_derivatives
 
@@ -63,6 +66,8 @@ from .harmonics import HarmonicField, analyze, point_basis, synthesize_derivativ
 # degrees read 5e-16 of it at band limit 8 and up to 2e-14 at band limit 28.
 _START_BAND = 8
 _BAND_STEP = 4
+# the largest coarse grid of a VariationBundle, 50 x 100 rays
+_MAX_BUNDLE_BAND = 48
 _TAIL = 1e-16
 _ROUNDING = 1e-14
 # Chebyshev-Picard: the node counts of a segment, the shortest segment and
@@ -304,24 +309,28 @@ def _xi_segments(ds: InitialDataSet, center, u: np.ndarray, s_max: float):
                    zeros, zeros, s_max, lambda s, v: center + s[:, None, None] * u + v[0])
 
 
-def _coarse_rays(frame, directions, s_max: float, table):
-    """(band_limit, stored): the rays along `directions` by the module docstring's rule.
+def _coarse_rays(frame, s_max: float, table, max_rays: int):
+    """(band_limit, stored, resolved): the rays on the coarse grids of the
+    module docstring's rule, from band limit 8 up by 4 while the tail of the
+    last grid is above rounding and the next one holds at most `max_rays` rays.
 
-    `table(grid, u)` integrates the rays with the unit chart velocities u,
-    those of the nodes of a coarse grid, or of the directions themselves
-    where grid is None, and returns (stored, ends): what the caller keeps,
-    and the harmonic coefficients (n_coeffs, k) at s_max of each group whose
-    tail is checked.  band_limit is the coarse grid's band limit, or None.
+    `table(grid, u)` integrates the rays of the nodes of a coarse grid, with
+    the unit chart velocities u, and returns (stored, ends): what the caller
+    keeps, and the harmonic coefficients (n_coeffs, k) at s_max of each
+    group whose tail is checked.  resolved is whether that tail is at
+    rounding on the last grid; (None, None, False) where the first grid
+    holds more than `max_rays` rays.
     """
     band = _START_BAND
-    while _n_rays(band) <= len(directions):
+    while _n_rays(band) <= max_rays:
         grid = default_grid(band + 2, 2 * band + 4, band_limit=band)
         stored, ends = table(grid, grid.nodes @ frame.T)
-        if all(end[(band - 1) ** 2:].max() <= _TAIL * s_max + _ROUNDING * end.max()
-               for end in map(np.abs, ends)):
-            return band, stored
+        resolved = all(end[(band - 1) ** 2:].max() <= _TAIL * s_max + _ROUNDING * end.max()
+                       for end in map(np.abs, ends))
+        if resolved or _n_rays(band + _BAND_STEP) > max_rays:
+            return band, stored, resolved
         band += _BAND_STEP
-    return None, table(None, directions @ frame.T)[0]
+    return None, None, False
 
 
 class RayFan:
@@ -367,8 +376,11 @@ class RayFan:
             stored = state if grid is None else analyze(grid, state, check=False).coeffs
             return stored, [stored[:, -1, :3]]
 
-        self.band_limit, self._stored = _coarse_rays(frame, directions, self.s_max, table)
-        if self.band_limit is not None:
+        self.band_limit, self._stored, resolved = _coarse_rays(frame, self.s_max, table,
+                                                               len(directions))
+        if not resolved:
+            self.band_limit, self._stored = None, table(None, self._u)[0]
+        else:
             self._basis = _point_basis(self.band_limit, directions.tobytes())
 
     def offsets_at(self, s: np.ndarray) -> np.ndarray:
@@ -418,24 +430,20 @@ class VariationBundle:
 
     Along the ray of x, F(s x) = G(s, x) = center + s frame x + xi(s, x), with
     xi the ray's deviation from its chord as in RayFan.  xi and xi' = dxi/ds
-    are integrated by `_picard` over [0, max(radii)] on the rays of the
-    module docstring's rule, whose tail bound covers both, and analysed at
-    every Chebyshev node: on the coarse grid, or, where the grid's own nodes
-    are integrated, on those nodes at every degree that Gauss quadrature on
-    them analyses exactly (n_theta - 1 on an n_theta x 2 n_theta grid, above
-    its band limit).  Both series are evaluated at each node's own radius
-    with their angle derivatives from `synthesize_derivatives`, one Chebyshev
-    node at a time, and xi'' is the geodesic acceleration of the queried
-    state.  With M = [x, s x_theta, s x_phi], the derivative of y in
+    are integrated by `_picard` over [0, max(radii)] on the coarse grid of
+    the module docstring's rule, whose tail bound covers both, and analysed
+    at every Chebyshev node.  The grid grows past the node count where the
+    tail needs it, since only the coarse series carries the angle
+    derivatives at rounding.  Both series are evaluated at each node's own
+    radius with their angle derivatives from `synthesize_derivatives`, one
+    Chebyshev node at a time, and xi'' is the geodesic acceleration of the
+    queried state.  With M = [x, s x_theta, s x_phi], the derivative of y in
     (s, theta, phi) from `grid.embedding_derivatives`,
     DF = [G_s, G_theta, G_phi] M^-1, and D2F follows from the second
     derivatives of G by the same chain rule; the flat parts of both cancel in
     closed form, so in flat space DF is the frame and D2F zero exactly.  The
-    chart must hold every ray out to the largest radius; on a coarse grid
-    that is the rays of every direction.  `band_limit` is the coarse grid's
-    band limit, or None where the grid's nodes are integrated themselves; the
-    points are then the rays' own, and the angle derivatives as exact as
-    spectral differentiation on those nodes.
+    chart must hold the rays of every direction out to the largest radius.
+    `band_limit` is the coarse grid's band limit.
     """
 
     def __init__(self, ds: InitialDataSet, center, frame, grid: SphereGrid, radii):
@@ -451,23 +459,21 @@ class VariationBundle:
         s_max = float(radii.max())
 
         def table(coarse, u):
-            # xi | xi' at each segment's Chebyshev nodes: (nodes, n_coeffs, 6)
-            # coefficients on the coarse grid, or (nodes, n, 6) values at the cap
+            # xi | xi' coefficients on the coarse grid at each segment's
+            # Chebyshev nodes, (nodes, n_coeffs, 6)
             tables = []
             for a, h, m, v, dv in _xi_segments(ds, center, u, s_max):
-                state = np.concatenate([v[0], dv[0]], axis=2)
-                if coarse is not None:
-                    state = np.moveaxis(
-                        analyze(coarse, np.moveaxis(state, 0, 1), check=False).coeffs, 1, 0)
-                tables.append((a, h, m, state))
+                state = np.moveaxis(np.concatenate([v[0], dv[0]], axis=2), 0, 1)
+                tables.append((a, h, m, np.moveaxis(
+                    analyze(coarse, state, check=False).coeffs, 1, 0)))
             end = tables[-1][3][-1]
             return tables, [end[:, :3], end[:, 3:]]
 
-        self.band_limit, tables = _coarse_rays(frame, x, s_max, table)
-        # the grid's nodes, at the coarse band limit or, at the cap, at every
-        # degree that Gauss quadrature on them analyses exactly
-        band = (min(grid.n_theta - 1, (grid.n_phi - 1) // 2) if self.band_limit is None
-                else self.band_limit)
+        band, tables, resolved = _coarse_rays(frame, s_max, table, _n_rays(_MAX_BUNDLE_BAND))
+        if not resolved:
+            warnings.warn(f"the bundle's rays keep a tail above rounding at band limit {band}",
+                          BandLimitExceeded, stacklevel=2)
+        self.band_limit = band
         nodes = default_grid(grid.n_theta, grid.n_phi, band_limit=band)
         # f | d_a f | d_a d_b f of xi | xi' at each node's own radius
         f, d1, d2 = (np.zeros((n,) + shape + (6,)) for shape in ((), (2,), (2, 2)))
@@ -477,11 +483,7 @@ class VariationBundle:
             rows = np.zeros((n, m))
             rows[mine] = _interpolation(m, np.clip(2.0 * (radii[mine] - a) / h - 1.0, -1.0, 1.0))
             for k in np.flatnonzero(rows.any(axis=0)):
-                if self.band_limit is None:
-                    parts = synthesize_derivatives(analyze(nodes, state[k], check=False), nodes)
-                    parts = (state[k],) + parts[1:]
-                else:
-                    parts = synthesize_derivatives(HarmonicField(state[k], band), nodes)
+                parts = synthesize_derivatives(HarmonicField(state[k], band), nodes)
                 for total, part in zip((f, d1, d2), parts):
                     total += rows[:, k].reshape((-1,) + (1,) * (part.ndim - 1)) * part
 

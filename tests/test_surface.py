@@ -533,43 +533,81 @@ def test_band_limited_bundle_matches_one_ray_per_direction(conformal_k, grid, wh
 
 
 def test_bundle_integrates_its_directions_where_the_cap_leaves_a_tail(small_grid):
-    # 512 directions cap the coarse grid at band limit 12 (392 rays) and the
-    # polynomial data need 20 at r = 0.16: fan and bundle integrate the
-    # directions themselves.  The bundle's points are its rays' own, and its
-    # angle derivatives come from the 16 x 32 nodes at band limit 15.
-    # Measured against the oracle: points 1.4e-15 r, DF 5.3e-15, D2F 9.5e-14
-    # (at r = 0.2 the band-15 derivatives read 7.6e-13).
+    # 512 directions cap the fan's coarse grid at band limit 12 (392 rays)
+    # and the polynomial data need 20 at r = 0.2: the fan integrates its
+    # directions themselves, and the bundle, which needs the angle
+    # derivatives of the coarse series, grows its grid past the 512 nodes.
+    # Measured against the oracle: points 1.7e-15 r, DF 2.4e-15, D2F 1.5e-14 / r.
     ds = _non_conformal_polynomial(seed=5)
     c, frame = transported_center_frame(ds, (0.05, -0.02, 0.03), [0.01, -0.004, 0.002])
     directions = small_grid.nodes
-    r = 0.16
-    s = r * (1 + 0.1 * directions[:, 0] * directions[:, 1])
+    s = 0.2 * (1 + 0.1 * directions[:, 0] * directions[:, 1])
     with warnings.catch_warnings():
         warnings.simplefilter("error", BandLimitExceeded)
-        fan = RayFan(ds, c, frame, directions, s_max=r, n_steps=16)
+        fan = RayFan(ds, c, frame, directions, s_max=0.2, n_steps=16)
         bundle = VariationBundle(ds, c, frame, small_grid, s)
     assert fan.band_limit is None
-    direct = _reference_exp(ds, c, r * (directions @ frame.T)) - c
-    assert np.abs(fan.offsets_at(np.full(len(directions), r)) - direct).max() < 1e-13 * r
-    assert bundle.band_limit is None
+    direct = _reference_exp(ds, c, 0.2 * (directions @ frame.T)) - c
+    assert np.abs(fan.offsets_at(np.full(len(directions), 0.2)) - direct).max() < 1e-13 * 0.2
+    assert bundle.band_limit > 12
     some = slice(None, None, 14)
-    points, df, d2f = _reference_bundle(ds, c, frame, directions[some], s[some], 256)
+    points, df, d2f = _reference_bundle(ds, c, frame, directions[some], s[some], 512)
+    assert np.abs(bundle.points[some] - points).max() < 1e-13 * 0.2
+    assert np.abs(bundle.df[some] - df).max() < 1e-13
+    assert np.abs(bundle.d2f[some] - d2f).max() < 1e-13 / 0.2
+
+
+@pytest.mark.parametrize("which, center, r, n_steps", [
+    ("conformal_k", (0.05, -0.02, 0.03), 0.06, 128),
+    ("polynomial", (0.05, -0.02, 0.03), 0.2, 512),
+    ("schwarzschild", (2.0, 0.0, 0.0), 0.5, 256),
+], ids=["conformal_k", "polynomial", "schwarzschild"])
+def test_bundle_on_fewer_nodes_than_coarse_rays_matches_the_oracle(conformal_k, which, center,
+                                                                   r, n_steps):
+    # the 128 nodes of an 8 x 16 grid, fewer than the 200 rays of the first
+    # coarse grid, read from the coarse series like any other grid (band
+    # limits 8, 20 and 16).  Measured: points 1.6e-15 r, 1.5e-15 r and
+    # 1.1e-14 r, DF 1.0e-15, 2.9e-15 and 5.4e-15, D2F 2.4e-18, 1.2e-14 and
+    # 4.9e-14 (/ r).
+    ds = {"conformal_k": conformal_k, "polynomial": _non_conformal_polynomial(seed=5),
+          "schwarzschild": preset("schwarzschild_slice", mass=1.0)}[which]
+    grid = default_grid(8, 16)
+    c, frame = transported_center_frame(ds, center, [0.01, -0.004, 0.002])
+    x = grid.nodes.T
+    s = r * (1 + 0.2 * x[0] * x[1] + 0.1 * x[2] ** 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", BandLimitExceeded)
+        bundle = VariationBundle(ds, c, frame, grid, s)
+    some = slice(None, None, 5)
+    points, df, d2f = _reference_bundle(ds, c, frame, grid.nodes[some], s[some], n_steps)
     assert np.abs(bundle.points[some] - points).max() < 1e-13 * r
     assert np.abs(bundle.df[some] - df).max() < 1e-13
     assert np.abs(bundle.d2f[some] - d2f).max() < 1e-13 / r
+
+
+def test_bundle_warns_where_its_largest_grid_leaves_a_tail(monkeypatch):
+    # the polynomial data need band limit 20 at r = 0.2: a largest grid of 16 leaves a tail
+    monkeypatch.setattr(geodesic, "_MAX_BUNDLE_BAND", 16)
+    ds = _non_conformal_polynomial(seed=5)
+    grid = default_grid(8, 16)
+    with pytest.warns(BandLimitExceeded, match="band limit 16"):
+        bundle = VariationBundle(ds, (0.05, -0.02, 0.03), np.eye(3), grid,
+                                 np.full(grid.n_nodes, 0.2))
+    assert bundle.band_limit == 16
 
 
 @pytest.mark.parametrize("n_theta", [16, 8], ids=["coarse", "directions"])
 def test_bundle_rays_reach_the_largest_radius(conformal_k, n_theta):
     # every ray runs out to the largest radius, 0.15 towards -x: the bundle's
     # points stay within 0.26 of the origin, but the rays towards +x reach
-    # about 0.35, past a chart of radius 0.3
+    # about 0.35, past a chart of radius 0.3.  The grids have more, and
+    # fewer, nodes than the 200 rays of the first coarse grid.
     grid = default_grid(n_theta, 2 * n_theta)
     c, frame = transported_center_frame(conformal_k, (0.2, 0.0, 0.0), ORIGIN)
     radii = 0.1 - 0.05 * grid.nodes[:, 0]
     wide = dataclasses.replace(conformal_k, chart_radius=0.4)
     bundle = VariationBundle(wide, c, frame, grid, radii)
-    assert (bundle.band_limit is None) == (grid.n_nodes < 200)
+    assert bundle.band_limit is not None
     assert np.linalg.norm(bundle.points, axis=1).max() < 0.26
     narrow = dataclasses.replace(conformal_k, chart_radius=0.3)
     with pytest.raises(ChartExceeded):
@@ -582,7 +620,7 @@ def test_bundle_of_non_finite_data_raises(conformal_k):
         return np.full_like(value, np.nan) if n == 1 else value
 
     ds = dataclasses.replace(conformal_k, metric_jet=jet)
-    for grid in (default_grid(16, 32), default_grid(8, 16)):  # coarse, and per direction
+    for grid in (default_grid(16, 32), default_grid(8, 16)):  # more, and fewer, nodes than rays
         with pytest.raises(DegenerateMetric, match="not finite"):
             VariationBundle(ds, ORIGIN, np.eye(3), grid, np.full(grid.n_nodes, 0.05))
 

@@ -566,8 +566,8 @@ def test_bundle_on_fewer_nodes_than_coarse_rays_matches_the_oracle(conformal_k, 
                                                                    r, n_steps):
     # the 128 nodes of an 8 x 16 grid, fewer than the 200 rays of the first
     # coarse grid, read from the coarse series like any other grid (band
-    # limits 8, 20 and 16).  Measured: points 1.6e-15 r, 1.5e-15 r and
-    # 1.1e-14 r, DF 1.0e-15, 2.9e-15 and 5.4e-15, D2F 2.4e-18, 1.2e-14 and
+    # limits 8, 20 and 16).  Measured: points 1.6e-15 r, 1.9e-15 r and
+    # 7.1e-15 r, DF 8.9e-16, 2.4e-15 and 6.3e-15, D2F 3.0e-18, 1.2e-14 and
     # 4.9e-14 (/ r).
     ds = {"conformal_k": conformal_k, "polynomial": _non_conformal_polynomial(seed=5),
           "schwarzschild": preset("schwarzschild_slice", mass=1.0)}[which]

@@ -188,11 +188,8 @@ def _rescaled_node_data(ds: InitialDataSet, center, tau, radius: float,
 
 
 def _rescaled_geometry(ds: InitialDataSet, center, tau, radius: float,
-                       phi: Optional[HarmonicField], lam: float, grid: SphereGrid,
-                       n_steps: int = 64):
-    """Residual term dict of S_phi in the rescaled ball.  `n_steps` is checked
-    but sets nothing: the bundle's rays are resolved in s by their own rule."""
-    as_count(n_steps, "n_steps")
+                       phi: Optional[HarmonicField], lam: float, grid: SphereGrid):
+    """Residual term dict of S_phi in the rescaled ball."""
     phi_vals, dphi1, dphi2 = synthesize_derivatives(
         HarmonicField.zero(0) if phi is None else phi, grid)
     factor = 1.0 + phi_vals
@@ -216,17 +213,18 @@ def rescaled_phi(ds: InitialDataSet, center, tau, radius: float,
                  phi: Optional[HarmonicField], lam: float, grid: SphereGrid,
                  n_steps: int = 64) -> ResidualField:
     """The rescaled operator at (r, tau, phi, lam); equals r^3 times the
-    physical residual at matching parameter points."""
-    terms = _rescaled_geometry(ds, center, tau, radius, phi, lam, grid, n_steps=n_steps)
+    physical residual at matching parameter points.  `n_steps` is checked
+    and sets nothing; perfbench binds it."""
+    as_count(n_steps, "n_steps")
+    terms = _rescaled_geometry(ds, center, tau, radius, phi, lam, grid)
     values = sum(terms.values())
     return ResidualField.from_values(grid, values, lam)
 
 
 def w_split(ds: InitialDataSet, center, tau, radius: float,
-            phi: Optional[HarmonicField], lam: float, grid: SphereGrid,
-            n_steps: int = 64):
+            phi: Optional[HarmonicField], lam: float, grid: SphereGrid):
     """(W1, W2): the k-independent and k-dependent parts of the rescaled operator."""
-    terms = _rescaled_geometry(ds, center, tau, radius, phi, lam, grid, n_steps=n_steps)
+    terms = _rescaled_geometry(ds, center, tau, radius, phi, lam, grid)
     w1 = terms["lam_h"] + terms["laplacian_h"] + terms["h_b_traceless"] + terms["h_ricci"]
     w2 = (terms["p_normal_derivatives"] + terms["p_divergence"]
           + terms["h_p_squared"] + terms["k_grad_p"])

@@ -2,8 +2,8 @@
 
 Surfaces are built from radial geodesics ("rays") leaving a common center,
 integrated as their deviation xi from the straight chord (for conditioning).
-A RayFan answers position queries at arbitrary radii through cubic Hermite
-interpolation, so changing the radial graph function never forces a
+A RayFan answers position queries at any radius per ray from the rays'
+series in s, so changing the radial graph function never forces a
 re-integration.  A VariationBundle evaluates the same ray field at each node
 of a grid at its own radius, with its derivatives in s and in the direction,
 which give the exact differential and Hessian of the normal-coordinate chart
@@ -32,10 +32,10 @@ library.  `_picard` solves v'' = a(s, v, v') by Picard iteration on
 Chebyshev-Lobatto nodes (Clenshaw & Norton, Comput. J. 6, 1963; Bai &
 Junkins, Celest. Mech. Dyn. Astron. 110, 2011): each iteration is one kernel
 call on all nodes of all rays.  It grows its node count, and halves its
-interval, by the same tail bound as the coarse grid.  RayFan samples the
-converged series at its `n_steps` + 1 query radii; VariationBundle evaluates
-the series of xi and xi' at each node's radius; the center-frame transport,
-which exp_map is with no vectors to carry, takes the end state.
+interval, by the same tail bound as the coarse grid.  RayFan evaluates the
+converged series of xi, and VariationBundle those of xi and xi', at each
+direction's own radius through one rule, `_radius_rows`; the center-frame
+transport, which exp_map is with no vectors to carry, takes the end state.
 
 Kernel
 ------
@@ -203,18 +203,13 @@ def _segment(ds, accel, v0, dv0, a, h, position):
     return None
 
 
-def _sample(segments, samples: np.ndarray):
-    """Values and s-derivatives of `_picard`'s solution at sorted samples in
-    [0, span]: two tuples of arrays, (len(samples), *shape) each."""
-    pieces = []
-    for i, (a, h, n, v, dv) in enumerate(segments):
-        last = i == len(segments) - 1
-        mine = samples[(samples >= a) & ((samples < a + h) | last)]
-        rows = _interpolation(n, np.clip(2.0 * (mine - a) / h - 1.0, -1.0, 1.0))
-        pieces.append([[_apply(rows, x) for x in state] for state in (v, dv)])
-    return tuple(tuple(np.concatenate([piece[k][g] for piece in pieces])
-                       for g in range(len(pieces[0][k])))
-                 for k in (0, 1))
+def _radius_rows(segments, s: np.ndarray) -> list:
+    """For each `_picard` segment (a, h, m, ...), the rows (len(s), m) that
+    evaluate its interpolant at the radii of s it holds, zero elsewhere: a
+    radius reads the last segment that starts at or below it."""
+    which = np.searchsorted([a for a, *_ in segments], s, side="right") - 1
+    return [(which == i)[:, None] * _interpolation(m, np.clip(2 * (s - a) / h - 1, -1, 1))
+            for i, (a, h, m, *_) in enumerate(segments)]
 
 
 def orthonormal_frame(ds: InitialDataSet, point) -> np.ndarray:
@@ -334,7 +329,7 @@ def _coarse_rays(frame, s_max: float, table, max_rays: int):
 
 
 class RayFan:
-    """Radial geodesics from a common center, stored for Hermite queries.
+    """Radial geodesics from a common center, queried at any radius per ray.
 
     Rays are parameterized by arclength (unit g-speed); `directions` are unit
     vectors x on the parameter sphere and the ray along x leaves the center
@@ -344,49 +339,49 @@ class RayFan:
     pollutes the leading part of the positions (which downstream spectral
     differentiation would amplify).
 
-    xi is integrated by `_picard`, and xi and its s-derivative are stored at
-    `n_steps` + 1 equally spaced radii in [0, s_max], on a coarse grid or
-    per direction by the module docstring's rule; `band_limit` is the coarse
-    grid's band limit, or None where the directions are integrated
-    themselves.  `offsets_at(s)` returns s u + xi(s) by cubic Hermite
-    interpolation in s between the stored radii that bracket s.
+    xi is integrated by `_picard` over [0, s_max], on a coarse grid or per
+    direction by the module docstring's rule, and its node values on each
+    Chebyshev segment are kept at the directions: synthesised once from the
+    coarse coefficients, or as integrated; `band_limit` is the coarse grid's
+    band limit, or None where the directions are integrated themselves.
+    `offsets_at(s)` returns s u + xi(s), each direction's series evaluated at
+    its own radius.  `n_steps` is checked and sets nothing; perfbench binds it.
     """
 
     def __init__(self, ds: InitialDataSet, center, frame, directions, s_max: float,
-                 n_steps: int = 128):
+                 n_steps: int = 64):
         center, frame, directions = _ray_inputs(center, frame, directions)
         if not (np.isfinite(s_max) and s_max > 0):
             raise InvalidParams(f"s_max must be finite and positive, got {s_max}")
+        as_count(n_steps, "n_steps")
         self.ds = ds
         self.center = center
         self.frame = frame
         self.s_max = float(s_max)
-        self.n_steps = as_count(n_steps, "n_steps")
-        self._h = self.s_max / self.n_steps
-        if self._h < 1e-14:
-            raise StepSizeUnderflow("ray step underflows double precision")
         self._u = directions @ frame.T  # chart components of unit initial velocities
-        samples = np.linspace(0.0, self.s_max, self.n_steps + 1)
 
         def table(grid, u):
-            # xi | xi' at the samples, (rays, samples, 6), as coefficients on a
-            # grid; the segments and samples are freed before the analysis
-            state = np.concatenate([np.moveaxis(group[0], 0, 1) for group in _sample(
-                _xi_segments(ds, center, u, self.s_max), samples)], axis=2)
-            stored = state if grid is None else analyze(grid, state, check=False).coeffs
-            return stored, [stored[:, -1, :3]]
+            # xi at each segment's Chebyshev nodes, (rays, m, 3), as
+            # coefficients on a coarse grid
+            segments = []
+            for a, h, m, v, _ in _xi_segments(ds, center, u, self.s_max):
+                xi = np.moveaxis(v[0], 0, 1)
+                segments.append((a, h, m, xi if grid is None
+                                 else analyze(grid, xi, check=False).coeffs))
+            return segments, [segments[-1][3][:, -1]]
 
-        self.band_limit, self._stored, resolved = _coarse_rays(frame, self.s_max, table,
-                                                               len(directions))
-        if not resolved:
-            self.band_limit, self._stored = None, table(None, self._u)[0]
+        self.band_limit, segments, resolved = _coarse_rays(frame, self.s_max, table,
+                                                           len(directions))
+        if resolved:
+            basis = _point_basis(self.band_limit, directions.tobytes())
+            self._segments = [(a, h, m, _apply(basis, coeffs)) for a, h, m, coeffs in segments]
         else:
-            self._basis = _point_basis(self.band_limit, directions.tobytes())
+            self.band_limit, self._segments = None, table(None, self._u)[0]
 
     def offsets_at(self, s: np.ndarray) -> np.ndarray:
         """Chord-plus-deviation offsets s u + xi(s) from the center, one finite
-        radius s >= 0 per direction, by cubic Hermite interpolation between the
-        bracketing samples; the positions are chart-checked.
+        radius s >= 0 per direction, each read from its direction's series at
+        that radius; the positions are chart-checked.
 
         Keeping the center out preserves full relative accuracy of the
         offsets even when the center coordinates are much larger than s.
@@ -399,22 +394,9 @@ class RayFan:
         if np.any(s > self.s_max * (1 + 1e-12)):
             raise ChartExceeded(
                 f"requested radius outside the integrated ray range [0, {self.s_max:.4g}]")
-        h = self._h
-        j = np.clip((s / h).astype(int), 0, self.n_steps - 1)
-        lo, hi = j.min(), j.max() + 2
-        values = self._stored[:, lo:hi]
-        if self.band_limit is not None:
-            # synthesise only the samples from the lowest to the highest bracket, in one product
-            values = (self._basis @ values.reshape(len(values), -1)).reshape(n, hi - lo, -1)
-        idx = np.arange(n)
-        x0, v0 = np.split(values[idx, j - lo], 2, axis=1)
-        x1, v1 = np.split(values[idx, j - lo + 1], 2, axis=1)
-        t = ((s - j * h) / h)[:, None]
-        h00 = (1 + 2 * t) * (1 - t) ** 2
-        h10 = t * (1 - t) ** 2
-        h01 = t * t * (3 - 2 * t)
-        h11 = t * t * (t - 1)
-        offsets = s[:, None] * self._u + (h00 * x0 + h * h10 * v0 + h01 * x1 + h * h11 * v1)
+        xi = sum(np.einsum("nm,nmc->nc", rows, values) for rows, (*_, values)
+                 in zip(_radius_rows(self._segments, s), self._segments))
+        offsets = s[:, None] * self._u + xi
         self.ds.check_chart(self.center + offsets)
         return offsets
 
@@ -477,11 +459,7 @@ class VariationBundle:
         nodes = default_grid(grid.n_theta, grid.n_phi, band_limit=band)
         # f | d_a f | d_a d_b f of xi | xi' at each node's own radius
         f, d1, d2 = (np.zeros((n,) + shape + (6,)) for shape in ((), (2,), (2, 2)))
-        which = np.searchsorted([a for a, *_ in tables], radii, side="right") - 1
-        for i, (a, h, m, state) in enumerate(tables):
-            mine = which == i
-            rows = np.zeros((n, m))
-            rows[mine] = _interpolation(m, np.clip(2.0 * (radii[mine] - a) / h - 1.0, -1.0, 1.0))
+        for rows, (*_, state) in zip(_radius_rows(tables, radii), tables):
             for k in np.flatnonzero(rows.any(axis=0)):
                 parts = synthesize_derivatives(HarmonicField(state[k], band), nodes)
                 for total, part in zip((f, d1, d2), parts):

@@ -172,9 +172,6 @@ def _hessian_spectrum(hess):
 # the projected Newton system
 # ----------------------------------------------------------------------
 
-_FAN_STEPS = 64
-
-
 def _check_solve(r: float, tol: float, band_limit: int, grid: SphereGrid) -> None:
     """A finite r > 0, tol > 0 and a band limit the grid resolves: the surfaces
     r x (1 + r^2 phi) have degree band_limit + 1."""
@@ -216,8 +213,7 @@ class _ReducedSystem:
         key = tuple(tau)
         if self._fan[0] != key:
             center, frame = transported_center_frame(self.ds, self.p, tau)
-            self._fan = (key, RayFan(self.ds, center, frame, self.grid.nodes,
-                                     s_max=1.3 * self.r, n_steps=_FAN_STEPS))
+            self._fan = (key, RayFan(self.ds, center, frame, self.grid.nodes, s_max=1.3 * self.r))
         full_phi = HarmonicField(self.r ** 2 * phi.coeffs, self.band_limit)
         surf = graph_surface(self.ds, self.p, tau, self.r, full_phi, self.grid,
                              fan=self._fan[1], check_band=False)

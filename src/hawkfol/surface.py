@@ -154,10 +154,11 @@ def graph_surface(ds: InitialDataSet, center, tau, radius: float,
 
     `phi` is the full radial factor (any r^2 normalization is the caller's).
     Passing a prebuilt RayFan for the same center/grid skips re-integration.
+    `n_steps` is checked and sets nothing; perfbench binds it.
     """
     if not (np.isfinite(radius) and radius > 0):
         raise InvalidParams(f"radius must be finite and positive, got {radius}")
-    n_steps = as_count(n_steps, "n_steps")
+    as_count(n_steps, "n_steps")
     if phi is None:
         phi_vals = np.zeros(grid.n_nodes)
     else:
@@ -168,17 +169,16 @@ def graph_surface(ds: InitialDataSet, center, tau, radius: float,
     s = radius * factor
     if fan is None:
         center_pt, frame = transported_center_frame(ds, center, tau)
-        fan = RayFan(ds, center_pt, frame, grid.nodes, s_max=float(np.max(s)),
-                     n_steps=n_steps)
+        fan = RayFan(ds, center_pt, frame, grid.nodes, s_max=float(np.max(s)))
     offsets = fan.offsets_at(s)
     return surface_from_positions(ds, grid, fan.center + offsets, check_band=check_band,
                                   offsets=offsets)
 
 
-def geodesic_sphere(ds: InitialDataSet, center, tau, radius: float, grid: SphereGrid,
-                    n_steps: int = 128) -> EmbeddedSurface:
+def geodesic_sphere(ds: InitialDataSet, center, tau, radius: float,
+                    grid: SphereGrid) -> EmbeddedSurface:
     """Geodesic sphere of radius r around exp_center(tau); graph with phi = 0."""
-    return graph_surface(ds, center, tau, radius, None, grid, n_steps=n_steps)
+    return graph_surface(ds, center, tau, radius, None, grid)
 
 
 def coordinate_sphere(ds: InitialDataSet, center, radius: float,

@@ -69,7 +69,7 @@ def test_criterion_02_willmore_baseline(flat, grid):
     t0 = time.time()
     worst = 0.0
     for r in (0.1, 1.0, 10.0):
-        surf = geodesic_sphere(flat, ORIGIN, ORIGIN, r, grid, n_steps=16)
+        surf = geodesic_sphere(flat, ORIGIN, ORIGIN, r, grid)
         worst = max(worst, abs(willmore(surf) - 4 * np.pi))
     report(2, "flat Willmore baseline 4 pi to 1e-10", worst < 1e-10,
            f"worst |W - 4 pi| = {worst:.2e}, {time.time() - t0:.2f}s")

@@ -120,7 +120,7 @@ def test_frame_rule_matches_contractions(case, r):
 
 class TestLaplaceBeltrami:
     def test_spherical_harmonic_eigenvalue(self, flat, grid):
-        s = geodesic_sphere(flat, ORIGIN, ORIGIN, 2.0, grid, n_steps=16)
+        s = geodesic_sphere(flat, ORIGIN, ORIGIN, 2.0, grid)
         vals = synthesize(HarmonicField.from_coeff_dict(grid.band_limit, {(2, 0): 1.0}), grid)
         lap = laplace_beltrami(s, vals)
         assert np.abs(lap + (6.0 / 4.0) * vals).max() < 1e-11
@@ -141,18 +141,18 @@ class TestLaplaceBeltrami:
 
 class TestPhysicalResidual:
     def test_flat_sphere_vanishes(self, flat, grid):
-        s = geodesic_sphere(flat, ORIGIN, ORIGIN, 1.0, grid, n_steps=16)
+        s = geodesic_sphere(flat, ORIGIN, ORIGIN, 1.0, grid)
         res = el_residual(flat, s, 0.0)
         assert res.l2_norm < 1e-9
         assert res.c0_norm < 1e-9
 
     def test_lagrange_term_only(self, flat, grid):
-        s = geodesic_sphere(flat, ORIGIN, ORIGIN, 0.5, grid, n_steps=16)
+        s = geodesic_sphere(flat, ORIGIN, ORIGIN, 0.5, grid)
         res = el_residual(flat, s, 1.0)
         assert np.abs(res.values - s.mean_curvature).max() < 1e-9
 
     def test_rejects_a_foreign_data_set(self, flat, conformal, small_grid):
-        s = geodesic_sphere(flat, ORIGIN, ORIGIN, 1.0, small_grid, n_steps=16)
+        s = geodesic_sphere(flat, ORIGIN, ORIGIN, 1.0, small_grid)
         with pytest.raises(ValueError, match="not the data set"):
             el_residual(conformal, s, 0.0)
         # an equal preset built anew is still another data set
@@ -173,7 +173,7 @@ class TestPhysicalResidual:
         ds = preset("constant_k", k=k)
         lam0 = -1.0 / 5.0 - 1.0 / 15.0
         for r in (0.05, 0.2):
-            s = geodesic_sphere(ds, ORIGIN, ORIGIN, r, grid, n_steps=16)
+            s = geodesic_sphere(ds, ORIGIN, ORIGIN, r, grid)
             res = el_residual(ds, s, lam0)
             assert abs(res.proj_k0) < 1e-7 / r ** 2
             res_off = el_residual(ds, s, lam0 + 0.1)
@@ -187,7 +187,7 @@ class TestPhysicalResidual:
         assert res.c0_norm == np.abs(res.values).max()
 
     def test_csv_export(self, tmp_path, flat, grid):
-        s = geodesic_sphere(flat, ORIGIN, ORIGIN, 1.0, grid, n_steps=16)
+        s = geodesic_sphere(flat, ORIGIN, ORIGIN, 1.0, grid)
         res = el_residual(flat, s, 0.5)
         res.to_csv(grid, tmp_path / "res.csv")
         assert (tmp_path / "res.csv").read_text().startswith("node,")
@@ -244,15 +244,13 @@ class TestRescalingIdentity:
 
 class TestWSplit:
     def test_k_zero_means_no_w2(self, conformal, grid):
-        w1, w2 = w_split(conformal, ORIGIN, ORIGIN, 0.05, None, 0.1, grid,
-                         n_steps=16)
+        w1, w2 = w_split(conformal, ORIGIN, ORIGIN, 0.05, None, 0.1, grid)
         assert np.abs(w2.values).max() == 0.0
 
     def test_sum_identity(self, conformal_k, grid):
         rng = np.random.default_rng(3)
         phi = smooth_phi(rng)
-        w1, w2 = w_split(conformal_k, ORIGIN, ORIGIN, 0.06, phi, -0.3, grid,
-                         n_steps=16)
+        w1, w2 = w_split(conformal_k, ORIGIN, ORIGIN, 0.06, phi, -0.3, grid)
         res = rescaled_phi(conformal_k, ORIGIN, ORIGIN, 0.06, phi, -0.3, grid,
                            n_steps=16)
         assert np.abs(w1.values + w2.values - res.values).max() < 1e-12
@@ -263,7 +261,7 @@ class TestWSplit:
         k = K_GENERIC
         ds = preset("constant_k", k=k)
         r, lam = 0.04, 0.125
-        w1, w2 = w_split(ds, ORIGIN, ORIGIN, r, None, lam, grid, n_steps=16)
+        w1, w2 = w_split(ds, ORIGIN, ORIGIN, r, None, lam, grid)
         x = grid.nodes
         trk = np.trace(k)
         q = np.einsum("ij,ni,nj->n", k, x, x)
@@ -303,7 +301,7 @@ class TestWSplit:
             return quad + r ** 3 * (p1 - 2 * p2 + p3 + p4 + p5)
 
         for r in (0.02, 0.04):
-            _, w2 = w_split(ds, ORIGIN, ORIGIN, r, None, 0.0, grid, n_steps=24)
+            _, w2 = w_split(ds, ORIGIN, ORIGIN, r, None, 0.0, grid)
             assert np.abs(w2.values - truncation(r)).max() < 1e-14
 
 
@@ -328,7 +326,7 @@ class TestKernelProjections:
         ds = preset("constant_k", k=K_GENERIC)
         trk = np.trace(K_GENERIC)
         ksq = np.sum(K_GENERIC * K_GENERIC)
-        _, w2 = w_split(ds, ORIGIN, ORIGIN, 0.03, None, 0.0, grid, n_steps=16)
+        _, w2 = w_split(ds, ORIGIN, ORIGIN, 0.03, None, 0.0, grid)
         target = 8 * np.pi * (trk ** 2 / 5.0 + ksq / 15.0)
         assert abs(w2.proj_k0 / 0.03 ** 2 - target) < 1e-10
 

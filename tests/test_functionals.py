@@ -12,7 +12,7 @@ ORIGIN = np.zeros(3)
 
 @pytest.mark.parametrize("r", [0.1, 1.0, 10.0])
 def test_flat_round_sphere_baseline(flat, grid, r):
-    s = geodesic_sphere(flat, ORIGIN, ORIGIN, r, grid, n_steps=16)
+    s = geodesic_sphere(flat, ORIGIN, ORIGIN, r, grid)
     report = hawking_energy(s)
     assert abs(report.willmore_value - 4 * np.pi) < 1e-10
     assert abs(report.hawking_energy) < 1e-11 * max(r, 1.0)
@@ -40,7 +40,7 @@ def test_p_squared_integral_closed_form(grid):
     k = np.array([[0.5, 0.1, 0.0], [0.1, -0.2, 0.3], [0.0, 0.3, 1.0]])
     ds = preset("constant_k", k=k)
     for r in (0.5, 1.0):
-        s = geodesic_sphere(ds, ORIGIN, ORIGIN, r, grid, n_steps=16)
+        s = geodesic_sphere(ds, ORIGIN, ORIGIN, r, grid)
         rep = hawking_energy(s)
         trk = np.trace(k)
         ksq = np.sum(k * k)

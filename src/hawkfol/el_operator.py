@@ -38,12 +38,12 @@ import numpy as np
 
 from .background import (AmbientFields, InitialDataSet, _in_frame, _inverse_metric,
                          ambient_fields, preset)
-from .errors import InvalidParams, NonEmbedded, as_count
+from .errors import InvalidParams, as_count
 from .geodesic import VariationBundle, transported_center_frame
 from .grid import SphereGrid
 from .harmonics import (HarmonicField, analyze_compensated, project_K0,
                         project_K1, synthesize_derivatives)
-from .surface import EmbeddedSurface, geometry_from_embedding
+from .surface import EmbeddedSurface, chord_derivatives, geometry_from_embedding
 
 
 @dataclass
@@ -190,20 +190,7 @@ def _rescaled_node_data(ds: InitialDataSet, center, tau, radius: float,
 def _rescaled_geometry(ds: InitialDataSet, center, tau, radius: float,
                        phi: Optional[HarmonicField], lam: float, grid: SphereGrid):
     """Residual term dict of S_phi in the rescaled ball."""
-    phi_vals, dphi1, dphi2 = synthesize_derivatives(
-        HarmonicField.zero(0) if phi is None else phi, grid)
-    factor = 1.0 + phi_vals
-    if np.any(factor <= 0):
-        raise NonEmbedded(f"1 + phi reaches {factor.min():.3g} <= 0")
-
-    x1, x2 = grid.embedding_derivatives
-    x = grid.nodes
-    d1 = factor[:, None, None] * x1 + dphi1[:, :, None] * x[:, None, :]
-    d2 = (factor[:, None, None, None] * x2
-          + dphi2[:, :, :, None] * x[:, None, None, :]
-          + dphi1[:, :, None, None] * x1[:, None, :, :]
-          + dphi1[:, None, :, None] * x1[:, :, None, :])
-
+    factor, d1, d2 = chord_derivatives(grid, phi)
     amb = _rescaled_node_data(ds, center, tau, radius, grid, factor)
     return _residual_terms(grid, geometry_from_embedding(grid, d1, d2, amb), amb,
                            radius * radius * lam)

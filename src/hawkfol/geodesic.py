@@ -336,16 +336,17 @@ class RayFan:
     with velocity frame @ x.  Only the deviation xi(s, x) = gamma(s) - (center
     + s u) from the straight chord is integrated: xi vanishes identically in
     flat space and is O(s^3 Gamma) in general, so integration roundoff never
-    pollutes the leading part of the positions (which downstream spectral
-    differentiation would amplify).
+    pollutes the chord, and xi is what `graph_surface` differentiates
+    spectrally (the chord it differentiates in closed form).
 
     xi is integrated by `_picard` over [0, s_max], on a coarse grid or per
     direction by the module docstring's rule, and its node values on each
     Chebyshev segment are kept at the directions: synthesised once from the
     coarse coefficients, or as integrated; `band_limit` is the coarse grid's
     band limit, or None where the directions are integrated themselves.
-    `offsets_at(s)` returns s u + xi(s), each direction's series evaluated at
-    its own radius.  `n_steps` is checked and sets nothing; perfbench binds it.
+    `deviations_at(s)` returns xi(s), each direction's series evaluated at its
+    own radius, and `offsets_at(s)` returns s u + xi(s).  `n_steps` is
+    checked and sets nothing; perfbench binds it.
     """
 
     def __init__(self, ds: InitialDataSet, center, frame, directions, s_max: float,
@@ -378,14 +379,10 @@ class RayFan:
         else:
             self.band_limit, self._segments = None, table(None, self._u)[0]
 
-    def offsets_at(self, s: np.ndarray) -> np.ndarray:
-        """Chord-plus-deviation offsets s u + xi(s) from the center, one finite
-        radius s >= 0 per direction, each read from its direction's series at
-        that radius; the positions are chart-checked.
-
-        Keeping the center out preserves full relative accuracy of the
-        offsets even when the center coordinates are much larger than s.
-        """
+    def deviations_at(self, s: np.ndarray) -> np.ndarray:
+        """The deviations xi(s) from the chords, (n, 3), one finite radius
+        s >= 0 per direction, each read from its direction's series at that
+        radius; the positions center + s u + xi are chart-checked."""
         s = np.asarray(s, dtype=float)
         n = len(self._u)
         if s.shape != (n,) or not np.all(np.isfinite(s) & (s >= 0)):
@@ -396,13 +393,14 @@ class RayFan:
                 f"requested radius outside the integrated ray range [0, {self.s_max:.4g}]")
         xi = sum(np.einsum("nm,nmc->nc", rows, values) for rows, (*_, values)
                  in zip(_radius_rows(self._segments, s), self._segments))
-        offsets = s[:, None] * self._u + xi
-        self.ds.check_chart(self.center + offsets)
-        return offsets
+        self.ds.check_chart(self.center + s[:, None] * self._u + xi)
+        return xi
 
-    def positions_at(self, s: np.ndarray) -> np.ndarray:
-        """Points at arclength s (one value per ray)."""
-        return self.center + self.offsets_at(s)
+    def offsets_at(self, s: np.ndarray) -> np.ndarray:
+        """Offsets s u + xi(s) from the center, xi and its checks as in
+        `deviations_at`; keeping the center out keeps their relative accuracy."""
+        xi = self.deviations_at(s)
+        return np.asarray(s, dtype=float)[:, None] * self._u + xi
 
 
 class VariationBundle:

@@ -2,12 +2,11 @@
 
 A surface is stored as node positions over a SphereGrid together with its
 fundamental forms, which read the ambient data on the frame (X_theta, X_phi,
-nu) at each node through `background._in_frame`.  Parameter derivatives of
-the embedding are taken spectrally: each Cartesian component of the node
-positions is an analytic function on the parameter sphere, so its harmonic
-coefficients decay below roundoff well inside the grid band limit and
-differentiation through the basis tables is exact for every surface this
-package builds.
+nu) at each node through `background._in_frame`.  The builders make graphs
+c + r frame (1 + phi(x)) x + xi: the chord's derivatives come in closed form
+from `chord_derivatives`, the one rule the rescaled operator shares, and only
+the O(r^3) ray deviation xi is differentiated spectrally, so the l^2 gain of
+the derivative tables acts on xi's rounding, not the chord's.
 """
 
 from __future__ import annotations
@@ -22,8 +21,9 @@ from .background import AmbientFields, InitialDataSet, _in_frame, ambient_fields
 from .errors import DegenerateInducedMetric, InvalidParams, NonEmbedded, as_count, as_point
 from .geodesic import RayFan, transported_center_frame
 from .grid import SphereGrid
-# `analyze` is not called here; it stays importable as `hawkfol.surface.analyze`
-# because perfbench/spans.py wraps that binding.
+# `analyze` and `synthesize` are not called here; they stay importable as
+# `hawkfol.surface.analyze` and `hawkfol.surface.synthesize` because
+# perfbench/spans.py wraps those bindings.
 from .harmonics import (HarmonicField, analyze, analyze_compensated,  # noqa: F401
                         check_band_limit, synthesize, synthesize_derivatives)
 
@@ -125,25 +125,38 @@ def geometry_from_embedding(grid: SphereGrid, d1, d2, amb: AmbientFields):
     }
 
 
-def surface_from_positions(ds: InitialDataSet, grid: SphereGrid, positions: np.ndarray,
-                           check_band: bool = True,
-                           offsets: Optional[np.ndarray] = None) -> EmbeddedSurface:
-    """Assemble an EmbeddedSurface from node positions (fundamental-forms core).
+def chord_derivatives(grid: SphereGrid, phi: Optional[HarmonicField]):
+    """(1 + phi, d1, d2): the first and second (theta, phi) derivatives of the
+    chord (1 + phi(x)) x in closed form, from those of phi and of x (`phi`
+    None is 0).  Raises NonEmbedded where 1 + phi <= 0."""
+    phi_vals, dphi1, dphi2 = synthesize_derivatives(
+        HarmonicField.zero(0) if phi is None else phi, grid)
+    factor = 1.0 + phi_vals
+    if np.any(factor <= 0):
+        raise NonEmbedded(f"1 + phi reaches {factor.min():.3g} <= 0; surface not embedded")
+    x1, x2 = grid.embedding_derivatives
+    x = grid.nodes
+    d1 = factor[:, None, None] * x1 + dphi1[:, :, None] * x[:, None, :]
+    d2 = (factor[:, None, None, None] * x2
+          + dphi2[:, :, :, None] * x[:, None, None, :]
+          + dphi1[:, :, None, None] * x1[:, None, :, :]
+          + dphi1[:, None, :, None] * x1[:, :, None, :])
+    return factor, d1, d2
 
-    The embedding is differentiated in the chart of the data set and the
-    geometry assembled there with `ambient_fields` at the nodes.  No
-    rescaling is needed for small surfaces: rounding error is relative, so
-    it does not depend on the units of the chart.  `offsets`, when given,
-    are the node positions relative to some nearby reference point, carried
-    at full relative accuracy (the builders supply them; positions alone
-    lose accuracy when the surface sits far from the chart origin).
-    """
-    positions = np.asarray(positions, dtype=float)
-    rel = positions if offsets is None else np.asarray(offsets, dtype=float)
-    d1, d2 = spectral_embedding_derivatives(grid, rel, check=check_band)
+
+def _surface(ds: InitialDataSet, grid: SphereGrid, positions, d1, d2) -> EmbeddedSurface:
     amb = ambient_fields(ds, positions)
     return EmbeddedSurface(dataset=ds, grid=grid, positions=positions, ambient=amb,
                            **geometry_from_embedding(grid, d1, d2, amb))
+
+
+def surface_from_positions(ds: InitialDataSet, grid: SphereGrid, positions: np.ndarray,
+                           check_band: bool = True) -> EmbeddedSurface:
+    """Assemble an EmbeddedSurface from node positions alone, differentiated
+    spectrally, in the chart of the data set."""
+    positions = np.asarray(positions, dtype=float)
+    return _surface(ds, grid, positions,
+                    *spectral_embedding_derivatives(grid, positions, check=check_band))
 
 
 def graph_surface(ds: InitialDataSet, center, tau, radius: float,
@@ -152,6 +165,9 @@ def graph_surface(ds: InitialDataSet, center, tau, radius: float,
                   check_band: bool = True) -> EmbeddedSurface:
     """Radial graph over the geodesic sphere: exp_c(r x (1 + phi(x))).
 
+    Only the rays' deviation xi (`RayFan.deviations_at`) is differentiated
+    spectrally, with the band check if `check_band`; the chord adds
+    `chord_derivatives` times r frame^T.
     `phi` is the full radial factor (any r^2 normalization is the caller's).
     Passing a prebuilt RayFan for the same center/grid skips re-integration.
     `n_steps` is checked and sets nothing; perfbench binds it.
@@ -159,20 +175,18 @@ def graph_surface(ds: InitialDataSet, center, tau, radius: float,
     if not (np.isfinite(radius) and radius > 0):
         raise InvalidParams(f"radius must be finite and positive, got {radius}")
     as_count(n_steps, "n_steps")
-    if phi is None:
-        phi_vals = np.zeros(grid.n_nodes)
-    else:
-        phi_vals = synthesize(phi, grid)
-    factor = 1.0 + phi_vals
-    if np.any(factor <= 0):
-        raise NonEmbedded(f"1 + phi reaches {factor.min():.3g} <= 0; surface not embedded")
+    factor, c1, c2 = chord_derivatives(grid, phi)
     s = radius * factor
     if fan is None:
         center_pt, frame = transported_center_frame(ds, center, tau)
         fan = RayFan(ds, center_pt, frame, grid.nodes, s_max=float(np.max(s)))
-    offsets = fan.offsets_at(s)
-    return surface_from_positions(ds, grid, fan.center + offsets, check_band=check_band,
-                                  offsets=offsets)
+    xi = fan.deviations_at(s)
+    d1, d2 = spectral_embedding_derivatives(grid, xi, check=check_band)
+    chord_to_chart = radius * fan.frame.T
+    d1 += (c1.reshape(-1, 3) @ chord_to_chart).reshape(d1.shape)
+    d2 += (c2.reshape(-1, 3) @ chord_to_chart).reshape(d2.shape)
+    positions = fan.center + (factor[:, None] * grid.nodes) @ chord_to_chart + xi
+    return _surface(ds, grid, positions, d1, d2)
 
 
 def geodesic_sphere(ds: InitialDataSet, center, tau, radius: float,
@@ -183,14 +197,13 @@ def geodesic_sphere(ds: InitialDataSet, center, tau, radius: float,
 
 def coordinate_sphere(ds: InitialDataSet, center, radius: float,
                       grid: SphereGrid) -> EmbeddedSurface:
-    """Euclidean coordinate sphere embedded directly (no geodesic shooting).
-
-    Useful where radial geodesics are unavailable, e.g. spheres centered on
-    the Schwarzschild puncture.
+    """Euclidean coordinate sphere embedded directly (no geodesic shooting):
+    the graph with xi = 0 and phi = 0.  Useful where radial geodesics are
+    unavailable, e.g. spheres centered on the Schwarzschild puncture.
     """
     center = as_point(center, "center")
-    offsets = radius * grid.nodes
-    return surface_from_positions(ds, grid, center + offsets, offsets=offsets)
+    _, d1, d2 = chord_derivatives(grid, None)
+    return _surface(ds, grid, center + radius * grid.nodes, radius * d1, radius * d2)
 
 
 def surface_to_csv(surface: EmbeddedSurface, path) -> None:

@@ -216,14 +216,37 @@ class TestRescalingIdentity:
                                   * (resc.values - r ** 3 * phys.values) ** 2))
             assert diff < 1e-9 * resc.l2_norm
 
+    @pytest.mark.parametrize("shape, bound", [((32, 64), 5e-12), ((64, 128), 5e-11)],
+                             ids=["32x64", "64x128"])
+    def test_identity_at_the_rounding_floor(self, conformal_k, shape, bound):
+        # the inputs of acceptance criterion 5; with the chord differentiated
+        # in closed form on both sides the worst error reads 1.6e-12 and
+        # 4.6e-12 (differentiating positions: 2.5e-11 and 5.3e-10)
+        grid = default_grid(*shape)
+        rng = np.random.default_rng(7)
+        worst = 0.0
+        for _ in range(10):
+            r, lam = rng.uniform(0.02, 0.1), rng.uniform(-1.0, 1.0)
+            tau = rng.normal(size=3) * 0.01
+            coeffs = np.zeros(81)
+            for l in range(2, 9):
+                coeffs[l * l:(l + 1) ** 2] = rng.normal(size=2 * l + 1) * 0.02 / (1 + l) ** 3
+            phi = HarmonicField(coeffs, 8)
+            resc = rescaled_phi(conformal_k, ORIGIN, tau, r, phi, lam, grid, n_steps=12)
+            phys = el_residual(conformal_k, graph_surface(conformal_k, ORIGIN, tau, r, phi, grid),
+                               lam)
+            diff = np.sqrt(np.sum(grid.weights * (resc.values - r ** 3 * phys.values) ** 2))
+            worst = max(worst, diff / resc.l2_norm)
+        assert worst <= bound
+
     @pytest.mark.parametrize("r", [0.05, 0.1])
     def test_identity_does_not_depend_on_a_step_count(self, r):
         # the polynomial data of tests/test_surface.py (seed 5) with perfbench's
         # n_steps=12, which sets no step: within 1e-9 at both radii (measured
-        # 1.7e-10 and 1.5e-10; the 12-step RK4 bundle read 1.6e-9 and 2.5e-8 on
+        # 7.8e-12 and 2.0e-11; the 12-step RK4 bundle read 1.6e-9 and 2.5e-8 on
         # 32 x 64).  On 48 x 96, since at r = 0.1 the graph surface needs more
         # than the 32 x 64 grid's band limit 20: there the identity reads
-        # 1.03e-9 with any bundle, and 1.5e-10 once the grid resolves both sides.
+        # 1.0e-9 with any bundle, and 2.0e-11 once the grid resolves both sides.
         c4 = np.random.default_rng(5).normal(size=(3, 3, 3, 3))
         c4 = c4 + c4.transpose(1, 0, 2, 3)
         ds = preset("polynomial", g_quadratic=0.05 * (c4 + c4.transpose(0, 1, 3, 2)))

@@ -95,6 +95,21 @@ class TestSolveCritical:
         with pytest.raises(InvalidParams):
             solve_critical(flat, ORIGIN, r, grid=grid, **kwargs)
 
+    def test_converges_below_the_old_position_floor(self, conformal_k, grid):
+        # graphs differentiate only the ray deviation, so the residual floor
+        # at r = 0.05 sits near 1e-10 (differentiating positions: 1.8e-9)
+        sol = solve_critical(conformal_k, ORIGIN, 0.05, grid=grid, tol=3e-10)
+        assert sol.converged
+        assert sol.residual_norm < 3e-10
+
+    def test_fine_grid_converges_at_the_default_tol(self, conformal_k):
+        # 96 x 192 at solver band limit 24: differentiating positions left a
+        # floor of 1.05e-7, above the default tol
+        sol = solve_critical(conformal_k, ORIGIN, 0.05, grid=SphereGrid(96, 192, 40),
+                             band_limit=24)
+        assert sol.converged
+        assert sol.residual_norm < 1e-7
+
     def test_nonconvergence_raises(self, conformal_k, grid):
         with pytest.raises(NonConvergence):
             solve_critical(conformal_k, ORIGIN, 0.05, grid=grid, max_iter=1,

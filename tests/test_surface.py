@@ -286,7 +286,7 @@ def test_ray_fan_matches_exp_map(conformal, small_grid):
     fan = RayFan(conformal, center, frame, small_grid.nodes, s_max=0.12, n_steps=64)
     s = np.full(small_grid.n_nodes, 0.0735)
     direct = _reference_exp(conformal, center, 0.0735 * (small_grid.nodes @ frame.T))
-    assert np.abs(fan.positions_at(s) - direct).max() < 1e-12
+    assert np.abs(fan.center + fan.offsets_at(s) - direct).max() < 1e-12
 
 
 def _unit_directions(n, seed):

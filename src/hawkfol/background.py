@@ -8,6 +8,10 @@ derivatives, covariant derivatives of k) are assembled here.
 
 Index conventions
 -----------------
+Public arrays are node-first (point axes, then tensor axes).  The curvature
+kernels are node-last, tensor axes first and the point axes last, so each
+contraction loops along the points; node-first callers pass `_node_last` views.
+
 dg[..., l, i, j]        partial_l g_ij
 d2g[..., l, m, i, j]    partial_l partial_m g_ij
 christoffel[..., i, j, k]   Gamma^i_{jk}
@@ -183,11 +187,16 @@ def _stencil_jet(values, chart_radius) -> Jet:
 
 
 # ----------------------------------------------------------------------
-# pointwise curvature algebra
+# pointwise curvature algebra (node-last: tensor axes first, points last)
 # ----------------------------------------------------------------------
 
+def _node_last(a, rank):
+    """View of a node-first array with its last `rank` (tensor) axes moved first."""
+    return np.moveaxis(a, range(a.ndim - rank, a.ndim), range(rank))
+
+
 def _inverse_metric(g):
-    """Closed-form inverse of a batch of metrics through g = L D L^T.
+    """Closed-form inverse of a batch of metrics g [i, j, ...] through g = L D L^T.
 
     The pivots D are the ratios of consecutive leading minors (g_00, the 2x2
     minor, det), so requiring them positive is Sylvester's test; any failing
@@ -196,12 +205,12 @@ def _inverse_metric(g):
     cond(g) * eps when two eigenvalues are small.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
-        d0 = g[..., 0, 0]
-        l1, l2 = g[..., 1, 0] / d0, g[..., 2, 0] / d0
-        d1 = g[..., 1, 1] - l1 * g[..., 1, 0]
-        s21 = g[..., 2, 1] - l2 * g[..., 1, 0]
+        d0 = g[0, 0]
+        l1, l2 = g[1, 0] / d0, g[2, 0] / d0
+        d1 = g[1, 1] - l1 * g[1, 0]
+        s21 = g[2, 1] - l2 * g[1, 0]
         l21 = s21 / d1
-        d2 = g[..., 2, 2] - l2 * g[..., 2, 0] - l21 * s21
+        d2 = g[2, 2] - l2 * g[2, 0] - l21 * s21
     if not (np.all(d0 > 0) and np.all(d1 > 0) and np.all(d2 > 0)):
         raise DegenerateMetric("metric is not positive definite")
     i1, i2 = 1.0 / d1, 1.0 / d2
@@ -209,65 +218,64 @@ def _inverse_metric(g):
     x01, x02, x12 = -l1 * i1 - a * l21 * i2, a * i2, -l21 * i2
     return np.stack([1.0 / d0 + l1 * l1 * i1 + a * a * i2, x01, x02,
                      x01, i1 + l21 * l21 * i2, x12,
-                     x02, x12, i2], axis=-1).reshape(g.shape)
+                     x02, x12, i2]).reshape(g.shape)
 
 
-def _bracket(dg):
-    """d_j g_lk + d_k g_lj - d_l g_jk in layout [..., l, j, k] (any leading axes)."""
-    return np.einsum("...jlk->...ljk", dg) + np.einsum("...klj->...ljk", dg) - dg
+def _bracket(dg, lead=0):
+    """d_j g_lk + d_k g_lj - d_l g_jk in layout [l, j, k, ...], after `lead` axes."""
+    return np.swapaxes(dg, lead, lead + 1) + np.moveaxis(dg, lead, lead + 2) - dg
 
 
 def christoffel_from(g_inv, dg):
-    """Gamma^i_{jk} from the inverse metric and metric gradient."""
-    s = _bracket(dg)
-    return 0.5 * (g_inv @ s.reshape(s.shape[:-3] + (3, 9))).reshape(s.shape)
+    """Gamma^i_{jk} [i, j, k, ...] from the inverse metric and metric gradient."""
+    return 0.5 * np.einsum("il...,ljk...->ijk...", g_inv, _bracket(dg))
 
 
 def dchristoffel_from(g_inv, dg, d2g, gamma):
-    """partial_m Gamma^i_{jk}, layout [..., m, i, j, k], from differentiating
+    """partial_m Gamma^i_{jk}, layout [m, i, j, k, ...], from differentiating
     g Gamma = S / 2 (S the bracket of dg): g^-1 (d_m S / 2 - d_m g Gamma)."""
-    lead = gamma.shape[:-3]
-    lowered = (0.5 * _bracket(d2g).reshape(lead + (3, 3, 9))
-               - dg @ gamma.reshape(lead + (1, 3, 9)))
-    return (g_inv[..., None, :, :] @ lowered).reshape(lead + (3, 3, 3, 3))
+    lowered = _bracket(d2g, 1)
+    lowered *= 0.5
+    lowered -= np.einsum("mlp...,pjk...->mljk...", dg, gamma)
+    return np.einsum("il...,mljk...->mijk...", g_inv, lowered)
 
 
 def riemann_from(g, gamma, dgamma):
-    """Fully covariant Rm_ijkl from Gamma and its gradient.
+    """Fully covariant Rm_ijkl [i, j, k, l, ...] from Gamma and its gradient.
 
     R^a_{jkl} = d_k Gamma^a_{lj} - d_l Gamma^a_{kj}
                 + Gamma^a_{km} Gamma^m_{lj} - Gamma^a_{lm} Gamma^m_{kj}
     """
-    term = (np.einsum("...kalj->...ajkl", dgamma)
-            - np.einsum("...lakj->...ajkl", dgamma)
-            + np.einsum("...akm,...mlj->...ajkl", gamma, gamma)
-            - np.einsum("...alm,...mkj->...ajkl", gamma, gamma))
-    return np.einsum("...ia,...ajkl->...ijkl", g, term)
+    term = (np.einsum("kalj...->ajkl...", dgamma)
+            - np.einsum("lakj...->ajkl...", dgamma)
+            + np.einsum("akm...,mlj...->ajkl...", gamma, gamma)
+            - np.einsum("alm...,mkj...->ajkl...", gamma, gamma))
+    return np.einsum("ia...,ajkl...->ijkl...", g, term)
 
 
 def ricci_from(gamma, dgamma):
-    """Ric_jl = R^a_{jal}."""
-    return (np.einsum("...aalj->...jl", dgamma)
-            - np.einsum("...laaj->...jl", dgamma)
-            + np.einsum("...aam,...mlj->...jl", gamma, gamma)
-            - np.einsum("...alm,...maj->...jl", gamma, gamma))
+    """Ric_jl = R^a_{jal} [j, l, ...]."""
+    return (np.einsum("aalj...->jl...", dgamma)
+            - np.einsum("laaj...->jl...", dgamma)
+            + np.einsum("aam...,mlj...->jl...", gamma, gamma)
+            - np.einsum("alm...,maj...->jl...", gamma, gamma))
 
 
 def _curvature_chain(ds: InitialDataSet, pts):
-    """The staged chain g -> g^-1 -> Gamma -> d Gamma -> Ric at a batch of points."""
-    g = ds.metric_jet(pts, 0)
+    """The staged chain g -> g^-1 -> Gamma -> d Gamma -> Ric at points (n, 3), node-last."""
+    g, dg, d2g = (np.ascontiguousarray(np.moveaxis(ds.metric_jet(pts, n), 0, -1))
+                  for n in range(3))
     g_inv = _inverse_metric(g)
-    dg = ds.metric_jet(pts, 1)
     gamma = christoffel_from(g_inv, dg)
-    dgamma = dchristoffel_from(g_inv, dg, ds.metric_jet(pts, 2), gamma)
+    dgamma = dchristoffel_from(g_inv, dg, d2g, gamma)
     return g, g_inv, gamma, dgamma, ricci_from(gamma, dgamma)
 
 
 def _covariant_d(dt, gamma, t):
     """nabla_s T_ij = partial_s T_ij - Gamma^l_{si} T_lj - Gamma^l_{sj} T_il of a
-    2-tensor T from its partial derivatives dt [..., s, i, j]."""
-    return (dt - np.einsum("...lsi,...lj->...sij", gamma, t)
-            - np.einsum("...lsj,...il->...sij", gamma, t))
+    2-tensor T from its partial derivatives dt [s, i, j, ...]."""
+    return (dt - np.einsum("lsi...,lj...->sij...", gamma, t)
+            - np.einsum("lsj...,il...->sij...", gamma, t))
 
 
 def _in_frame(frame, t):
@@ -333,12 +341,13 @@ def ambient_fields(ds: InitialDataSet, pts: np.ndarray) -> AmbientFields:
     """
     pts = np.asarray(pts, dtype=float)
     ds.check_chart(pts)
-    g, g_inv, gamma, _, ric = _curvature_chain(ds, pts)
-    k = ds.k_jet(pts, 0)
-    trk = np.einsum("...ij,...ij->...", g_inv, k)
-    return AmbientFields(points=pts, metric=g, metric_inv=g_inv, christoffel=gamma,
-                         ricci=ric, k=k, k_trace=trk,
-                         grad_k=_covariant_d(ds.k_jet(pts, 1), gamma, k))
+    flat, lead = pts.reshape(-1, 3), pts.shape[:-1]
+    g, g_inv, gamma, _, ric = _curvature_chain(ds, flat)
+    k, dk = (np.ascontiguousarray(np.moveaxis(ds.k_jet(flat, n), 0, -1)) for n in range(2))
+    fields = [g, g_inv, gamma, ric, k, np.einsum("ij...,ij...->...", g_inv, k),
+              _covariant_d(dk, gamma, k)]
+    return AmbientFields(pts, *(np.moveaxis(a, -1, 0).reshape(lead + a.shape[:-1])
+                                for a in fields))
 
 
 # ----------------------------------------------------------------------
@@ -410,10 +419,10 @@ def curvature_at(ds: InitialDataSet, x) -> CurvatureAtPoint:
     gamma, ric = amb.christoffel, amb.ricci
     grad_ric = _covariant_d(grad[:, 1:].reshape(3, 3, 3), gamma, ric)
     # Riemann needs d Gamma, which AmbientFields does not carry
-    dgamma = _curvature_chain(ds, amb.points)[3]
+    g, _, _, dgamma, _ = (a[..., 0] for a in _curvature_chain(ds, amb.points[None]))
     trk, norm_k_sq = float(amb.k_trace), float(amb.k_norm_sq)
     return CurvatureAtPoint(
-        christoffel=gamma, riemann=riemann_from(amb.metric, gamma, dgamma), ricci=ric,
+        christoffel=gamma, riemann=riemann_from(g, gamma, dgamma), ricci=ric,
         scalar=float(amb.scalar), grad_scalar=grad[:, 0], hess_scalar=hess[:, :, 0],
         grad_ricci=grad_ric, tr_k=trk, norm_k_sq=norm_k_sq, grad_k=amb.grad_k,
         traceless_k_norm_sq=norm_k_sq - trk * trk / 3.0)

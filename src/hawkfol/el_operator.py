@@ -37,7 +37,7 @@ from typing import Optional
 import numpy as np
 
 from .background import (AmbientFields, InitialDataSet, _in_frame, _inverse_metric,
-                         ambient_fields, preset)
+                         _node_last, ambient_fields, preset)
 from .errors import InvalidParams, as_count
 from .geodesic import VariationBundle, transported_center_frame
 from .grid import SphereGrid
@@ -175,7 +175,7 @@ def _rescaled_node_data(ds: InitialDataSet, center, tau, radius: float,
     df = bundle.df        # (n, a, i): manifold a, chart i
     dft = np.swapaxes(df, 1, 2)   # rows DF e_i: the pullback is the frame rule on them
     g_hat = _in_frame(dft, amb.metric)
-    g_inv = _inverse_metric(g_hat)
+    g_inv = np.moveaxis(_inverse_metric(_node_last(g_hat, 2)), (0, 1), (-2, -1))
     df_inv = g_inv @ dft @ amb.metric   # DF^-1 = ghat^-1 DF^T g
     gamma_hat = np.einsum("nkc,ncij->nkij", df_inv,
                           bundle.d2f + np.einsum("ncab,nai,nbj->ncij", amb.christoffel, df, df))

@@ -53,7 +53,7 @@ import warnings
 
 import numpy as np
 
-from .background import InitialDataSet, _inverse_metric, christoffel_from
+from .background import InitialDataSet, _inverse_metric, _node_last, christoffel_from
 from .errors import (BandLimitExceeded, ChartExceeded, DegenerateMetric, InvalidParams,
                      StepSizeUnderflow, as_count, as_point)
 from .grid import SphereGrid, default_grid
@@ -82,11 +82,11 @@ def geodesic_acceleration(ds: InitialDataSet, pts: np.ndarray, vel: np.ndarray) 
 
     v is contracted into the metric gradient first; Gamma is never formed.
     """
-    g_inv = _inverse_metric(ds.metric_jet(pts, 0))
+    g_inv = _inverse_metric(_node_last(ds.metric_jet(pts, 0), 2))
     dg_v = np.einsum("...lij,...j->...li", ds.metric_jet(pts, 1), vel)
     lowered = (2.0 * np.einsum("...jl,...j->...l", dg_v, vel)
                - np.einsum("...lj,...j->...l", dg_v, vel))
-    return -0.5 * np.einsum("...il,...l->...i", g_inv, lowered)
+    return -0.5 * np.einsum("il...,...l->...i", g_inv, lowered)
 
 
 @functools.lru_cache(maxsize=None)
@@ -241,8 +241,9 @@ def _transport(ds: InitialDataSet, base, v, *vectors):
 
     def accel(t, x, dx):
         pts = base + x[0]
-        gam = christoffel_from(_inverse_metric(ds.metric_jet(pts, 0)), ds.metric_jet(pts, 1))
-        gam_u = np.einsum("...ijk,...j->...ik", gam, dx[0])      # Gamma(u, .)
+        gam = christoffel_from(_inverse_metric(_node_last(ds.metric_jet(pts, 0), 2)),
+                               _node_last(ds.metric_jet(pts, 1), 3))
+        gam_u = np.einsum("ijk...,...j->...ik", gam, dx[0])      # Gamma(u, .)
         return (-(gam_u @ dx[0][..., None])[..., 0], *(-gam_u @ a for a in dx[1:]))
 
     vectors = tuple(np.asarray(a, dtype=float) for a in vectors)

@@ -12,7 +12,7 @@ from hawkfol import (InitialDataSet, RayFan, VariationBundle, ambient_fields,
                      concentration_scalar, curvature_at, default_grid, geodesic_acceleration,
                      initial_guess, orthonormal_frame, preset)
 from hawkfol.background import (_DERIVED_STEP, _SECOND_STEP, _fd_grad, _fd_hess,
-                                _in_frame, _inverse_metric, christoffel_from)
+                                _in_frame, _inverse_metric, _node_last, christoffel_from)
 from hawkfol.errors import (ChartExceeded, DegenerateMetric, InvalidParams,
                             UnknownPreset)
 
@@ -339,6 +339,7 @@ def test_finite_difference_acceleration_stays_in_chart():
         geodesic_acceleration(fd, x, v)
 
 
+@pytest.mark.slow
 def test_finite_difference_bundle_stays_in_chart():
     # a bundle whose ray along +x ends at radius 1.7999, where the gradient
     # stencil of the metric (1e-4) reaches 2e-4 further out: the bundle reads
@@ -409,7 +410,8 @@ def _spd_batch(seed, log_cond, n=256):
 def test_closed_form_inverse_matches_lapack(seed, log_cond):
     g = _spd_batch(seed, log_cond)
     ref = np.linalg.inv(g)
-    rel = np.abs(_inverse_metric(g) - ref).max(axis=(1, 2)) / np.abs(ref).max(axis=(1, 2))
+    g_inv = np.moveaxis(_inverse_metric(_node_last(g, 2)), (0, 1), (1, 2))
+    rel = np.abs(g_inv - ref).max(axis=(1, 2)) / np.abs(ref).max(axis=(1, 2))
     # both inverses carry a forward error of order cond * eps: the bound is
     # 1e-13 up to cond 100 and grows with cond beyond
     assert np.all(rel <= 1e-15 * np.linalg.cond(g))
@@ -430,10 +432,74 @@ def test_gamma_free_contractions_match_christoffel(seed, which, conformal_k):
     rng = np.random.default_rng(seed)
     pts = rng.uniform(-0.2, 0.2, size=(64, 3))
     vel = rng.normal(size=(64, 3))
-    gamma = christoffel_from(np.linalg.inv(ds.metric_jet(pts, 0)), ds.metric_jet(pts, 1))
+    gamma = christoffel_from(_node_last(np.linalg.inv(ds.metric_jet(pts, 0)), 2),
+                             _node_last(ds.metric_jet(pts, 1), 3))
     scale = np.abs(gamma).max() * np.abs(vel).max() ** 2
-    expected = -np.einsum("nijk,nj,nk->ni", gamma, vel, vel)
+    expected = -np.einsum("ijkn,nj,nk->ni", gamma, vel, vel)
     assert np.abs(geodesic_acceleration(ds, pts, vel) - expected).max() < 1e-13 * scale
+
+
+
+def _layout_data(which):
+    """A seeded polynomial with linear k, or Schwarzschild away from its
+    puncture, with the center of the points drawn around."""
+    if which == "schwarzschild":
+        return preset("schwarzschild_slice", mass=1.0), np.array([0.6, 0.2, -0.3])
+    rng = np.random.default_rng(11)
+    c4 = rng.normal(size=(3, 3, 3, 3))
+    c4 = c4 + c4.transpose(1, 0, 2, 3)
+    c4 = 0.05 * (c4 + c4.transpose(0, 1, 3, 2))
+    k1 = rng.normal(size=(3, 3, 3))
+    return (preset("polynomial", g_quadratic=c4, k_constant=K_GENERIC,
+                   k_linear=k1 + k1.transpose(0, 2, 1)), np.zeros(3))
+
+
+def _textbook_fields(ds, pts):
+    """g^-1, Gamma, Ric, tr k and nabla k by LAPACK and one einsum per term,
+    node-first: Gamma = g^-1 S / 2, d Gamma = d(g^-1) S / 2 + g^-1 dS / 2 with
+    d(g^-1) = -g^-1 dg g^-1, and Ric_jl = d_a Gamma^a_lj - d_l Gamma^a_aj
+    + Gamma^a_am Gamma^m_lj - Gamma^a_lm Gamma^m_aj."""
+    g_inv = np.linalg.inv(ds.metric_jet(pts, 0))
+    dg, d2g = ds.metric_jet(pts, 1), ds.metric_jet(pts, 2)
+    s = (np.einsum("...jlk->...ljk", dg) + np.einsum("...klj->...ljk", dg) - dg)
+    ds_ = (np.einsum("...mjlk->...mljk", d2g) + np.einsum("...mklj->...mljk", d2g) - d2g)
+    gamma = 0.5 * np.einsum("...il,...ljk->...ijk", g_inv, s)
+    dg_inv = -np.einsum("...ia,...mab,...bl->...mil", g_inv, dg, g_inv)
+    dgamma = 0.5 * (np.einsum("...mil,...ljk->...mijk", dg_inv, s)
+                    + np.einsum("...il,...mljk->...mijk", g_inv, ds_))
+    ricci = (np.einsum("...aalj->...jl", dgamma) - np.einsum("...laaj->...jl", dgamma)
+             + np.einsum("...aam,...mlj->...jl", gamma, gamma)
+             - np.einsum("...alm,...maj->...jl", gamma, gamma))
+    k, dk = ds.k_jet(pts, 0), ds.k_jet(pts, 1)
+    grad_k = (dk - np.einsum("...lsi,...lj->...sij", gamma, k)
+              - np.einsum("...lsj,...il->...sij", gamma, k))
+    return {"metric_inv": g_inv, "christoffel": gamma, "ricci": ricci,
+            "k_trace": np.einsum("...ij,...ij->...", g_inv, k), "grad_k": grad_k}
+
+
+@settings(max_examples=30, deadline=None)
+@given(shape=st.lists(st.integers(1, 6), max_size=2), seed=st.integers(0, 2 ** 32 - 1),
+       which=st.sampled_from(["polynomial", "schwarzschild"]))
+def test_ambient_fields_match_textbook_chain(shape, seed, which):
+    """The node-last chain against node-first LAPACK and einsums, for a single
+    point and for batches with one or two point axes."""
+    ds, center = _layout_data(which)
+    pts = center + np.random.default_rng(seed).uniform(-0.15, 0.15, size=(*shape, 3))
+    amb = ambient_fields(ds, pts)
+    for name, ref in _textbook_fields(ds, pts).items():
+        got = getattr(amb, name)
+        assert got.shape == ref.shape == tuple(shape) + ref.shape[len(shape):]
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max(), name
+
+
+@pytest.mark.parametrize("which", ["polynomial", "schwarzschild"])
+def test_riemann_contracts_to_the_fast_ricci(which):
+    # the full Rm of curvature_at, traced by g^-1, is the Ricci of ambient_fields
+    ds, center = _layout_data(which)
+    x = center + np.array([0.07, -0.04, 0.1])
+    amb = ambient_fields(ds, x)
+    traced = np.einsum("ab,bjal->jl", amb.metric_inv, curvature_at(ds, x).riemann)
+    assert np.abs(traced - amb.ricci).max() <= 1e-14 * np.abs(amb.ricci).max()
 
 
 _BAD_NODE = {

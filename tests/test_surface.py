@@ -15,7 +15,8 @@ from hawkfol import (HarmonicField, RayFan, VariationBundle, geodesic,
                      transported_center_frame)
 from hawkfol.errors import (BandLimitExceeded, ChartExceeded, DegenerateInducedMetric,
                             DegenerateMetric, InvalidParams, NonEmbedded, StepSizeUnderflow)
-from hawkfol.background import _SYM6, _fd_grad, christoffel_from, dchristoffel_from
+from hawkfol.background import (_SYM6, _fd_grad, _node_last, christoffel_from,
+                                dchristoffel_from)
 from hawkfol.surface import geometry_from_embedding
 
 ORIGIN = np.zeros(3)
@@ -23,9 +24,15 @@ TAU = np.array([0.01, 0.0, 0.0])
 K_GENERIC = np.array([[0.3, 0.1, 0.0], [0.1, -0.2, 0.05], [0.0, 0.05, 0.4]])
 
 
+def _node_first(a, rank):
+    """View of a node-last kernel result with its `rank` tensor axes moved last."""
+    return np.moveaxis(a, range(rank), range(-rank, 0))
+
+
 def _gamma_at(ds, pts):
     """Christoffel symbols for the oracles, independent of the geodesic kernel."""
-    return christoffel_from(np.linalg.inv(ds.metric_jet(pts, 0)), ds.metric_jet(pts, 1))
+    return _node_first(christoffel_from(_node_last(np.linalg.inv(ds.metric_jet(pts, 0)), 2),
+                                        _node_last(ds.metric_jet(pts, 1), 3)), 3)
 
 
 def _rk4(rhs, state, h, n_steps):
@@ -90,10 +97,13 @@ def _reference_bundle(ds, center, frame, directions, radii, n_steps):
         g_inv = np.linalg.inv(ds.metric_jet(x, 0))
         dg, d2g = ds.metric_jet(x, 1), ds.metric_jet(x, 2)
         d3g = _fd_grad(lambda q: ds.metric_jet(q, 2), x, 1e-3)
-        gam = christoffel_from(g_inv, dg)
+        g_inv_t, dg_t = _node_last(g_inv, 2), _node_last(dg, 3)
+        gam_t = christoffel_from(g_inv_t, dg_t)
+        gam = _node_first(gam_t, 3)
         gam_v = np.einsum("nijk,nk->nij", gam, v)
         gam_vv = np.einsum("nij,nj->ni", gam_v, v)
-        dgam_v = np.einsum("nmijk,nk->nmij", dchristoffel_from(g_inv, dg, d2g, gam), v)
+        dgam = dchristoffel_from(g_inv_t, dg_t, _node_last(d2g, 4), gam_t)
+        dgam_v = np.einsum("mijkn,nk->nmij", dgam, v)
         dgam_vv = np.einsum("nmij,nj->nmi", dgam_v, v)
         dg_dgam = np.einsum("nmil,nql->nmqi", dg, dgam_vv)
         lowered = ((d2g @ gam_vv[:, None, None, :, None])[..., 0] + dg_dgam
@@ -298,7 +308,8 @@ def _unit_directions(n, seed):
 _FAN_CASES = pytest.mark.parametrize("which, center, r, band", [
     ("conformal_k", (0.05, -0.02, 0.03), 0.05, 8),
     ("conformal_k", (0.05, -0.02, 0.03), 0.5, 8),
-    ("polynomial", (0.05, -0.02, 0.03), 0.2, 20),    # the tail at band limit 8 is 2e-7
+    pytest.param("polynomial", (0.05, -0.02, 0.03), 0.2, 20,   # the tail at band 8 is 2e-7
+                 marks=pytest.mark.slow),
     ("schwarzschild", (2.0, 0.0, 0.0), 0.5, 16),     # off the puncture
     ("polynomial", (0.05, -0.02, 0.03), 0.2, None),  # 150 directions, fewer than 200 rays
 ], ids=["conformal_k-0.05", "conformal_k-0.5", "polynomial-0.2", "schwarzschild-0.5",
@@ -467,18 +478,19 @@ def _non_conformal_polynomial(seed=4):
 def test_christoffel_derivative_algebra_against_stencils(which, x, conformal_k):
     # dGamma closed-form assembly versus a direct stencil on the pointwise
     # Christoffel map
-    from hawkfol.background import (_fd_grad, _inverse_metric, christoffel_from,
-                                    dchristoffel_from)
+    from hawkfol.background import _inverse_metric
     ds = {"conformal_k": conformal_k, "polynomial": _non_conformal_polynomial(),
           "schwarzschild": preset("schwarzschild_slice", mass=1.0)}[which]
     pts = np.array([x])
-    g_inv = _inverse_metric(ds.metric_jet(pts, 0))
-    dg = ds.metric_jet(pts, 1)
+    g_inv = _inverse_metric(_node_last(ds.metric_jet(pts, 0), 2))
+    dg = _node_last(ds.metric_jet(pts, 1), 3)
 
     def gamma_map(q):
-        return christoffel_from(_inverse_metric(ds.metric_jet(q, 0)), ds.metric_jet(q, 1))
+        return _node_first(christoffel_from(_inverse_metric(_node_last(ds.metric_jet(q, 0), 2)),
+                                            _node_last(ds.metric_jet(q, 1), 3)), 3)
 
-    dgam = dchristoffel_from(g_inv, dg, ds.metric_jet(pts, 2), christoffel_from(g_inv, dg))[0]
+    dgam = dchristoffel_from(g_inv, dg, _node_last(ds.metric_jet(pts, 2), 4),
+                             christoffel_from(g_inv, dg))[..., 0]
     assert np.abs(dgam - _fd_grad(gamma_map, pts, 1e-4)[0]).max() < 1e-9
 
 

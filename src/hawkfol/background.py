@@ -9,8 +9,11 @@ derivatives, covariant derivatives of k) are assembled here.
 Index conventions
 -----------------
 Public arrays are node-first (point axes, then tensor axes).  The curvature
-kernels are node-last, tensor axes first and the point axes last, so each
-contraction loops along the points; node-first callers pass `_node_last` views.
+kernels and the frame rule `_in_frame` are node-last, tensor axes first and
+the point axes last, so each contraction loops along the points.  The fields
+of `ambient_fields` are node-first views of C-contiguous node-last arrays,
+which `_node_last` returns without a copy; other node-first callers pass
+strided `_node_last` views to the same kernels.
 
 dg[..., l, i, j]        partial_l g_ij
 d2g[..., l, m, i, j]    partial_l partial_m g_ij
@@ -77,7 +80,8 @@ class InitialDataSet:
         tensor axes (see the module docstring for the index layout).
     k_jet : callable
         The same for k, n = 0 and 1.  Either jet raises InvalidParams for
-        any other order.
+        any other order.  An output may be a read-only broadcast view (see
+        `_from_jets`); no caller writes into one.
     chart_radius : float
         Coordinate validity radius; evaluating the data at |x| >=
         chart_radius raises ChartExceeded.
@@ -195,6 +199,13 @@ def _node_last(a, rank):
     return np.moveaxis(a, range(a.ndim - rank, a.ndim), range(rank))
 
 
+def _node_first(a, lead=None):
+    """Node-first view of a node-last array [..., n]: the point axis moved
+    first and split into the point axes `lead` (default: one axis)."""
+    a = np.moveaxis(a, -1, 0)
+    return a if lead is None else a.reshape(lead + a.shape[1:])
+
+
 def _inverse_metric(g):
     """Closed-form inverse of a batch of metrics g [i, j, ...] through g = L D L^T.
 
@@ -254,11 +265,13 @@ def riemann_from(g, gamma, dgamma):
 
 
 def ricci_from(gamma, dgamma):
-    """Ric_jl = R^a_{jal} [j, l, ...]."""
-    return (np.einsum("aalj...->jl...", dgamma)
-            - np.einsum("laaj...->jl...", dgamma)
-            + np.einsum("aam...,mlj...->jl...", gamma, gamma)
-            - np.einsum("alm...,maj...->jl...", gamma, gamma))
+    """Ric_jl = R^a_{jal} [j, l, ...].  The einsums lay their output out in
+    the stride order of their inputs, l before j, so one copy makes it
+    C-contiguous."""
+    return np.ascontiguousarray(np.einsum("aalj...->jl...", dgamma)
+                                - np.einsum("laaj...->jl...", dgamma)
+                                + np.einsum("aam...,mlj...->jl...", gamma, gamma)
+                                - np.einsum("alm...,maj...->jl...", gamma, gamma))
 
 
 def _curvature_chain(ds: InitialDataSet, pts):
@@ -278,19 +291,19 @@ def _covariant_d(dt, gamma, t):
             - np.einsum("lsj...,il...->sij...", gamma, t))
 
 
-def _in_frame(frame, t):
-    """Components of a covariant tensor t on the rows e_a of a frame (..., m, 3).
+def _in_frame(frame, t, lead=0):
+    """Components of a covariant tensor t on the rows e_a of a frame [a, i, n].
 
-    A 2-tensor [..., i, j] gives t(e_a, e_b) [..., a, b]; a 3-tensor
-    [..., s, i, j] such as grad k gives t(e_c, e_a, e_b) [..., c, a, b].  Each
-    slot is one batched matmul: contract the first slot, move its frame index
-    last.
+    Node-last: a 2-tensor [i, j, n] gives t(e_a, e_b) [a, b, n] and a
+    3-tensor [s, i, j, n] such as grad k gives t(e_c, e_a, e_b) [c, a, b, n].
+    The first `lead` axes are carried along, so Gamma [i, j, k, n] with
+    lead 1 gives Gamma(e_a, e_b) [i, a, b, n].  Each slot is one einsum along
+    the points, with the frame index in the slot's place.
     """
-    lead, m = frame.shape[:-2], frame.shape[-2]
-    for _ in range(t.ndim - len(lead)):
-        rest = t.shape[len(lead) + 1:]
-        t = np.moveaxis((frame @ t.reshape(lead + (3, -1))).reshape(lead + (m,) + rest),
-                        len(lead), -1)
+    axes = list(range(t.ndim))
+    for slot in range(lead, t.ndim - 1):
+        t = np.einsum(frame, [t.ndim, slot, t.ndim - 1], t, axes,
+                      axes[:slot] + [t.ndim] + axes[slot + 1:])
     return t
 
 
@@ -346,8 +359,7 @@ def ambient_fields(ds: InitialDataSet, pts: np.ndarray) -> AmbientFields:
     k, dk = (np.ascontiguousarray(np.moveaxis(ds.k_jet(flat, n), 0, -1)) for n in range(2))
     fields = [g, g_inv, gamma, ric, k, np.einsum("ij...,ij...->...", g_inv, k),
               _covariant_d(dk, gamma, k)]
-    return AmbientFields(pts, *(np.moveaxis(a, -1, 0).reshape(lead + a.shape[:-1])
-                                for a in fields))
+    return AmbientFields(pts, *(_node_first(a, lead) for a in fields))
 
 
 # ----------------------------------------------------------------------
@@ -455,13 +467,15 @@ def _as_sym3(a, what):
 def _from_jets(g, k, chart_radius, name):
     """The closed-form data set with the jets g and k; every preset is built
     here.  An order that is the same at every point may leave out the point
-    axes.  Each order is its own branch, so no jet builds a higher derivative.
+    axes; it is returned as a read-only broadcast view, which the node-last
+    copy in `_curvature_chain` or `ambient_fields` reads once.  Each order is
+    its own branch, so no jet builds a higher derivative.
     """
     def broadcast(jet):
         def full(pts, n):
             pts = np.asarray(pts, dtype=float)
             out, shape = jet(pts, n), pts.shape[:-1] + (3,) * (n + 2)
-            return out if out.shape == shape else np.broadcast_to(out, shape).copy()
+            return out if out.shape == shape else np.broadcast_to(out, shape)
         return full
     return InitialDataSet(broadcast(g), broadcast(k), chart_radius, name)
 

@@ -25,7 +25,10 @@ chart of the data set, with the surface's own fields, and the rescaled
 operator in the ball coordinates stretched by 1/r, where
 `AmbientFields.rescaled` carries the ambient data.  The terms read k and
 grad k on the frame (X_theta, X_phi, nu), and the rescaled operator pulls g,
-k, Ric and grad k back on the rows of DF^T, both through `_in_frame`.
+k, Ric, grad k and Gamma back on the rows of DF^T, both through `_in_frame`.
+Both run node-last on the node-first views that `ambient_fields` and
+`geometry_from_embedding` return, and the pulled-back fields are views of
+node-last arrays in the same way.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from typing import Optional
 import numpy as np
 
 from .background import (AmbientFields, InitialDataSet, _in_frame, _inverse_metric,
-                         _node_last, ambient_fields, preset)
+                         _node_first, _node_last, ambient_fields, preset)
 from .errors import InvalidParams, as_count
 from .geodesic import VariationBundle, transported_center_frame
 from .grid import SphereGrid
@@ -79,8 +82,9 @@ class ResidualField:
 
 def _laplacian(grid: SphereGrid, metric_inv, gamma_sigma, values):
     _, d1f, d2f = synthesize_derivatives(analyze_compensated(grid, values), grid)
-    correction = np.einsum("ncab,nc->nab", gamma_sigma, d1f)
-    return np.einsum("nab,nab->n", metric_inv, d2f - correction)
+    correction = np.einsum("cab...,c...->ab...", _node_last(gamma_sigma, 3), d1f.T)
+    return np.einsum("ab...,ab...->...", _node_last(metric_inv, 2),
+                     np.moveaxis(d2f, 0, -1) - correction)
 
 
 def laplace_beltrami(surface: EmbeddedSurface, values: np.ndarray) -> np.ndarray:
@@ -101,37 +105,34 @@ def _residual_terms(grid, geo, amb: AmbientFields, lam):
     components `amb` holds.  Returns a dict of per-node arrays; the residual
     is their sum.
     """
-    h = geo["mean_curvature"]
-    nu = geo["normal"]
-    ginv_s = geo["metric_inv"]
-    b = geo["second_form"]
-    p = geo["p_trace"]
+    h, p = geo["mean_curvature"], geo["p_trace"]
+    ginv_s, b = _node_last(geo["metric_inv"], 2), _node_last(geo["second_form"], 2)
 
-    # k and grad k on the frame (X_theta, X_phi, nu); its inverse metric is
-    # diag(g_Sigma^-1, 1), so a trace less its (nu, nu) entry is a tangent trace
-    frame = np.concatenate([geo["d1"], nu[:, None]], axis=1)
-    k_f = _in_frame(frame, amb.k)          # k(e_a, e_b)
-    dk_f = _in_frame(frame, amb.grad_k)    # grad_{e_c} k(e_a, e_b)
-
-    def tangent_trace(t):                  # g_Sigma^ab t_ab over the last two axes
-        return np.einsum("nab,n...ab->n...", ginv_s, t[..., :2, :2])
+    # k and grad k on the frame (X_theta, X_phi, nu), node-last; its inverse
+    # metric is diag(g_Sigma^-1, 1), so a trace less its (nu, nu) entry is a
+    # tangent trace
+    frame = np.concatenate([_node_last(geo["d1"], 2), _node_last(geo["normal"], 1)[None]])
+    k_f = _in_frame(frame, _node_last(amb.k, 2))          # k(e_a, e_b)
+    dk_f = _in_frame(frame, _node_last(amb.grad_k, 3))    # grad_{e_c} k(e_a, e_b)
 
     # grad_c tr k - grad_c k(nu, nu) for c = X_theta, X_phi, nu
-    grad_tan = tangent_trace(dk_f)
-    b_mixed = b @ ginv_s                   # B_a^b
+    grad_tan = np.einsum("ab...,cab...->c...", ginv_s, dk_f[:, :2, :2])
+    b_mixed = np.einsum("ac...,cb...->ab...", b, ginv_s)   # B_a^b
     # div_Sigma(k(., nu)) via the expanded first-variation identity
-    div_sigma = (tangent_trace(dk_f[..., 2]) - h * k_f[:, 2, 2]
-                 + tangent_trace(b_mixed @ k_f[:, :2, :2]))
+    div_sigma = (np.einsum("ca...,ca...->...", ginv_s, dk_f[:2, :2, 2]) - h * k_f[2, 2]
+                 + np.einsum("ab...,ab...->...", ginv_s,
+                             np.einsum("ac...,cb...->ab...", b_mixed, k_f[:2, :2])))
     # tangential gradient of P: dP_a = grad_a tr k - grad_a k(nu, nu) - 2 B_a^b k(X_b, nu)
-    dp = grad_tan[:, :2] - 2.0 * (b_mixed @ k_f[:, :2, 2:])[..., 0]
-    k_gradp_nu = np.einsum("na,na->n", (ginv_s @ dp[..., None])[..., 0], k_f[:, :2, 2])
+    dp = grad_tan[:2] - 2.0 * np.einsum("ab...,b...->a...", b_mixed, k_f[:2, 2])
+    k_gradp_nu = np.einsum("a...,a...->...", np.einsum("ab...,b...->a...", ginv_s, dp),
+                           k_f[:2, 2])
 
     return {
         "lam_h": lam * h,
-        "laplacian_h": _laplacian(grid, ginv_s, geo["surface_christoffel"], h),
+        "laplacian_h": _laplacian(grid, geo["metric_inv"], geo["surface_christoffel"], h),
         "h_b_traceless": h * geo["traceless_second_norm_sq"],
-        "h_ricci": h * _in_frame(nu[:, None], amb.ricci)[:, 0, 0],
-        "p_normal_derivatives": p * grad_tan[:, 2],
+        "h_ricci": h * _in_frame(frame[2:], _node_last(amb.ricci, 2))[0, 0],
+        "p_normal_derivatives": p * grad_tan[2],
         "p_divergence": -2.0 * p * div_sigma,
         "h_p_squared": 0.5 * h * p * p,
         "k_grad_p": -2.0 * k_gradp_nu,
@@ -172,18 +173,21 @@ def _rescaled_node_data(ds: InitialDataSet, center, tau, radius: float,
     bundle = VariationBundle(ds, center_pt, frame, grid, radii)
     amb = ambient_fields(ds, bundle.points)
 
-    df = bundle.df        # (n, a, i): manifold a, chart i
-    dft = np.swapaxes(df, 1, 2)   # rows DF e_i: the pullback is the frame rule on them
-    g_hat = _in_frame(dft, amb.metric)
-    g_inv = np.moveaxis(_inverse_metric(_node_last(g_hat, 2)), (0, 1), (-2, -1))
-    df_inv = g_inv @ dft @ amb.metric   # DF^-1 = ghat^-1 DF^T g
-    gamma_hat = np.einsum("nkc,ncij->nkij", df_inv,
-                          bundle.d2f + np.einsum("ncab,nai,nbj->ncij", amb.christoffel, df, df))
+    g = _node_last(amb.metric, 2)
+    # rows DF e_i [i, a, n] (chart i, manifold a): the pullback is the frame rule on them
+    rows = np.ascontiguousarray(bundle.df.transpose(2, 1, 0))
+    g_hat = _in_frame(rows, g)
+    g_inv = _inverse_metric(g_hat)
+    df_inv = np.einsum("kl...,lc...->kc...", g_inv,
+                       np.einsum("la...,ac...->lc...", rows, g))   # DF^-1 = ghat^-1 DF^T g
+    hessian = _in_frame(rows, _node_last(amb.christoffel, 3), 1)   # D2F + Gamma(DF, DF)
+    hessian += bundle.d2f.transpose(1, 2, 3, 0)
+    gamma_hat = np.einsum("kc...,cij...->kij...", df_inv, hessian)
     # tr k is a scalar, so the pullback keeps it
-    pulled = AmbientFields(
-        points=radii[:, None] * grid.nodes, metric=g_hat, metric_inv=g_inv,
-        christoffel=gamma_hat, ricci=_in_frame(dft, amb.ricci), k=_in_frame(dft, amb.k),
-        k_trace=amb.k_trace, grad_k=_in_frame(dft, amb.grad_k))
+    fields = [g_hat, g_inv, gamma_hat, _in_frame(rows, _node_last(amb.ricci, 2)),
+              _in_frame(rows, _node_last(amb.k, 2)), amb.k_trace,
+              _in_frame(rows, _node_last(amb.grad_k, 3))]
+    pulled = AmbientFields(radii[:, None] * grid.nodes, *map(_node_first, fields))
     return pulled.rescaled(radius)
 
 

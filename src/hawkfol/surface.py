@@ -2,11 +2,15 @@
 
 A surface is stored as node positions over a SphereGrid together with its
 fundamental forms, which read the ambient data on the frame (X_theta, X_phi,
-nu) at each node through `background._in_frame`.  The builders make graphs
-c + r frame (1 + phi(x)) x + xi: the chord's derivatives come in closed form
-from `chord_derivatives`, the one rule the rescaled operator shares, and only
-the O(r^3) ray deviation xi is differentiated spectrally, so the l^2 gain of
-the derivative tables acts on xi's rounding, not the chord's.
+nu) at each node through `background._in_frame`.  The geometry is computed
+node-last (tensor axes first, the point axis last), like the curvature
+chain, and every field is a node-first view of its contiguous node-last
+array, so later node-last contractions read it without a copy.  The
+builders make graphs c + r frame (1 + phi(x)) x + xi: the chord's
+derivatives come in closed form from `chord_derivatives`, the one rule the
+rescaled operator shares, and only the O(r^3) ray deviation xi is
+differentiated spectrally, so the l^2 gain of the derivative tables acts on
+xi's rounding, not the chord's.
 """
 
 from __future__ import annotations
@@ -17,7 +21,8 @@ from typing import Optional
 
 import numpy as np
 
-from .background import AmbientFields, InitialDataSet, _in_frame, ambient_fields
+from .background import (AmbientFields, InitialDataSet, _in_frame, _node_first, _node_last,
+                         ambient_fields)
 from .errors import DegenerateInducedMetric, InvalidParams, NonEmbedded, as_count, as_point
 from .geodesic import RayFan, transported_center_frame
 from .grid import SphereGrid
@@ -87,41 +92,46 @@ def geometry_from_embedding(grid: SphereGrid, d1, d2, amb: AmbientFields):
     Works for any chart, the physical one and the rescaled ball alike, as
     long as `amb` holds the ambient components in the chart of `d1` and `d2`
     (see `AmbientFields.rescaled`).  Returns a dict of per-node fields, `d1`
-    included, keyed by the names of the `EmbeddedSurface` fields.
+    included, keyed by the names of the `EmbeddedSurface` fields.  Every
+    field is computed node-last and returned as a node-first view; `d1` and
+    `normal` are views of the frame (X_theta, X_phi, nu), one contiguous
+    (3, 3, n) array.
     """
+    g, g_inv, gamma = (_node_last(a, rank) for a, rank in
+                       ((amb.metric, 2), (amb.metric_inv, 2), (amb.christoffel, 3)))
+    frame = np.empty((3, 3, len(d1)))
+    frame[:2] = np.moveaxis(d1, 0, -1)
+    tangents = frame[:2]
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite det is rejected below
-        gsig = _in_frame(d1, amb.metric)
-        det = gsig[:, 0, 0] * gsig[:, 1, 1] - gsig[:, 0, 1] * gsig[:, 1, 0]
+        gsig = _in_frame(tangents, g)
+        det = gsig[0, 0] * gsig[1, 1] - gsig[0, 1] * gsig[1, 0]
     if not np.all((det > 0) & (det < np.inf)):
         raise DegenerateInducedMetric("induced metric is singular or not finite at a node")
-    ginv = np.empty_like(gsig)
-    ginv[:, 0, 0] = gsig[:, 1, 1] / det
-    ginv[:, 1, 1] = gsig[:, 0, 0] / det
-    ginv[:, 0, 1] = -gsig[:, 0, 1] / det
-    ginv[:, 1, 0] = -gsig[:, 1, 0] / det
+    ginv = np.stack([gsig[1, 1], -gsig[0, 1], -gsig[1, 0], gsig[0, 0]]).reshape(gsig.shape) / det
 
-    n_cov = np.cross(d1[:, 0], d1[:, 1])
-    n_up = np.einsum("nij,nj->ni", amb.metric_inv, n_cov)
-    nu = n_up / np.sqrt(np.einsum("ni,ni->n", n_cov, n_up))[:, None]
-    frame = np.concatenate([d1, nu[:, None]], axis=1)
+    n_cov = np.cross(tangents[0], tangents[1], axis=0)
+    n_up = np.einsum("ij...,j...->i...", g_inv, n_cov)
+    frame[2] = n_up / np.sqrt(np.einsum("i...,i...->...", n_cov, n_up))
 
-    # g(d2 + Gamma(d1, d1), e_c) on the frame (X_theta, X_phi, nu): -B for
-    # c = nu, the lowered surface connection for c = X_theta, X_phi
-    w = d2 + np.einsum("nijk,naj,nbk->nabi", amb.christoffel, d1, d1)
-    w_frame = np.swapaxes(w.reshape(-1, 4, 3) @ amb.metric @ np.swapaxes(frame, 1, 2), 1, 2)
-    b = -w_frame[:, 2].reshape(-1, 2, 2)
-    gamma_sigma = (ginv @ w_frame[:, :2]).reshape(-1, 2, 2, 2)
-    h = np.einsum("nab,nab->n", ginv, b)
-    b_mixed = ginv @ b
-    trless = np.einsum("nab,nba->n", b_mixed, b_mixed) - 0.5 * h * h
+    # w_ab = d2_ab + Gamma(X_a, X_b) [i, a, b] and g(w_ab, e_c) on the frame:
+    # -B for c = nu, the lowered surface connection for c = X_theta, X_phi
+    w = _in_frame(tangents, gamma, 1)
+    w += d2.transpose(3, 1, 2, 0)
+    w_frame = np.einsum("ci...,iab...->cab...", np.einsum("ij...,cj...->ci...", g, frame), w)
+    b = -w_frame[2]
+    gamma_sigma = np.einsum("cd...,dab...->cab...", ginv, w_frame[:2])
+    h = np.einsum("ab...,ab...->...", ginv, b)
+    b_mixed = np.einsum("ac...,cb...->ab...", ginv, b)
+    trless = np.einsum("ab...,ba...->...", b_mixed, b_mixed) - 0.5 * h * h
 
-    p = amb.k_trace - _in_frame(nu[:, None], amb.k)[:, 0, 0]
+    p = amb.k_trace - _in_frame(frame[2:], _node_last(amb.k, 2))[0, 0]
     area_element = np.sqrt(det) / grid.sin_theta
     return {
-        "metric": gsig, "metric_inv": ginv, "normal": nu, "second_form": b,
+        "metric": _node_first(gsig), "metric_inv": _node_first(ginv),
+        "normal": _node_first(frame[2]), "second_form": _node_first(b),
         "mean_curvature": h, "traceless_second_norm_sq": trless,
-        "surface_christoffel": gamma_sigma, "area_element": area_element,
-        "p_trace": p, "d1": d1,
+        "surface_christoffel": _node_first(gamma_sigma), "area_element": area_element,
+        "p_trace": p, "d1": _node_first(tangents),
     }
 
 

@@ -556,13 +556,17 @@ def test_single_bad_node_raises_degenerate_metric(kind):
 
 @pytest.mark.parametrize("m", [2, 3])
 def test_in_frame_matches_slot_contractions(m):
-    """The frame rule against one einsum per slot, on tensors with no symmetry."""
+    """The node-last frame rule against one einsum per slot, on tensors with
+    no symmetry, with and without a leading axis carried along."""
     rng = np.random.default_rng(m)
-    frame = rng.normal(size=(64, m, 3))
-    t2, t3 = rng.normal(size=(64, 3, 3)), rng.normal(size=(64, 3, 3, 3))
-    ref2 = np.einsum("nij,nai,nbj->nab", t2, frame, frame)
-    ref3 = np.einsum("nsij,ncs,nai,nbj->ncab", t3, frame, frame, frame)
-    assert _in_frame(frame, t2).shape == (64, m, m)
-    assert _in_frame(frame, t3).shape == (64, m, m, m)
+    frame = rng.normal(size=(m, 3, 64))
+    t2, t3 = rng.normal(size=(3, 3, 64)), rng.normal(size=(3, 3, 3, 64))
+    ref2 = np.einsum("ijn,ain,bjn->abn", t2, frame, frame)
+    ref3 = np.einsum("sijn,csn,ain,bjn->cabn", t3, frame, frame, frame)
+    ref_lead = np.einsum("sijn,ain,bjn->sabn", t3, frame, frame)
+    assert _in_frame(frame, t2).shape == (m, m, 64)
+    assert _in_frame(frame, t3).shape == (m, m, m, 64)
+    assert _in_frame(frame, t3, 1).shape == (3, m, m, 64)
     assert np.abs(_in_frame(frame, t2) - ref2).max() <= 1e-14 * np.abs(ref2).max()
     assert np.abs(_in_frame(frame, t3) - ref3).max() <= 1e-14 * np.abs(ref3).max()
+    assert np.abs(_in_frame(frame, t3, 1) - ref_lead).max() <= 1e-14 * np.abs(ref_lead).max()

@@ -15,8 +15,9 @@ from hawkfol import (HarmonicField, RayFan, VariationBundle, geodesic,
                      transported_center_frame)
 from hawkfol.errors import (BandLimitExceeded, ChartExceeded, DegenerateInducedMetric,
                             DegenerateMetric, InvalidParams, NonEmbedded, StepSizeUnderflow)
-from hawkfol.background import (_SYM6, _fd_grad, _node_last, christoffel_from,
+from hawkfol.background import (_SYM6, _fd_grad, _node_last, ambient_fields, christoffel_from,
                                 dchristoffel_from)
+from hawkfol.el_operator import _rescaled_node_data
 from hawkfol.surface import geometry_from_embedding
 
 ORIGIN = np.zeros(3)
@@ -834,6 +835,37 @@ def test_non_finite_induced_metric_raises_without_warnings(conformal, grid, scal
         warnings.simplefilter("error")
         with pytest.raises(DegenerateInducedMetric, match="not finite"):
             geometry_from_embedding(grid, d1, np.zeros(d1.shape[:1] + (2, 2, 3)), s.ambient)
+
+
+# per-node tensor fields and their ranks; positions and points are inputs
+_AMBIENT_RANKS = {"metric": 2, "metric_inv": 2, "christoffel": 3, "ricci": 2, "k": 2,
+                  "k_trace": 0, "grad_k": 3}
+_SURFACE_RANKS = {"d1": 2, "normal": 1, "metric": 2, "metric_inv": 2, "area_element": 0,
+                  "second_form": 2, "mean_curvature": 0, "traceless_second_norm_sq": 0,
+                  "p_trace": 0, "surface_christoffel": 3}
+
+
+def _node_last_contiguous(obj, ranks):
+    """Names of the fields whose node-last view is not C-contiguous."""
+    return [name for name, rank in ranks.items()
+            if not _node_last(getattr(obj, name), rank).flags.c_contiguous]
+
+
+def test_fields_are_views_of_node_last_arrays(conformal_k, grid):
+    """Every tensor field of the ambient data, of graph and coordinate
+    spheres and of the rescaled ball is a node-first view of a contiguous
+    node-last array, so the node-last kernels read it without a copy."""
+    rng = np.random.default_rng(2)
+    phi = HarmonicField(np.concatenate([np.zeros(4), 0.01 * rng.normal(size=5)]), 2)
+    assert not _node_last_contiguous(ambient_fields(conformal_k, 0.05 * grid.nodes),
+                                     _AMBIENT_RANKS)
+    for s in (graph_surface(conformal_k, ORIGIN, TAU, 0.05, phi, grid),
+              coordinate_sphere(conformal_k, ORIGIN, 0.05, grid)):
+        assert not _node_last_contiguous(s, _SURFACE_RANKS)
+        assert not _node_last_contiguous(s.ambient, _AMBIENT_RANKS)
+    factor = 1.0 + synthesize(phi, grid)
+    ball = _rescaled_node_data(conformal_k, ORIGIN, TAU, 0.05, grid, factor)
+    assert not _node_last_contiguous(ball, _AMBIENT_RANKS)
 
 
 def test_band_limit_warning_on_noisy_positions(flat, grid):

@@ -155,17 +155,19 @@ _SYM6 = np.array([[0, 3, 4], [3, 1, 5], [4, 5, 2]])   # (l, m) -> second-derivat
 def _stencil(fun, pts, h, rows, order):
     """Stencil rows applied to fun at pts (leading point axes), over h**order.
 
-    Each row's points go to fun in one batched call, with the row's offsets on
-    a new axis after the point axes; the row axis of the result takes that
-    place.  The weighted sums run over plain array operations, so a batch of
-    points gives the same numbers as the points one at a time.
+    The points of all rows go to fun in one batched call, with the rows'
+    offsets concatenated on a new axis after the point axes; the row axis of
+    the result takes that place.  The weighted sums run over plain array
+    operations, so a batch of points gives the same numbers as the points
+    one at a time.
     """
     pts = np.asarray(pts, dtype=float)
     axis = pts.ndim - 1
-    out = []
-    for offsets, weights, denom in rows:
-        vals = np.moveaxis(fun(pts[..., None, :] + h * offsets), axis, 0)
-        out.append(sum(w * v for w, v in zip(weights, vals)) / (denom * h ** order))
+    offsets = np.concatenate([row[0] for row in rows])
+    vals = np.moveaxis(fun(pts[..., None, :] + h * offsets), axis, 0)
+    ends = np.cumsum([len(weights) for _, weights, _ in rows])[:-1]
+    out = [sum(w * v for w, v in zip(weights, part)) / (denom * h ** order)
+           for (_, weights, denom), part in zip(rows, np.split(vals, ends))]
     return np.stack(out, axis=axis)
 
 
@@ -388,9 +390,10 @@ def _point_jet(ds: InitialDataSet, x, quantity):
     `quantity` returns an array with optional trailing component axes; the
     Hessian of each component is covariantized as that of a scalar,
     nabla^2 f = partial^2 f - Gamma^l_{ij} partial_l f.  ambient_fields runs
-    once at x and once per stencil row: 1 + 3 + 6 calls, each checking its
-    points against the chart.  The gradient and Hessian steps are 1e-3 and
-    2e-3 on closed-form data and 5e-3 and 1e-2 on finite-difference data.
+    three times, each call checking its points against the chart: at x, on
+    the 12 points of the gradient stencil and on the 63 of the Hessian's.
+    The gradient and Hessian steps are 1e-3 and 2e-3 on closed-form data and
+    5e-3 and 1e-2 on finite-difference data.
     """
     x = as_point(x, "x")
     fd = ds.derivative_mode == "finite_difference"

@@ -71,8 +71,10 @@ _MAX_BUNDLE_BAND = 48
 _TAIL = 1e-16
 _ROUNDING = 1e-14
 # Chebyshev-Picard: the node counts of a segment, the shortest segment and
-# the most segments of one integration
-_PICARD_NODES = (17, 33, 65)
+# the most segments of one integration.  Every count less one is a power of
+# two, so each count's nodes hold those of the one before; short rays, the
+# most common, stop at 9.
+_PICARD_NODES = (9, 17, 33, 65)
 _MIN_SEGMENT = 1e-14
 _MAX_SEGMENTS = 1024
 
@@ -142,13 +144,15 @@ def _picard(ds: InitialDataSet, accel, v0, dv0, span: float, position):
     iterate's `position(s, v)` is chart-checked.  The tail bound of a value
     group on a segment of length h is _TAIL h + _ROUNDING times its largest
     Chebyshev coefficient.  The iteration stops when each group's change is
-    within its bound; the node count starts at 17 and doubles to 33 and 65
-    while the top two coefficients of a group are above it.  A segment whose
-    iteration stops contracting (a change, in units of the bound, more than
-    half the one before), or whose tail stays above the bound at 65 nodes,
-    is halved, and each half starts from the end state of the one
-    before.  StepSizeUnderflow where a segment would fall below 1e-14 or the
-    segments pass 1024, DegenerateMetric unless every iterate is finite.
+    within its bound; the node count starts at 9 and grows to 17, 33 and 65
+    while the top two coefficients of a group are above it, each count
+    starting from the last one's solution, which it holds exactly at the
+    shared nodes.  A segment whose iteration stops contracting (a change, in
+    units of the bound, more than half the one before), or whose tail stays
+    above the bound at 65 nodes, is halved, and each half starts from the
+    end state of the one before.  StepSizeUnderflow where a segment would
+    fall below 1e-14 or the segments pass 1024, DegenerateMetric unless every
+    iterate is finite.
     Returns [(a, h, n, v, dv)]: the node count and the node values of v and
     v' on each segment [a, a + h], in order.
     """

@@ -11,8 +11,8 @@ from numpy.testing import assert_allclose
 from hawkfol import (InitialDataSet, RayFan, VariationBundle, ambient_fields,
                      concentration_scalar, curvature_at, default_grid, geodesic_acceleration,
                      initial_guess, orthonormal_frame, preset)
-from hawkfol.background import (_DERIVED_STEP, _SECOND_STEP, _fd_grad, _fd_hess,
-                                _in_frame, _inverse_metric, _node_last, christoffel_from)
+from hawkfol.background import (_DERIVED_STEP, _SECOND_STEP, _STENCIL, _SYM6, _fd_grad,
+                                _fd_hess, _in_frame, _inverse_metric, _node_last, christoffel_from)
 from hawkfol.errors import (ChartExceeded, DegenerateMetric, InvalidParams,
                             UnknownPreset)
 
@@ -163,9 +163,10 @@ class TestConcentrationScalar:
         assert np.abs(grad - oracle).max() < 1e-5 * max(np.abs(grad).max(), 1.0)
 
 
-def test_point_quantities_evaluate_the_metric_once_per_stencil_row(conformal_k, small_grid):
-    # initial_guess reads one ambient_fields at p; concentration_scalar one per
-    # stencil row: the value, 3 gradient rows and 6 Hessian rows
+def test_point_quantities_evaluate_the_metric_once_per_stencil_order(conformal_k, small_grid):
+    # initial_guess reads one ambient_fields at p; concentration_scalar three:
+    # the value, the 12 points of all gradient rows and the 63 of all Hessian
+    # rows
     calls = []
 
     def metric_jet(pts, n):
@@ -178,7 +179,7 @@ def test_point_quantities_evaluate_the_metric_once_per_stencil_row(conformal_k, 
     assert len(calls) == 1
     calls.clear()
     concentration_scalar(ds, [0.08, -0.03, 0.05])
-    assert len(calls) <= 10
+    assert calls == [(1, 3), (12, 3), (63, 3)]
 
 
 def test_pointwise_contractions_match_curvature_report(conformal_k):
@@ -244,6 +245,36 @@ def test_stencils_exact_on_quartic_polynomials(seed, shape):
     for idx in np.ndindex(shape):
         np.testing.assert_array_equal(grad[idx], _fd_grad(fun, pts[idx], _DERIVED_STEP))
         np.testing.assert_array_equal(hess[idx], _fd_hess(fun, pts[idx], _SECOND_STEP))
+
+
+def _row_by_row(fun, pts, h, rows, order):
+    """The stencil rows of `_stencil`, one call of fun per row."""
+    axis = pts.ndim - 1
+    out = []
+    for offsets, weights, denom in rows:
+        vals = np.moveaxis(fun(pts[..., None, :] + h * offsets), axis, 0)
+        out.append(sum(w * v for w, v in zip(weights, vals)) / (denom * h ** order))
+    return np.stack(out, axis=axis)
+
+
+@pytest.mark.parametrize("fd", [False, True], ids=["closed_form", "finite_difference"])
+def test_batched_stencil_rows_match_one_call_per_row(fd):
+    # one call on the points of all rows gives exactly the numbers of one
+    # call per row, on the map that concentration_scalar differentiates
+    ds = _fd_hessian_cases()[2][0]   # the polynomial with k_linear
+    ds = ds.with_finite_differences() if fd else ds
+
+    def fun(pts):
+        amb = ambient_fields(ds, pts)
+        return amb.scalar + 0.6 * amb.k_trace ** 2 + 0.2 * amb.k_norm_sq
+
+    for pts in (np.array([0.1, -0.05, 0.08]),
+                np.random.default_rng(3).uniform(-0.1, 0.1, size=(4, 3))):
+        assert np.array_equal(_fd_grad(fun, pts, _DERIVED_STEP),
+                              _row_by_row(fun, pts, _DERIVED_STEP, _STENCIL[:3], 1))
+        assert np.array_equal(_fd_hess(fun, pts, _SECOND_STEP),
+                              np.take(_row_by_row(fun, pts, _SECOND_STEP, _STENCIL[3:], 2),
+                                      _SYM6, axis=pts.ndim - 1))
 
 
 class TestPresets:

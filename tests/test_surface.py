@@ -358,8 +358,10 @@ def test_fan_matches_exp_map_between_its_nodes(conformal_k, grid, which, center,
 
 @pytest.mark.parametrize("which, center, r, n_steps", [
     ("conformal_quadratic(-0.25, k)", ORIGIN, 0.8, 1024),
-    # 17 nodes stall at 5.8e-10 r: the node count grows to 65.  The 1024-step
-    # reference is off by 2.4e-13 r here, 16 times less at 2048 steps
+    # the top two coefficients of xi read 4.6e-5 r at 9 nodes, 1.1e-8 r at 17
+    # and 2.3e-15 r at 33, against a bound of 7.2e-16 r: the node count grows
+    # to 65.  The 1024-step reference is off by 2.4e-13 r here, 16 times less
+    # at 2048 steps
     ("conformal_quadratic(-0.25, k)", ORIGIN, 1.0, 2048),
     ("polynomial", (0.05, -0.02, 0.03), 0.2, 1024),
     ("schwarzschild", (2.0, 0.0, 0.0), 0.5, 1024),
@@ -409,6 +411,26 @@ def test_fan_makes_one_kernel_call_per_iteration(conformal_k, grid, monkeypatch)
     center, frame = transported_center_frame(conformal_k, ORIGIN, [0.006, -0.008, 0.0])
     fan = RayFan(conformal_k, center, frame, grid.nodes, s_max=1.3 * 0.05, n_steps=64)
     assert fan.band_limit == 8 and len(calls) <= 8
+    # a short ray on smooth data stops at the first node count: every call
+    # holds 9 Chebyshev nodes of the 200 rays of band limit 8
+    assert set(calls) == {(9, 200, 3)}
+
+
+def test_picard_node_counts_nest():
+    # each count's Lobatto nodes hold the last one's exactly, so the warm
+    # start of a larger count copies the smaller count's solution there
+    counts = geodesic._PICARD_NODES
+    for small, large in zip(counts, counts[1:]):
+        assert np.array_equal(geodesic._chebyshev(large)[0][::2], geodesic._chebyshev(small)[0])
+
+
+def test_rough_rays_climb_past_the_first_node_count():
+    # the seed-5 polynomial at r = 0.2 needs more than degree 8 in s: the
+    # ladder climbs where the data ask for it
+    ds = _non_conformal_polynomial(seed=5)
+    c, frame = transported_center_frame(ds, (0.05, -0.02, 0.03), ORIGIN)
+    fan = RayFan(ds, c, frame, _unit_directions(256, 7), s_max=1.3 * 0.2)
+    assert fan.band_limit is None and min(m for _, _, m, _ in fan._segments) >= 17
 
 
 def test_fans_over_the_same_nodes_share_one_basis(conformal_k, monkeypatch):

@@ -23,6 +23,9 @@ riemann[..., i, j, k, l]    Rm_ijkl = g_ia R^a_jkl, with
 ricci[..., i, j] = R^a_{iaj}, so the round sphere has positive scalar
 curvature and geodesic spheres obey H = 2/r - (r/3) Ric(x, x) + O(r^2).
 grad_k[..., s, i, j]    covariant derivative nabla_s k_ij
+In three dimensions and this convention, `curvature_at` forms Rm from Ric:
+    Rm_ijkl = g_ik R_jl + g_jl R_ik - g_il R_jk - g_jk R_il
+              - (Sc / 2) (g_ik g_jl - g_il g_jk).
 """
 
 from __future__ import annotations
@@ -234,9 +237,9 @@ def _inverse_metric(g):
                      x02, x12, i2]).reshape(g.shape)
 
 
-def _bracket(dg, lead=0):
-    """d_j g_lk + d_k g_lj - d_l g_jk in layout [l, j, k, ...], after `lead` axes."""
-    return np.swapaxes(dg, lead, lead + 1) + np.moveaxis(dg, lead, lead + 2) - dg
+def _bracket(dg):
+    """d_j g_lk + d_k g_lj - d_l g_jk in layout [l, j, k, ...]."""
+    return np.swapaxes(dg, 0, 1) + np.moveaxis(dg, 0, 2) - dg
 
 
 def christoffel_from(g_inv, dg):
@@ -244,46 +247,35 @@ def christoffel_from(g_inv, dg):
     return 0.5 * np.einsum("il...,ljk...->ijk...", g_inv, _bracket(dg))
 
 
-def dchristoffel_from(g_inv, dg, d2g, gamma):
-    """partial_m Gamma^i_{jk}, layout [m, i, j, k, ...], from differentiating
-    g Gamma = S / 2 (S the bracket of dg): g^-1 (d_m S / 2 - d_m g Gamma)."""
-    lowered = _bracket(d2g, 1)
-    lowered *= 0.5
-    lowered -= np.einsum("mlp...,pjk...->mljk...", dg, gamma)
-    return np.einsum("il...,mljk...->mijk...", g_inv, lowered)
+def ricci_from_jets(g_inv, dg, d2g, gamma):
+    """Ric_jl = R^a_{jal} [j, l, ...] from the metric jets, never forming d Gamma:
 
+        Ric_jl = (A_jl + A_lj - B_jl - C_jl) / 2 + (t_p - u_p) Gamma^p_lj
+                 + (M_l^a_p - Gamma^a_lp) Gamma^p_aj
 
-def riemann_from(g, gamma, dgamma):
-    """Fully covariant Rm_ijkl [i, j, k, l, ...] from Gamma and its gradient.
-
-    R^a_{jkl} = d_k Gamma^a_{lj} - d_l Gamma^a_{kj}
-                + Gamma^a_{km} Gamma^m_{lj} - Gamma^a_{lm} Gamma^m_{kj}
+    with A_jl = g^ab d_a d_j g_bl, B_jl = g^ab d_a d_b g_jl,
+    C_jl = g^ab d_j d_l g_ab, M_l^a_p = g^ab d_l g_bp, u_p = M_a^a_p and
+    t_p = Gamma^a_ap.  One copy makes the einsums' output C-contiguous.
     """
-    term = (np.einsum("kalj...->ajkl...", dgamma)
-            - np.einsum("lakj...->ajkl...", dgamma)
-            + np.einsum("akm...,mlj...->ajkl...", gamma, gamma)
-            - np.einsum("alm...,mkj...->ajkl...", gamma, gamma))
-    return np.einsum("ia...,ajkl...->ijkl...", g, term)
-
-
-def ricci_from(gamma, dgamma):
-    """Ric_jl = R^a_{jal} [j, l, ...].  The einsums lay their output out in
-    the stride order of their inputs, l before j, so one copy makes it
-    C-contiguous."""
-    return np.ascontiguousarray(np.einsum("aalj...->jl...", dgamma)
-                                - np.einsum("laaj...->jl...", dgamma)
-                                + np.einsum("aam...,mlj...->jl...", gamma, gamma)
-                                - np.einsum("alm...,maj...->jl...", gamma, gamma))
+    m = np.einsum("ab...,lbp...->lap...", g_inv, dg)
+    a = np.einsum("ab...,ajbl...->jl...", g_inv, d2g)
+    ric = a + np.swapaxes(a, 0, 1)
+    ric -= np.einsum("ab...,abjl...->jl...", g_inv, d2g)
+    ric -= np.einsum("ab...,jlab...->jl...", g_inv, d2g)
+    ric *= 0.5
+    ric += np.einsum("p...,plj...->jl...",
+                     np.einsum("aap...->p...", gamma) - np.einsum("aap...->p...", m), gamma)
+    ric += np.einsum("lap...,paj...->jl...", m - np.swapaxes(gamma, 0, 1), gamma)
+    return np.ascontiguousarray(ric)
 
 
 def _curvature_chain(ds: InitialDataSet, pts):
-    """The staged chain g -> g^-1 -> Gamma -> d Gamma -> Ric at points (n, 3), node-last."""
+    """The staged chain g -> g^-1 -> Gamma -> Ric at points (n, 3), node-last."""
     g, dg, d2g = (np.ascontiguousarray(np.moveaxis(ds.metric_jet(pts, n), 0, -1))
                   for n in range(3))
     g_inv = _inverse_metric(g)
     gamma = christoffel_from(g_inv, dg)
-    dgamma = dchristoffel_from(g_inv, dg, d2g, gamma)
-    return g, g_inv, gamma, dgamma, ricci_from(gamma, dgamma)
+    return g, g_inv, gamma, ricci_from_jets(g_inv, dg, d2g, gamma)
 
 
 def _covariant_d(dt, gamma, t):
@@ -357,7 +349,7 @@ def ambient_fields(ds: InitialDataSet, pts: np.ndarray) -> AmbientFields:
     pts = np.asarray(pts, dtype=float)
     ds.check_chart(pts)
     flat, lead = pts.reshape(-1, 3), pts.shape[:-1]
-    g, g_inv, gamma, _, ric = _curvature_chain(ds, flat)
+    g, g_inv, gamma, ric = _curvature_chain(ds, flat)
     k, dk = (np.ascontiguousarray(np.moveaxis(ds.k_jet(flat, n), 0, -1)) for n in range(2))
     fields = [g, g_inv, gamma, ric, k, np.einsum("ij...,ij...->...", g_inv, k),
               _covariant_d(dk, gamma, k)]
@@ -433,11 +425,12 @@ def curvature_at(ds: InitialDataSet, x) -> CurvatureAtPoint:
     amb, _, grad, hess = _point_jet(ds, x, sc_ric)
     gamma, ric = amb.christoffel, amb.ricci
     grad_ric = _covariant_d(grad[:, 1:].reshape(3, 3, 3), gamma, ric)
-    # Riemann needs d Gamma, which AmbientFields does not carry
-    g, _, _, dgamma, _ = (a[..., 0] for a in _curvature_chain(ds, amb.points[None]))
+    # Rm = g (.) (Ric - Sc g / 4), the 3-d identity of the module docstring
+    gp = np.einsum("ik,jl->ijkl", amb.metric, ric - 0.25 * amb.scalar * amb.metric)
+    riemann = gp + gp.transpose(1, 0, 3, 2) - gp.transpose(0, 1, 3, 2) - gp.transpose(1, 0, 2, 3)
     trk, norm_k_sq = float(amb.k_trace), float(amb.k_norm_sq)
     return CurvatureAtPoint(
-        christoffel=gamma, riemann=riemann_from(g, gamma, dgamma), ricci=ric,
+        christoffel=gamma, riemann=riemann, ricci=ric,
         scalar=float(amb.scalar), grad_scalar=grad[:, 0], hess_scalar=hess[:, :, 0],
         grad_ricci=grad_ric, tr_k=trk, norm_k_sq=norm_k_sq, grad_k=amb.grad_k,
         traceless_k_norm_sq=norm_k_sq - trk * trk / 3.0)

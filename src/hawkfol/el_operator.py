@@ -24,8 +24,9 @@ Both evaluations run one term assembly, `_residual_terms`, on an
 chart of the data set, with the surface's own fields, and the rescaled
 operator in the ball coordinates stretched by 1/r, where
 `AmbientFields.rescaled` carries the ambient data.  The terms read k and
-grad k on the frame (X_theta, X_phi, nu), and the rescaled operator pulls g,
-k, Ric, grad k and Gamma back on the rows of DF^T, both through `_in_frame`.
+grad k(., nu) on the frame (X_theta, X_phi, nu), and the rescaled operator
+pulls g, k, Ric, grad k and Gamma back on the rows of DF^T, both through
+`_in_frame`.
 Both run node-last on the node-first views that `ambient_fields` and
 `geometry_from_embedding` return, and the pulled-back fields are views of
 node-last arrays in the same way.
@@ -108,18 +109,19 @@ def _residual_terms(grid, geo, amb: AmbientFields, lam):
     h, p = geo["mean_curvature"], geo["p_trace"]
     ginv_s, b = _node_last(geo["metric_inv"], 2), _node_last(geo["second_form"], 2)
 
-    # k and grad k on the frame (X_theta, X_phi, nu), node-last; its inverse
-    # metric is diag(g_Sigma^-1, 1), so a trace less its (nu, nu) entry is a
-    # tangent trace
+    # k and grad k(., nu) on the frame (X_theta, X_phi, nu), node-last; its
+    # inverse metric is diag(g_Sigma^-1, 1), so g^ij - nu^i nu^j is a tangent trace
     frame = np.concatenate([_node_last(geo["d1"], 2), _node_last(geo["normal"], 1)[None]])
     k_f = _in_frame(frame, _node_last(amb.k, 2))          # k(e_a, e_b)
-    dk_f = _in_frame(frame, _node_last(amb.grad_k, 3))    # grad_{e_c} k(e_a, e_b)
+    grad_k = _node_last(amb.grad_k, 3)
+    dk_nu = _in_frame(frame, np.einsum("sij...,j...->si...", grad_k, frame[2]))
 
-    # grad_c tr k - grad_c k(nu, nu) for c = X_theta, X_phi, nu
-    grad_tan = np.einsum("ab...,cab...->c...", ginv_s, dk_f[:, :2, :2])
+    # grad_c tr k - grad_c k(nu, nu) for c = X_theta, X_phi, nu; dk_nu[c, 2] is the latter
+    dtr_k = np.einsum("ij...,sij...->s...", _node_last(amb.metric_inv, 2), grad_k)
+    grad_tan = _in_frame(frame, dtr_k) - dk_nu[:, 2]
     b_mixed = np.einsum("ac...,cb...->ab...", b, ginv_s)   # B_a^b
     # div_Sigma(k(., nu)) via the expanded first-variation identity
-    div_sigma = (np.einsum("ca...,ca...->...", ginv_s, dk_f[:2, :2, 2]) - h * k_f[2, 2]
+    div_sigma = (np.einsum("ca...,ca...->...", ginv_s, dk_nu[:2, :2]) - h * k_f[2, 2]
                  + np.einsum("ab...,ab...->...", ginv_s,
                              np.einsum("ac...,cb...->ab...", b_mixed, k_f[:2, :2])))
     # tangential gradient of P: dP_a = grad_a tr k - grad_a k(nu, nu) - 2 B_a^b k(X_b, nu)

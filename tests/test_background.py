@@ -16,6 +16,8 @@ from hawkfol.background import (_DERIVED_STEP, _SECOND_STEP, _STENCIL, _SYM6, _f
 from hawkfol.errors import (ChartExceeded, DegenerateMetric, InvalidParams,
                             UnknownPreset)
 
+from curvature_oracles import dchristoffel_from, ricci_from, riemann_from
+
 ORIGIN = np.zeros(3)
 K_GENERIC = np.array([[0.3, 0.1, 0.0], [0.1, -0.2, 0.05], [0.0, 0.05, 0.4]])
 
@@ -531,6 +533,60 @@ def test_riemann_contracts_to_the_fast_ricci(which):
     amb = ambient_fields(ds, x)
     traced = np.einsum("ab,bjal->jl", amb.metric_inv, curvature_at(ds, x).riemann)
     assert np.abs(traced - amb.ricci).max() <= 1e-14 * np.abs(amb.ricci).max()
+
+
+def _connection_oracle(ds, pts):
+    """(g, Gamma, d Gamma) node-last at points (n, 3), g^-1 by LAPACK and
+    d Gamma by the oracle's differentiation of g Gamma = S / 2."""
+    g, dg, d2g = (_node_last(ds.metric_jet(pts, n), n + 2) for n in range(3))
+    g_inv = _node_last(np.linalg.inv(ds.metric_jet(pts, 0)), 2)
+    gamma = christoffel_from(g_inv, dg)
+    return g, gamma, dchristoffel_from(g_inv, dg, d2g, gamma)
+
+
+def _assert_ricci_matches_the_connection_oracle(ds, pts):
+    ref = np.moveaxis(ricci_from(*_connection_oracle(ds, pts)[1:]), (0, 1), (1, 2))
+    got = ambient_fields(ds, pts).ricci
+    assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("which", ["conformal_k", "polynomial", "schwarzschild",
+                                   "finite_difference"])
+def test_ricci_matches_the_connection_oracle(which, conformal_k):
+    """The jet Ricci rule of `ambient_fields` against the trace of the
+    oracle's d Gamma, on 64 points around each data set's center."""
+    if which == "conformal_k":
+        ds, center = conformal_k, np.zeros(3)
+    else:
+        ds, center = _layout_data("schwarzschild" if which == "schwarzschild" else "polynomial")
+        if which == "finite_difference":
+            ds = ds.with_finite_differences()
+    pts = center + np.random.default_rng(3).uniform(-0.15, 0.15, size=(64, 3))
+    _assert_ricci_matches_the_connection_oracle(ds, pts)
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), size=st.floats(1e-3, 0.05))
+def test_ricci_rule_on_random_quadratic_metrics(seed, size):
+    """The same check on g = delta + c x x with a random symmetric c,
+    max |c| = size, at random points of radius below 0.5."""
+    rng = np.random.default_rng(seed)
+    c4 = rng.normal(size=(3, 3, 3, 3))
+    c4 = c4 + c4.transpose(1, 0, 2, 3)
+    c4 = c4 + c4.transpose(0, 1, 3, 2)
+    ds = preset("polynomial", g_quadratic=size * c4 / np.abs(c4).max())
+    pts = rng.normal(size=(16, 3))
+    pts *= 0.5 * rng.uniform(size=(16, 1)) / np.linalg.norm(pts, axis=1, keepdims=True)
+    _assert_ricci_matches_the_connection_oracle(ds, pts)
+
+
+def test_riemann_is_the_3d_ricci_identity():
+    # Rm of curvature_at, formed from Ric, against the oracle's Rm from d Gamma
+    ds, center = _layout_data("polynomial")
+    x = center + np.array([0.07, -0.04, 0.1])
+    ref = riemann_from(*_connection_oracle(ds, x[None]))[..., 0]
+    got = curvature_at(ds, x).riemann
+    assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 _BAD_NODE = {

@@ -15,10 +15,11 @@ from hawkfol import (HarmonicField, RayFan, VariationBundle, geodesic,
                      transported_center_frame)
 from hawkfol.errors import (BandLimitExceeded, ChartExceeded, DegenerateInducedMetric,
                             DegenerateMetric, InvalidParams, NonEmbedded, StepSizeUnderflow)
-from hawkfol.background import (_SYM6, _fd_grad, _node_last, ambient_fields, christoffel_from,
-                                dchristoffel_from)
+from hawkfol.background import _SYM6, _fd_grad, _node_last, ambient_fields, christoffel_from
 from hawkfol.el_operator import _rescaled_node_data
 from hawkfol.surface import geometry_from_embedding
+
+from curvature_oracles import dchristoffel_from
 
 ORIGIN = np.zeros(3)
 TAU = np.array([0.01, 0.0, 0.0])

@@ -10,10 +10,13 @@ Index conventions
 -----------------
 Public arrays are node-first (point axes, then tensor axes).  The curvature
 kernels and the frame rule `_in_frame` are node-last, tensor axes first and
-the point axes last, so each contraction loops along the points.  The fields
-of `ambient_fields` are node-first views of C-contiguous node-last arrays,
-which `_node_last` returns without a copy; other node-first callers pass
-strided `_node_last` views to the same kernels.
+the point axes last, so each contraction loops along the points.  The preset
+jets compute node-last too: their public jets and the fields of
+`ambient_fields` are node-first views of node-last arrays, C-contiguous or,
+for a jet order that is the same at every point, a read-only zero-stride
+broadcast, which `_node_last` returns without a copy.  Custom jets and
+`from_values` stay node-first; the kernels read their strided `_node_last`
+views, and the chain copies g and k, the fields, once.
 
 dg[..., l, i, j]        partial_l g_ij
 d2g[..., l, m, i, j]    partial_l partial_m g_ij
@@ -79,11 +82,13 @@ class InitialDataSet:
     ----------
     metric_jet : callable
         metric_jet(pts, n), n = 0..2: the n-th partial derivatives of g at
-        points (..., 3), the n derivative axes between the point axes and the
-        tensor axes (see the module docstring for the index layout).
+        points (..., 3), node-first, the n derivative axes between the point
+        axes and the tensor axes (see the module docstring for the index
+        layout).
     k_jet : callable
         The same for k, n = 0 and 1.  Either jet raises InvalidParams for
-        any other order.  An output may be a read-only broadcast view (see
+        any other order.  A preset's output is a node-first view of a
+        node-last array, for a constant order a read-only broadcast (see
         `_from_jets`); no caller writes into one.
     chart_radius : float
         Coordinate validity radius; evaluating the data at |x| >=
@@ -243,8 +248,9 @@ def _bracket(dg):
 
 
 def christoffel_from(g_inv, dg):
-    """Gamma^i_{jk} [i, j, k, ...] from the inverse metric and metric gradient."""
-    return 0.5 * np.einsum("il...,ljk...->ijk...", g_inv, _bracket(dg))
+    """Gamma^i_{jk} [i, j, k, ...] from the inverse metric and metric gradient,
+    C-contiguous whatever the layout of dg."""
+    return 0.5 * np.einsum("il...,ljk...->ijk...", g_inv, _bracket(dg), order="C")
 
 
 def ricci_from_jets(g_inv, dg, d2g, gamma):
@@ -270,9 +276,13 @@ def ricci_from_jets(g_inv, dg, d2g, gamma):
 
 
 def _curvature_chain(ds: InitialDataSet, pts):
-    """The staged chain g -> g^-1 -> Gamma -> Ric at points (n, 3), node-last."""
-    g, dg, d2g = (np.ascontiguousarray(np.moveaxis(ds.metric_jet(pts, n), 0, -1))
-                  for n in range(3))
+    """The staged chain g -> g^-1 -> Gamma -> Ric at points (n, 3), node-last.
+
+    Only g, a field, is made contiguous; dg and d2g reach the kernels as the
+    node-last views of the jets, so a constant order stays a broadcast.
+    """
+    g = np.ascontiguousarray(_node_last(ds.metric_jet(pts, 0), 2))
+    dg, d2g = (_node_last(ds.metric_jet(pts, n), n + 2) for n in (1, 2))
     g_inv = _inverse_metric(g)
     gamma = christoffel_from(g_inv, dg)
     return g, g_inv, gamma, ricci_from_jets(g_inv, dg, d2g, gamma)
@@ -350,7 +360,8 @@ def ambient_fields(ds: InitialDataSet, pts: np.ndarray) -> AmbientFields:
     ds.check_chart(pts)
     flat, lead = pts.reshape(-1, 3), pts.shape[:-1]
     g, g_inv, gamma, ric = _curvature_chain(ds, flat)
-    k, dk = (np.ascontiguousarray(np.moveaxis(ds.k_jet(flat, n), 0, -1)) for n in range(2))
+    k = np.ascontiguousarray(_node_last(ds.k_jet(flat, 0), 2))
+    dk = _node_last(ds.k_jet(flat, 1), 3)
     fields = [g, g_inv, gamma, ric, k, np.einsum("ij...,ij...->...", g_inv, k),
               _covariant_d(dk, gamma, k)]
     return AmbientFields(pts, *(_node_first(a, lead) for a in fields))
@@ -461,31 +472,46 @@ def _as_sym3(a, what):
 
 
 def _from_jets(g, k, chart_radius, name):
-    """The closed-form data set with the jets g and k; every preset is built
-    here.  An order that is the same at every point may leave out the point
-    axes; it is returned as a read-only broadcast view, which the node-last
-    copy in `_curvature_chain` or `ambient_fields` reads once.  Each order is
-    its own branch, so no jet builds a higher derivative.
+    """The closed-form data set with the node-last jets g and k; every preset
+    is built here.
+
+    A preset jet takes points [3, n] and returns order n node-last,
+    [(3,) * (n + 2), n]; an order that is the same at every point leaves out
+    the point axis.  The data set's jets transpose the points (..., 3) once,
+    broadcast a constant order along the points as a read-only zero-stride
+    view, and return the node-first view of the node-last result, which
+    `_node_last` reads without a copy.  Each order is its own branch, so no
+    jet builds a higher derivative.
     """
-    def broadcast(jet):
+    def node_first(jet):
         def full(pts, n):
             pts = np.asarray(pts, dtype=float)
-            out, shape = jet(pts, n), pts.shape[:-1] + (3,) * (n + 2)
-            return out if out.shape == shape else np.broadcast_to(out, shape)
+            flat = np.ascontiguousarray(pts.reshape(-1, 3).T)
+            out = jet(flat, n)
+            if out.ndim == n + 2:
+                out = np.broadcast_to(out[..., None], out.shape + flat.shape[1:])
+            return _node_first(out, pts.shape[:-1])
         return full
-    return InitialDataSet(broadcast(g), broadcast(k), chart_radius, name)
+    return InitialDataSet(node_first(g), node_first(k), chart_radius, name)
 
 
 def _constant(value):
-    """Jet of a field that takes the same value everywhere."""
+    """Jet of a field that takes the same value everywhere (no point axis)."""
     value = np.asarray(value, dtype=float)
     return lambda pts, n: value.copy() if n == 0 else np.zeros((3,) * n + value.shape)
 
 
 def _conformally_flat(w, k, chart_radius, name):
-    """Data set with metric w delta from the jet of w: d^n g = d^n w (x) delta."""
-    eye = np.eye(3)
-    return _from_jets(lambda pts, n: w(pts, n)[..., None, None] * eye, k, chart_radius, name)
+    """Data set with metric w delta from the node-last jet of w:
+    d^n g_ij = d^n w delta_ij, written on the diagonal of zeros."""
+    def g(pts, n):
+        dw = w(pts, n)
+        out = np.zeros(dw.shape[:n] + (3, 3) + dw.shape[n:])
+        for i in range(3):
+            out[(slice(None),) * n + (i, i)] = dw
+        return out
+
+    return _from_jets(g, k, chart_radius, name)
 
 
 def _flat(k_matrix=None):
@@ -503,7 +529,7 @@ def _conformal_quadratic(eps, k=None, chart_radius=None):
 
     def w(pts, n):   # 1 + eps |x|^2
         if n == 0:
-            return 1.0 + eps * np.sum(pts * pts, axis=-1)
+            return 1.0 + eps * np.sum(pts * pts, axis=0)
         if n == 1:
             return 2.0 * eps * pts
         return d2w(pts, n - 2)
@@ -519,19 +545,19 @@ def _schwarzschild_slice(mass, chart_radius=np.inf):
     eye = np.eye(3)
 
     def w(pts, n):   # psi^4 with psi = 1 + m / (2 rho)
-        rho = np.linalg.norm(pts, axis=-1)
+        rho = np.linalg.norm(pts, axis=0)
         if np.any(rho < 1e-10):
             raise DegenerateMetric("Schwarzschild slice is singular at the puncture rho = 0")
         psi = 1.0 + 0.5 * m / rho
         if n == 0:
             return psi ** 4
-        dpsi = -0.5 * m * pts / (rho ** 3)[..., None]
+        dpsi = -0.5 * m * pts / rho ** 3
         if n == 1:
-            return 4.0 * (psi ** 3)[..., None] * dpsi
-        d2psi = -0.5 * m * (np.einsum("kl,...->...kl", eye, rho ** -3)
-                            - 3.0 * np.einsum("...k,...l,...->...kl", pts, pts, rho ** -5))
-        return (12.0 * (psi ** 2)[..., None, None] * np.einsum("...k,...l->...kl", dpsi, dpsi)
-                + 4.0 * (psi ** 3)[..., None, None] * d2psi)
+            return 4.0 * psi ** 3 * dpsi
+        d2psi = -0.5 * m * (np.einsum("kl,...->kl...", eye, rho ** -3)
+                            - 3.0 * np.einsum("k...,l...,...->kl...", pts, pts, rho ** -5))
+        return (12.0 * psi ** 2 * np.einsum("k...,l...->kl...", dpsi, dpsi)
+                + 4.0 * psi ** 3 * d2psi)
 
     return _conformally_flat(w, _constant(np.zeros((3, 3))), chart_radius,
                              f"schwarzschild_slice(m={m})")
@@ -556,14 +582,14 @@ def _polynomial(g_quadratic=None, k_constant=None, k_linear=None, chart_radius=N
 
     def g(pts, n):   # delta_ij + c_ijkl x^k x^l
         if n == 0:
-            return eye + np.einsum("ijkl,...k,...l->...ij", c, pts, pts)
+            return eye[..., None] + np.einsum("ijkl,k...,l...->ij...", c, pts, pts)
         if n == 1:
-            return 2.0 * np.einsum("ijml,...l->...mij", c, pts)
+            return 2.0 * np.einsum("ijml,l...->mij...", c, pts, order="C")
         return d2g(pts, n - 2)
 
     def k(pts, n):   # k0_ij + k1_lij x^l
         if n == 0:
-            return k0 + np.einsum("lij,...l->...ij", k1, pts)
+            return k0[..., None] + np.einsum("lij,l...->ij...", k1, pts)
         return dk(pts, n - 1)
 
     return _from_jets(g, k, chart_radius, "polynomial")

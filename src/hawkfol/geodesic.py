@@ -43,7 +43,10 @@ Geodesics are driven by `geodesic_acceleration`, the one hand-contracted
 connection: it contracts the velocity into the metric gradient before raising
 the index, so -Gamma(v, v) costs a few 3-vector contractions per node and one
 closed-form 3x3 inverse per point.  It reads g and its first derivatives
-only.  The center-frame transport takes Gamma from `christoffel_from`.
+only, and contracts node-last like the curvature chain: on preset data the
+node-last views of the jets are contiguous, or broadcasts for a constant
+order, so only the velocities are copied.  The center-frame transport takes
+Gamma from `christoffel_from`.
 """
 
 from __future__ import annotations
@@ -83,12 +86,14 @@ def geodesic_acceleration(ds: InitialDataSet, pts: np.ndarray, vel: np.ndarray) 
     """-Gamma(v, v) = -1/2 g^-1 (2 d_j g_lk v^j v^k - d_l g_jk v^j v^k).
 
     v is contracted into the metric gradient first; Gamma is never formed.
+    The contractions run node-last on the jets' node-last views and a
+    contiguous copy of v; the result is node-first, like pts and vel.
     """
     g_inv = _inverse_metric(_node_last(ds.metric_jet(pts, 0), 2))
-    dg_v = np.einsum("...lij,...j->...li", ds.metric_jet(pts, 1), vel)
-    lowered = (2.0 * np.einsum("...jl,...j->...l", dg_v, vel)
-               - np.einsum("...lj,...j->...l", dg_v, vel))
-    return -0.5 * np.einsum("il...,...l->...i", g_inv, lowered)
+    v = np.ascontiguousarray(_node_last(np.asarray(vel, dtype=float), 1))
+    dg_v = np.einsum("lij...,j...->li...", _node_last(ds.metric_jet(pts, 1), 3), v)
+    lowered = 2.0 * np.einsum("jl...,j...->l...", dg_v, v) - np.einsum("lj...,j...->l...", dg_v, v)
+    return np.moveaxis(-0.5 * np.einsum("il...,l...->i...", g_inv, lowered), 0, -1)
 
 
 @functools.lru_cache(maxsize=None)

@@ -138,20 +138,20 @@ def geometry_from_embedding(grid: SphereGrid, d1, d2, amb: AmbientFields):
 def chord_derivatives(grid: SphereGrid, phi: Optional[HarmonicField]):
     """(1 + phi, d1, d2): the first and second (theta, phi) derivatives of the
     chord (1 + phi(x)) x in closed form, from those of phi and of x (`phi`
-    None is 0).  Raises NonEmbedded where 1 + phi <= 0."""
+    None is 0).  Raises NonEmbedded where 1 + phi <= 0.  The products run
+    node-last on contiguous copies of the factors; d1 (N, 2, 3) and
+    d2 (N, 2, 2, 3) are node-first views of the results."""
     phi_vals, dphi1, dphi2 = synthesize_derivatives(
         HarmonicField.zero(0) if phi is None else phi, grid)
     factor = 1.0 + phi_vals
     if np.any(factor <= 0):
         raise NonEmbedded(f"1 + phi reaches {factor.min():.3g} <= 0; surface not embedded")
-    x1, x2 = grid.embedding_derivatives
-    x = grid.nodes
-    d1 = factor[:, None, None] * x1 + dphi1[:, :, None] * x[:, None, :]
-    d2 = (factor[:, None, None, None] * x2
-          + dphi2[:, :, :, None] * x[:, None, None, :]
-          + dphi1[:, :, None, None] * x1[:, None, :, :]
-          + dphi1[:, None, :, None] * x1[:, :, None, :])
-    return factor, d1, d2
+    x, x1, x2, p1, p2 = (np.ascontiguousarray(_node_last(a, a.ndim - 1)) for a in
+                         (grid.nodes, *grid.embedding_derivatives, dphi1, dphi2))
+    d1 = factor * x1 + p1[:, None] * x
+    d2 = (factor * x2 + p2[:, :, None] * x
+          + p1[:, None, None] * x1 + p1[None, :, None] * x1[:, None])
+    return factor, _node_first(d1), _node_first(d2)
 
 
 def _surface(ds: InitialDataSet, grid: SphereGrid, positions, d1, d2) -> EmbeddedSurface:

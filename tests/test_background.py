@@ -17,6 +17,7 @@ from hawkfol.errors import (ChartExceeded, DegenerateMetric, InvalidParams,
                             UnknownPreset)
 
 from curvature_oracles import dchristoffel_from, ricci_from, riemann_from
+from jet_oracles import ORACLES
 
 ORIGIN = np.zeros(3)
 K_GENERIC = np.array([[0.3, 0.1, 0.0], [0.1, -0.2, 0.05], [0.0, 0.05, 0.4]])
@@ -587,6 +588,56 @@ def test_riemann_is_the_3d_ricci_identity():
     ref = riemann_from(*_connection_oracle(ds, x[None]))[..., 0]
     got = curvature_at(ds, x).riemann
     assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+# the orders that a preset forms by an einsum over a coordinate index
+_CONTRACTED = {("metric_jet", 0), ("metric_jet", 1), ("k_jet", 0)}
+
+
+def _jet_cases():
+    rng = np.random.default_rng(11)
+    c4 = rng.normal(size=(3, 3, 3, 3))
+    c4 = c4 + c4.transpose(1, 0, 2, 3)
+    c4 = 0.05 * (c4 + c4.transpose(0, 1, 3, 2))
+    k1 = rng.normal(size=(3, 3, 3))
+    return [("flat", {}, ORIGIN, set()), ("constant_k", {"k": K_GENERIC}, ORIGIN, set()),
+            ("conformal_quadratic", {"eps": 0.01}, ORIGIN, set()),
+            ("conformal_quadratic", {"eps": -0.25, "k": K_GENERIC}, ORIGIN, set()),
+            ("schwarzschild_slice", {"mass": 1.0}, np.array([0.6, 0.2, -0.3]), set()),
+            ("polynomial", {"g_quadratic": c4, "k_constant": K_GENERIC,
+                            "k_linear": k1 + k1.transpose(0, 2, 1)}, ORIGIN, _CONTRACTED),
+            ("polynomial", {}, ORIGIN, set())]
+
+
+@pytest.mark.parametrize("name,params,center,contracted", _jet_cases(),
+                         ids=["flat", "constant_k", "conformal", "conformal_k", "schwarzschild",
+                              "polynomial", "polynomial_zero"])
+def test_preset_jets_match_node_first_formulas(name, params, center, contracted):
+    """Every order of every preset jet equals the node-first formula of
+    `jet_oracles`, at one point, on a batch and on two point axes: exactly
+    where both apply the same elementwise arithmetic, and within 4 ulps of
+    the largest entry where they contract over a coordinate index, whose
+    summation order einsum picks from the memory layout.  The node-last view
+    is C-contiguous, or a read-only broadcast along the points where the
+    order is the same at every point."""
+    ds = preset(name, **params)
+    oracle = dict(zip(("metric_jet", "k_jet"), ORACLES[name](**params)))
+    rng = np.random.default_rng(4)
+    for lead in ((), (50,), (4, 7)):
+        pts = center + rng.uniform(-0.2, 0.2, size=lead + (3,))
+        for jet, top in (("metric_jet", 2), ("k_jet", 1)):
+            for n in range(top + 1):
+                got, ref = getattr(ds, jet)(pts, n), oracle[jet](pts, n)
+                assert got.shape == ref.shape == lead + (3,) * (n + 2), (jet, n)
+                if (jet, n) in contracted:
+                    bound = 4 * np.finfo(float).eps * np.abs(ref).max()
+                    assert np.abs(got - ref).max() <= bound, (jet, n)
+                else:
+                    assert np.array_equal(got, ref), (jet, n)
+                node_last = _node_last(got, n + 2)
+                broadcast = (not node_last.flags.writeable
+                             and not any(node_last.strides[n + 2:]))
+                assert node_last.flags.c_contiguous or broadcast, (jet, n)
 
 
 _BAD_NODE = {

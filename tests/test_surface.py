@@ -8,7 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import solve_ivp
 
-from hawkfol import (HarmonicField, RayFan, VariationBundle, geodesic,
+from hawkfol import (HarmonicField, InitialDataSet, RayFan, VariationBundle, geodesic,
                      coordinate_sphere, default_grid, exp_map, geodesic_sphere, graph_surface,
                      moment_value, orthonormal_frame, preset, rescaled_phi, solve_critical,
                      surface_from_positions, surface_to_csv, synthesize,
@@ -488,11 +488,11 @@ def test_fan_query_needs_one_finite_radius_per_direction(conformal, small_grid, 
         fan.offsets_at(s)
 
 
-def _non_conformal_polynomial(seed=4):
+def _non_conformal_polynomial(seed=4, **k_params):
     rng = np.random.default_rng(seed)
     c4 = rng.normal(size=(3, 3, 3, 3))
     c4 = c4 + c4.transpose(1, 0, 2, 3)
-    return preset("polynomial", g_quadratic=0.05 * (c4 + c4.transpose(0, 1, 3, 2)))
+    return preset("polynomial", g_quadratic=0.05 * (c4 + c4.transpose(0, 1, 3, 2)), **k_params)
 
 
 @pytest.mark.parametrize("which, x", [("conformal_k", (0.08, -0.03, 0.05)),
@@ -874,20 +874,39 @@ def _node_last_contiguous(obj, ranks):
             if not _node_last(getattr(obj, name), rank).flags.c_contiguous]
 
 
-def test_fields_are_views_of_node_last_arrays(conformal_k, grid):
+@pytest.mark.parametrize("which", ["conformal_k", "polynomial", "schwarzschild",
+                                   "finite_difference", "node_first_values"])
+def test_fields_are_views_of_node_last_arrays(which, conformal_k, grid):
     """Every tensor field of the ambient data, of graph and coordinate
     spheres and of the rescaled ball is a node-first view of a contiguous
-    node-last array, so the node-last kernels read it without a copy."""
+    node-last array, so the node-last kernels read it without a copy: on
+    preset jets, whose constant orders are broadcasts, and on the node-first
+    jets of finite-difference data, here also with C-ordered node-first
+    values.  Finite-difference data skip the ball: their bundle climbs past
+    band limit 48 on the stencils' noise floor (ROADMAP item 16)."""
     rng = np.random.default_rng(2)
     phi = HarmonicField(np.concatenate([np.zeros(4), 0.01 * rng.normal(size=5)]), 2)
-    assert not _node_last_contiguous(ambient_fields(conformal_k, 0.05 * grid.nodes),
+    center = np.array([2.0, 0.0, 0.0]) if which == "schwarzschild" else ORIGIN
+    if which == "polynomial":
+        k1 = rng.normal(size=(3, 3, 3))
+        ds = _non_conformal_polynomial(seed=5, k_constant=conformal_k.k_jet(ORIGIN, 0),
+                                       k_linear=0.1 * (k1 + k1.transpose(0, 2, 1)))
+    else:
+        ds = {"conformal_k": conformal_k, "schwarzschild": preset("schwarzschild_slice", mass=1.0),
+              "finite_difference": conformal_k.with_finite_differences(),
+              "node_first_values": InitialDataSet.from_values(
+                  lambda pts: np.ascontiguousarray(conformal_k.metric_jet(pts, 0)),
+                  lambda pts: np.ascontiguousarray(conformal_k.k_jet(pts, 0)))}[which]
+    assert not _node_last_contiguous(ambient_fields(ds, center + 0.05 * grid.nodes),
                                      _AMBIENT_RANKS)
-    for s in (graph_surface(conformal_k, ORIGIN, TAU, 0.05, phi, grid),
-              coordinate_sphere(conformal_k, ORIGIN, 0.05, grid)):
+    for s in (graph_surface(ds, center, TAU, 0.05, phi, grid),
+              coordinate_sphere(ds, center, 0.05, grid)):
         assert not _node_last_contiguous(s, _SURFACE_RANKS)
         assert not _node_last_contiguous(s.ambient, _AMBIENT_RANKS)
+    if ds.derivative_mode == "finite_difference":
+        return
     factor = 1.0 + synthesize(phi, grid)
-    ball = _rescaled_node_data(conformal_k, ORIGIN, TAU, 0.05, grid, factor)
+    ball = _rescaled_node_data(ds, center, TAU, 0.05, grid, factor)
     assert not _node_last_contiguous(ball, _AMBIENT_RANKS)
 
 

@@ -11,8 +11,7 @@ __version__ = "0.1.0"
 
 from .background import (AmbientFields, CurvatureAtPoint, InitialDataSet,
                          ambient_fields, concentration_scalar, curvature_at, preset)
-from .el_operator import (ResidualField, el_residual, laplace_beltrami,
-                          rescaled_phi, w_split)
+from .el_operator import ResidualField, el_residual, rescaled_phi
 from .errors import (BandLimitExceeded, ChartExceeded, ContinuationBroken,
                      DegenerateHessian, DegenerateInducedMetric, DegenerateMetric,
                      HawkfolError, InvalidParams, NoRoot, NonConvergence,
@@ -32,8 +31,7 @@ from .reduction import (CriticalSurfaceSolution, FoliationTrace, NonexistenceRep
 from .smallsphere import (ComparisonReport, SpacetimeCurvatureAtPoint,
                           comparison_report, geodesic_area,
                           geodesic_energy_coefficient, geodesic_side_expansions,
-                          lightcut_area, lightcut_area_quartic_identity,
-                          lightcut_energy_coefficient, lightcut_expansions,
-                          radius_matching)
+                          lightcut_area, lightcut_energy_coefficient,
+                          lightcut_expansions, radius_matching)
 from .surface import (EmbeddedSurface, coordinate_sphere, geodesic_sphere,
-                      graph_surface, surface_from_positions, surface_to_csv)
+                      graph_surface, surface_from_positions)

@@ -16,8 +16,7 @@ divergence expanded through the identity
 `rescaled_phi` evaluates the same operator on the rescaled data
 (g_{tau,r}, k_{tau,r}) over the unit ball, with the Lagrange term r^2 lam H;
 its node values equal r^3 times the physical residual at matching parameter
-points, which is verified rather than assumed.  `w_split` separates the
-k-independent part W1 from the k-dependent part W2 of the rescaled operator.
+points, which is verified rather than assumed.
 
 Both evaluations run one term assembly, `_residual_terms`, on an
 `AmbientFields` in the chart of the surface: the physical residual in the
@@ -34,7 +33,6 @@ node-last arrays in the same way.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Optional
 
@@ -73,29 +71,12 @@ class ResidualField:
                    proj_k0=project_K0(grid, values),
                    proj_k1=project_K1(grid, values))
 
-    def to_csv(self, grid: SphereGrid, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["node", "x", "y", "z", "residual"])
-            for n in range(grid.n_nodes):
-                writer.writerow([n, *grid.nodes[n], self.values[n]])
-
 
 def _laplacian(grid: SphereGrid, metric_inv, gamma_sigma, values):
     _, d1f, d2f = synthesize_derivatives(analyze_compensated(grid, values), grid)
     correction = np.einsum("cab...,c...->ab...", _node_last(gamma_sigma, 3), d1f.T)
     return np.einsum("ab...,ab...->...", _node_last(metric_inv, 2),
                      np.moveaxis(d2f, 0, -1) - correction)
-
-
-def laplace_beltrami(surface: EmbeddedSurface, values: np.ndarray) -> np.ndarray:
-    """Laplace-Beltrami operator of the induced metric on a node field.
-
-    Angle derivatives of the field are spectral; the connection correction
-    uses the surface Christoffel symbols assembled pointwise from the ambient
-    data, so no node-to-node differencing enters.
-    """
-    return _laplacian(surface.grid, surface.metric_inv, surface.surface_christoffel, values)
 
 
 def _residual_terms(grid, geo, amb: AmbientFields, lam):
@@ -212,14 +193,3 @@ def rescaled_phi(ds: InitialDataSet, center, tau, radius: float,
     terms = _rescaled_geometry(ds, center, tau, radius, phi, lam, grid)
     values = sum(terms.values())
     return ResidualField.from_values(grid, values, lam)
-
-
-def w_split(ds: InitialDataSet, center, tau, radius: float,
-            phi: Optional[HarmonicField], lam: float, grid: SphereGrid):
-    """(W1, W2): the k-independent and k-dependent parts of the rescaled operator."""
-    terms = _rescaled_geometry(ds, center, tau, radius, phi, lam, grid)
-    w1 = terms["lam_h"] + terms["laplacian_h"] + terms["h_b_traceless"] + terms["h_ricci"]
-    w2 = (terms["p_normal_derivatives"] + terms["p_divergence"]
-          + terms["h_p_squared"] + terms["k_grad_p"])
-    return (ResidualField.from_values(grid, w1, lam),
-            ResidualField.from_values(grid, w2, lam))

@@ -379,8 +379,9 @@ def foliate(ds: InitialDataSet, p, r_range, n_steps: int,
     trace, and every requested radius below, or within 1e-12 relative of,
     its last leaf counts as solved.  A requested radius whose sphere reaches
     the chart (|p| + r >= chart radius) is never solved: it raises
-    ContinuationBroken with the leaves solved below it.  An r_range, n_steps,
-    band_limit or tol out of range raises InvalidParams before the first solve.
+    ContinuationBroken with the leaves solved below it.  A malformed p, or an
+    r_range, n_steps, band_limit or tol out of range, raises InvalidParams
+    before the first solve.
     """
     grid = grid or default_grid()
     r_min, r_max = float(r_range[0]), float(r_range[1])
@@ -388,6 +389,7 @@ def foliate(ds: InitialDataSet, p, r_range, n_steps: int,
         raise InvalidParams(f"need 0 < r_min < r_max, got r_range = ({r_min}, {r_max})")
     _check_solve(r_min, tol, band_limit, grid)
     radii = list(np.geomspace(r_min, r_max, as_count(n_steps, "n_steps")))
+    p = as_point(p, "p")
     reach = float(np.linalg.norm(p))
 
     solutions = []

@@ -35,13 +35,10 @@ at equal areas |S_r| = |Sigma_l|.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import product
 
 import numpy as np
 
-from .errors import InvalidParams, NoRoot
-from .harmonics import moment_integral
+from .errors import InvalidParams, NoRoot, as_point
 
 _ETA = np.diag([-1.0, 1.0, 1.0, 1.0])
 
@@ -219,12 +216,15 @@ def radius_matching(stc: SpacetimeCurvatureAtPoint, l: float):
     4 pi r^2 - (2 pi / 9) Sc r^4 = T is quadratic in r^2, with the root
     r^2 = 2 T / (4 pi + sqrt(16 pi^2 - (8 pi / 9) Sc T)).  NoRoot when
     T <= 0, when there is no real root, or when Sc l^2 >= 9 (the geodesic
-    area truncation is past its maximum at the parameter).
+    area truncation is past its maximum at the parameter); InvalidParams
+    unless l is finite and > 0.
 
     Returns (r, closed_form_r) where the second entry evaluates the
     first-order closed-form relation r - l = (1/18) [ r^4/(r+l) (|k|^2 - (tr k)^2)
     + 2 (r^4 - 2 l^4)/(r+l) Ric4(e0,e0) ] with r ~ l inserted on the right.
     """
+    if not 0 < l < np.inf:
+        raise InvalidParams(f"the affine parameter l must be finite and > 0, got {l!r}")
     target = lightcut_area(stc, l)
     sc = stc.slice_scalar
     if sc * l * l >= 9.0:
@@ -306,9 +306,18 @@ def comparison_report(stc: SpacetimeCurvatureAtPoint, l_values,
     the area matching succeeded, and is reported against both candidate
     closed forms (the quoted (6/5)|k0|^2 and the substitution-derived
     (1/10)|k0|^2; the two differ by the 1/12 energy normalization).
+    `l_values` and `sample_direction` are checked before any row is computed.
     """
-    l_values = np.asarray(l_values, dtype=float)
-    x = np.asarray(sample_direction, dtype=float)
+    try:
+        params = np.asarray(l_values, dtype=float)
+    except (TypeError, ValueError):
+        params = None
+    if (params is None or params.ndim != 1 or params.size == 0
+            or not np.all((params > 0) & np.isfinite(params))):
+        raise InvalidParams("l_values must be a non-empty 1-D array of finite values > 0, "
+                            f"got {l_values!r}")
+    l_values = params
+    x = as_point(sample_direction, "sample_direction")
     norm = np.linalg.norm(x)
     if not norm > 0:
         raise InvalidParams(f"sample_direction must be a nonzero vector, got {x}")
@@ -330,83 +339,3 @@ def comparison_report(stc: SpacetimeCurvatureAtPoint, l_values,
     return ComparisonReport(rows=rows, excess_coefficient_fit=fit,
                             excess_candidate_quoted=1.2 * k0sq,
                             excess_candidate_derived=0.1 * k0sq, sample_direction=x)
-
-
-# ----------------------------------------------------------------------
-# exact coefficient algebra for the light-cut area
-# ----------------------------------------------------------------------
-
-def _canonical_rm_key(i, j, k, l):
-    """Canonical index + sign under the Riemann symmetries (no Bianchi)."""
-    sign = 1
-    if (i, j) > (j, i):
-        i, j, sign = j, i, -sign
-    if i == j:
-        return None, 0
-    if (k, l) > (l, k):
-        k, l, sign = l, k, -sign
-    if k == l:
-        return None, 0
-    if (i, j, k, l) > (k, l, i, j):
-        i, j, k, l = k, l, i, j
-    return (i, j, k, l), sign
-
-
-class _RmPoly:
-    """Linear combination of canonical Rm4 components with Fraction weights."""
-
-    def __init__(self):
-        self.terms = {}
-
-    def add(self, idx, coeff):
-        key, sign = _canonical_rm_key(*idx)
-        if key is None or coeff == 0:
-            return
-        self.terms[key] = self.terms.get(key, Fraction(0)) + sign * coeff
-        if self.terms[key] == 0:
-            del self.terms[key]
-
-    def __eq__(self, other):
-        return self.terms == other.terms
-
-
-def lightcut_area_quartic_identity() -> dict:
-    """Exact check that integrating the light-cut metric correction gives
-    the quartic area coefficient -(2 pi / 9)(4 Ric4(e0,e0) + Sc4).
-
-    Both sides are expanded into canonical Rm4 components with exact Fraction
-    weights (all moment integrals rational multiples of pi); returns the two
-    expansions and whether they agree identically.
-    """
-    # Left side: (1/6) int_{S^2} sum_a Rm4(E, t_a, t_a, E) dmu, multiples of pi.
-    # sum_a t_a (x) t_a = I - x (x) x on the spatial slots; E = e0 + x^k e_k, so
-    # Rm(E, e_i, e_j, E) expands into x-monomials indexed by the E slots.
-    left = _RmPoly()
-    terms = []  # (x-factor tuple of spatial indices 1..3, rm index, weight)
-    for i, j in product(range(1, 4), repeat=2):
-        for a in range(4):
-            for b in range(4):
-                xfac = tuple(s for s in (a, b) if s != 0)
-                rm_idx = (a, i, j, b)
-                # delta_ij weight
-                if i == j:
-                    terms.append((xfac, rm_idx, Fraction(1)))
-                # minus x_i x_j weight
-                terms.append((xfac + (i, j), rm_idx, Fraction(-1)))
-    for xfac, rm_idx, w in terms:
-        mom = moment_integral(tuple(s - 1 for s in xfac))  # 0-based axes
-        if mom != 0:
-            left.add(rm_idx, w * mom * Fraction(1, 6))
-
-    # Right side: -(2 pi / 9)(4 Ric00 + Sc4) in Rm components.
-    right = _RmPoly()
-    for i in range(1, 4):
-        right.add((i, 0, i, 0), Fraction(-2, 9) * 4)  # Ric00 = sum_i Rm_{i0i0}
-    # Sc4 = sum_{ij spatial} Rm_{ijij} - 2 sum_i Rm_{0i0i}
-    for i, j in product(range(1, 4), repeat=2):
-        right.add((i, j, i, j), Fraction(-2, 9))
-    for i in range(1, 4):
-        right.add((0, i, 0, i), Fraction(-2, 9) * (-2))
-
-    return {"metric_expansion": left.terms, "closed_form": right.terms,
-            "identical": left == right}

@@ -15,7 +15,6 @@ xi's rounding, not the chord's.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Optional
 
@@ -214,14 +213,3 @@ def coordinate_sphere(ds: InitialDataSet, center, radius: float,
     center = as_point(center, "center")
     _, d1, d2 = chord_derivatives(grid, None)
     return _surface(ds, grid, center + radius * grid.nodes, radius * d1, radius * d2)
-
-
-def surface_to_csv(surface: EmbeddedSurface, path) -> None:
-    """Node table (index, position, H, P, area element) for plotting."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["node", "x", "y", "z", "H", "P", "dmu"])
-        for n in range(surface.grid.n_nodes):
-            writer.writerow([n, *surface.positions[n],
-                             surface.mean_curvature[n], surface.p_trace[n],
-                             surface.area_element[n] * surface.grid.weights[n]])

@@ -15,10 +15,11 @@ from hawkfol import (HarmonicField, SpacetimeCurvatureAtPoint, analyze,
                      comparison_report, concentration_scalar, curvature_at,
                      el_residual, foliate, geodesic_sphere, graph_surface,
                      hawking_energy, initial_guess, kernel_obstruction,
-                     lightcut_area_quartic_identity, moment_integral,
-                     moment_value, preset, rescaled_phi, solve_critical,
-                     willmore)
+                     moment_integral, moment_value, preset, rescaled_phi,
+                     solve_critical, willmore)
 from hawkfol.grid import coeff_index
+
+from lightcut_oracles import lightcut_area_quartic_identity
 
 ORIGIN = np.zeros(3)
 K_GENERIC = np.array([[0.3, 0.1, 0.0], [0.1, -0.2, 0.05], [0.0, 0.05, 0.4]])

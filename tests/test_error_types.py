@@ -3,6 +3,7 @@ point check."""
 
 import ast
 import dataclasses
+import re
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from hawkfol.errors import InvalidParams
 ORIGIN = np.zeros(3)
 
 PACKAGE = Path(hawkfol.__file__).resolve().parent
+REPO = Path(__file__).resolve().parents[1]
 
 
 def _raised_name(node: ast.Raise):
@@ -37,6 +39,38 @@ def test_no_builtin_input_errors_or_second_error_type():
     assert found == []
 
 
+def _referenced_names(path: Path) -> set:
+    """Every name a module's code refers to: names, attributes, imported
+    names, and identifiers written as strings (perfbench binds by string)."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rpartition(".")[2])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.update(part for part in node.value.split(".") if part.isidentifier())
+    return names
+
+
+def test_every_export_has_a_user_outside_the_tests():
+    # a public name that only the tests call is either used by another module
+    # of the package or by perfbench, or README says who needs it
+    exports = {alias.name: node.module
+               for node in ast.parse((PACKAGE / "__init__.py").read_text()).body
+               if isinstance(node, ast.ImportFrom) for alias in node.names}
+    used = {path.stem: _referenced_names(path) for path in PACKAGE.glob("*.py")}
+    in_perfbench = set().union(*map(_referenced_names, (REPO / "perfbench").glob("*.py")))
+    in_readme = set(re.findall(r"`([A-Za-z_][A-Za-z0-9_]*)", (REPO / "README.md").read_text()))
+    unused = [name for name, home in exports.items()
+              if not any(name in refs for stem, refs in used.items()
+                         if stem not in (home, "__init__"))
+              and name not in in_perfbench and name not in in_readme]
+    assert unused == []
+
+
 _NAN = np.array([np.nan, 0.0, 0.0])
 _SHORT = np.zeros(2)
 
@@ -50,6 +84,7 @@ _POINT_CALLS = {
     "solve_critical-guess-nan": (lambda ds, grid: solve_critical(
         ds, ORIGIN, 0.05, guess=(_NAN, 0.0, HarmonicField.zero(8)), grid=grid), "tau"),
     "foliate-p-short": (lambda ds, grid: foliate(ds, _SHORT, (0.02, 0.04), 2, grid=grid), "p"),
+    "foliate-p-text": (lambda ds, grid: foliate(ds, "abc", (0.02, 0.04), 2, grid=grid), "p"),
     "kernel_obstruction-p-nan": (lambda ds, grid: kernel_obstruction(ds, _NAN, 0.05,
                                                                      grid=grid), "p"),
     "nonexistence_check-p-short": (lambda ds, grid: nonexistence_check(ds, _SHORT), "x"),

@@ -7,10 +7,12 @@ from numpy.testing import assert_allclose
 from hawkfol import (SpacetimeCurvatureAtPoint, comparison_report,
                      geodesic_area, geodesic_energy_coefficient,
                      geodesic_side_expansions, geodesic_sphere, lightcut_area,
-                     lightcut_area_quartic_identity, lightcut_energy_coefficient,
-                     lightcut_expansions, preset, radius_matching)
-from hawkfol.errors import NoRoot
+                     lightcut_energy_coefficient, lightcut_expansions, preset,
+                     radius_matching)
+from hawkfol.errors import InvalidParams, NoRoot
 from hawkfol.smallsphere import _tangent_frames
+
+from lightcut_oracles import lightcut_area_quartic_identity
 
 ORIGIN = np.zeros(3)
 
@@ -197,6 +199,12 @@ class TestRadiusMatching:
         assert abs(geodesic_area(stc, r) - lightcut_area(stc, 0.5)) < 1e-14
         assert 8 * np.pi * r - (8 * np.pi / 9) * r ** 3 * stc.slice_scalar > 0
 
+    @pytest.mark.parametrize("l", [-0.05, 0.0, np.nan, np.inf])
+    def test_rejects_a_parameter_that_is_not_finite_and_positive(self, l):
+        # the quartics are even in l, so a negative l would match r = |l|
+        with pytest.raises(InvalidParams, match="affine parameter"):
+            radius_matching(stc_from(k=np.diag([1.0, 0.0, 0.0])), l)
+
     def test_area_expansions(self):
         stc = stc_from(k=np.diag([1.0, 0.0, 0.0]))
         l = 0.04
@@ -261,6 +269,29 @@ class TestComparison:
         stc = stc_from(k=np.diag([1.0, 0.0, 0.0]))
         with pytest.raises(ValueError, match="sample_direction"):
             comparison_report(stc, [0.02, 0.04], sample_direction=(0.0, 0.0, 0.0))
+
+    @pytest.mark.parametrize("l_values, direction", [
+        ([-0.05, 0.02, 0.04], (1.0, 0.0, 0.0)),
+        ([0.02, np.nan, 0.04], (1.0, 0.0, 0.0)),
+        ([0.02, np.inf], (1.0, 0.0, 0.0)),
+        ([0.0, 0.02], (1.0, 0.0, 0.0)),
+        ([], (1.0, 0.0, 0.0)),
+        ([[0.02, 0.04]], (1.0, 0.0, 0.0)),
+        (["a", 0.02], (1.0, 0.0, 0.0)),
+        ([0.02, 0.04], (1.0, 0.0)),
+        ([0.02, 0.04], "ab"),
+    ], ids=["l-negative", "l-nan", "l-inf", "l-zero", "l-empty", "l-2d", "l-text",
+            "direction-short", "direction-text"])
+    def test_bad_input_raises_before_any_row(self, monkeypatch, l_values, direction):
+        # unchecked, l = -0.05 would match r = 0.05 and a NaN l give a NaN row,
+        # both with no_root False, and a malformed direction fail inside numpy
+        def unread(*args):
+            pytest.fail("a row was computed")
+
+        monkeypatch.setattr("hawkfol.smallsphere._comparison_row", unread)
+        with pytest.raises(InvalidParams, match="l_values|sample_direction"):
+            comparison_report(stc_from(k=np.diag([1.0, 0.0, 0.0])), l_values,
+                              sample_direction=direction)
 
     def test_rows_and_dict(self):
         keys = ["l", "r", "r_closed_form", "no_root", "energy_geodesic",

@@ -11,8 +11,7 @@ from scipy.integrate import solve_ivp
 from hawkfol import (HarmonicField, InitialDataSet, RayFan, VariationBundle, geodesic,
                      coordinate_sphere, default_grid, exp_map, geodesic_sphere, graph_surface,
                      moment_value, orthonormal_frame, preset, rescaled_phi, solve_critical,
-                     surface_from_positions, surface_to_csv, synthesize,
-                     transported_center_frame)
+                     surface_from_positions, synthesize, transported_center_frame)
 from hawkfol.errors import (BandLimitExceeded, ChartExceeded, DegenerateInducedMetric,
                             DegenerateMetric, InvalidParams, NonEmbedded, StepSizeUnderflow)
 from hawkfol.background import _SYM6, _fd_grad, _node_last, ambient_fields, christoffel_from
@@ -918,12 +917,3 @@ def test_band_limit_warning_on_noisy_positions(flat, grid):
     with warnings.catch_warnings():
         warnings.simplefilter("error", BandLimitExceeded)
         surface_from_positions(flat, grid, positions, check_band=False)
-
-
-def test_csv_export(tmp_path, flat, grid):
-    s = geodesic_sphere(flat, ORIGIN, ORIGIN, 1.0, grid)
-    path = tmp_path / "surface.csv"
-    surface_to_csv(s, path)
-    lines = path.read_text().splitlines()
-    assert lines[0].split(",")[:4] == ["node", "x", "y", "z"]
-    assert len(lines) == grid.n_nodes + 1
